@@ -15,9 +15,8 @@ machine-readable JSON line on stdout.
 from __future__ import annotations
 
 import argparse
-import os
+import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -201,8 +200,7 @@ def _run_critical_mass(scenario: Scenario, out: Path) -> None:
     _write_csv(out / "deficit_curve.csv", "xbar,deficit", zip(xs, deficit))
 
 
-def _select_payload(scenario: Scenario) -> dict:
-    report = stability.select_most_robust(scenario.game, scenario.dist)
+def _select_payload(report: stability.RobustnessReport) -> dict:
     return {
         "selected": report.selected,
         "tie": report.tie,
@@ -222,14 +220,12 @@ def _select_payload(scenario: Scenario) -> dict:
 
 
 def _run_select(scenario: Scenario, out: Path) -> None:
-    payload = _select_payload(scenario)
-    _write_json(out / "select.json", payload)
-    sweep = scenario.pisharp_sweep
-    if not sweep:
-        return
     report = stability.select_most_robust(scenario.game, scenario.dist)
-
-    def one(pisharp: float) -> dict:
+    _write_json(out / "select.json", _select_payload(report))
+    if not scenario.pisharp_sweep:
+        return
+    entries = []
+    for pisharp in scenario.pisharp_sweep:
         surviving = report.surviving(pisharp)
         entry = {
             "pisharp": pisharp,
@@ -239,12 +235,8 @@ def _run_select(scenario: Scenario, out: Path) -> None:
         sub = out / "sweep" / _fmt(pisharp)
         sub.mkdir(parents=True, exist_ok=True)
         _write_json(sub / "select.json", entry)
-        return entry
-
-    max_workers = int(os.environ.get("EVODYN_THREADS", "0")) or None
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        results = list(pool.map(one, sweep))
-    _write_json(out / "sweep.json", {"entries": results})
+        entries.append(entry)
+    _write_json(out / "sweep.json", {"entries": entries})
 
 
 def _run_flows(scenario: Scenario, out: Path) -> None:
@@ -353,10 +345,12 @@ def main(argv=None) -> int:
         scenario = parse_config(args.config, overrides=tuple(args.override))
         run(scenario, args.subcommand, args.out)
     except ConfigError as exc:
-        print(_to_json({"error": {"kind": "config", "message": str(exc), "line": exc.line}}))
+        error = {"kind": "config", "message": str(exc), "line": exc.line}
+        print(json.dumps({"error": error}, sort_keys=True))
         return 2
     except EvodynError as exc:
-        print(_to_json({"error": {"kind": "analysis", "message": str(exc), "line": None}}))
+        error = {"kind": "analysis", "message": str(exc), "line": None}
+        print(json.dumps({"error": error}, sort_keys=True))
         return 3
     return 0
 

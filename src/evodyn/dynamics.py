@@ -111,11 +111,9 @@ def switching_rate(protocol: RevisionProtocol, deficit: float) -> float:
 
 def _field_function(
     game: AggregateGame,
-    dist: TypeDistribution,
     protocol: RevisionProtocol,
     grid: TypeGrid,
 ) -> Callable[[np.ndarray], np.ndarray]:
-    del dist  # type data enters through the grid nodes
     theta = grid.nodes
     weights = grid.weights
     slope, intercept = game.slope, game.intercept
@@ -139,7 +137,7 @@ def vector_field(
     x: BayesianStrategy,
 ) -> np.ndarray:
     """Per-node participation velocities at the strategy's own aggregate."""
-    return _field_function(game, dist, protocol, x.grid)(x.values)
+    return _field_function(game, protocol, x.grid)(x.values)
 
 
 @dataclass(frozen=True)
@@ -236,7 +234,7 @@ def integrate(
     if not np.allclose(weights, weights[0]):
         # recorded aggregates use the plain mean, valid only for uniform weights
         raise InputError("integration requires the equiprobable grid")
-    field = _field_function(game, dist, protocol, x0.grid)
+    field = _field_function(game, protocol, x0.grid)
     return _rk4(field, x0.values, t_end, dt, snapshot_times)
 
 

@@ -89,13 +89,11 @@ def find_aggregate_equilibria(
     xs = np.linspace(0.0, 1.0, m + 1)
     gs = np.asarray(aggregate_best_response(game, dist, xs)) - xs
 
-    candidates: list[float] = []
-    for i in range(m + 1):
-        if abs(gs[i]) <= _ROOT_TOL:
-            candidates.append(float(xs[i]))
-    for i in range(m):
-        if gs[i] * gs[i + 1] < 0.0:
-            candidates.append(_bisect(g, float(xs[i]), float(xs[i + 1])))
+    candidates = [float(xs[i]) for i in np.flatnonzero(np.abs(gs) <= _ROOT_TOL)]
+    candidates += [
+        _bisect(g, float(xs[i]), float(xs[i + 1]))
+        for i in np.flatnonzero(gs[:-1] * gs[1:] < 0.0)
+    ]
     candidates.sort()
     roots: list[float] = []
     for r in candidates:

@@ -37,7 +37,7 @@ from .dynamics import RevisionProtocol
 from .equilibria import STABLE, UNSTABLE, find_aggregate_equilibria
 from .errors import AnalysisError, InputError
 from .games import AggregateGame, TypeDistribution, aggregate_best_response
-from .stability import is_critical_mass_decrease
+from .stability import DECREASE, _certify, is_critical_mass_decrease
 
 KIND_RATES = "rates"
 KIND_DEFICITS = "deficits"
@@ -96,13 +96,7 @@ class SwitchingRateDistribution:
         return float(np.dot(self.qs, self.ms))
 
 
-def _sources(
-    game: AggregateGame,
-    dist: TypeDistribution,
-    x: BayesianStrategy,
-    xbar_ref: float,
-):
-    del dist
+def _sources(game: AggregateGame, x: BayesianStrategy, xbar_ref: float):
     theta = x.grid.nodes
     w = x.grid.weights
     common = game.payoff(xbar_ref)
@@ -123,7 +117,7 @@ def flow_distributions(
     Rates are frozen at the common payoff F(xbar_ref); the composition's own
     aggregate need not equal the reference.
     """
-    theta, w, common, below, above = _sources(game, dist, x, xbar_ref)
+    theta, w, common, below, above = _sources(game, x, xbar_ref)
     inflow = SwitchingRateDistribution(
         qs=protocol.rate(common - theta[below]),
         ms=w[below] * (1.0 - x.values[below]),
@@ -144,7 +138,7 @@ def deficit_distributions(
     xbar_ref: float,
 ) -> tuple[SwitchingRateDistribution, SwitchingRateDistribution]:
     """Payoff-deficit distributions in the two flow sources (protocol-free)."""
-    theta, w, common, below, above = _sources(game, dist, x, xbar_ref)
+    theta, w, common, below, above = _sources(game, x, xbar_ref)
     inflow = SwitchingRateDistribution(
         qs=common - theta[below],
         ms=w[below] * (1.0 - x.values[below]),
@@ -310,13 +304,10 @@ def rate_ratio_escape_bound(
     if not r < 1.0:
         raise InputError(f"rate ratio r={r:.6g} must be below 1")
 
-    # Largest level such that the cut-off type's exit rate beats the fastest
-    # entrant's rate at every smaller level (prefix scan).
+    # Largest level such that every level up to it is a certified decrease
+    # level (prefix scan).
     xs = np.linspace(resolution, 1.0, int(round(1.0 / resolution)))
-    common = np.asarray(game.payoff(xs))
-    lhs = protocol.rate(np.maximum(np.asarray(dist.inverse_cdf(xs)) - common, 0.0))
-    rhs = protocol.rate(np.maximum(common - theta_min, 0.0))
-    ok = lhs >= rhs
+    ok = _certify(game, dist, protocol, xs, DECREASE).member
     first_fail = int(np.argmin(ok)) if not ok.all() else xs.size
     if first_fail == 0:
         raise AnalysisError("no positive level satisfies the prefix rate condition")

@@ -14,6 +14,9 @@ certificate has two parts:
 The mirror statement certifies increase levels.  For the monotone protocols
 supported here the supremum sits at the extreme type (theta_min below,
 theta_max above); tests cross-check that closed form against a grid scan.
+One array kernel evaluates the certificate, for single levels (the
+auditable ``CriticalMassCertificate``) and for whole scans (critical-mass
+sets here, the prefix-certified level of the escape bound in ``flows``).
 
 A stable aggregate equilibrium bracketed by an increase level below and a
 decrease level above (with no other equilibrium between them) is
@@ -32,6 +35,7 @@ threshold is largest survives the longest as pisharp rises.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,74 +72,88 @@ class CriticalMassCertificate:
     reason: str
 
 
-def _certificate(
-    game: AggregateGame,
-    dist: TypeDistribution,
-    protocol: RevisionProtocol,
-    xbar: float,
-    direction: str,
-) -> tuple[bool, CriticalMassCertificate]:
+class _CertificateScan(NamedTuple):
+    """Certificate pieces at each level of a scan, for one direction."""
+
+    member: np.ndarray
+    prefers: np.ndarray
+    corner: np.ndarray
+    clamped: np.ndarray
+    common: np.ndarray
+    cutoff: np.ndarray
+    deficit: np.ndarray
+    rate_lhs: np.ndarray
+    rate_rhs: np.ndarray
+    extreme_type: float
+
+
+# per direction: sign of the cut-off type's gain from moving, corner level,
+# preferred action, clamped-c.d.f. reason, and the names of the two rates
+_SIDES = {
+    DECREASE: (-1.0, 1.0, "O", "no type has I as best response (clamped c.d.f. is 0)",
+               "exit rate", "entry-rate supremum"),
+    INCREASE: (1.0, 0.0, "I", "every type has I as best response (clamped c.d.f. is 1)",
+               "entry rate", "exit-rate supremum"),
+}
+
+
+def _cutoff_deficit(game: AggregateGame, dist: TypeDistribution, xs):
+    """F(xs), Pinv(xs) and the cut-off type's gain from I, F(xs) - Pinv(xs)."""
+    common = np.asarray(game.payoff(xs))
+    cutoff = np.asarray(dist.inverse_cdf(xs))
+    return common, cutoff, common - cutoff
+
+
+def _certify(game, dist, protocol, xs, direction: str) -> _CertificateScan:
+    """Evaluate the certificate at every level in ``xs`` (scalar or array).
+
+    Branch precedence: condition (a), then corner, clamped c.d.f., rates.
+    """
+    xs = np.asarray(xs, dtype=float)
+    sign, corner_level = _SIDES[direction][:2]
     theta_min, theta_max = dist.support
-    common = game.payoff(xbar)
-    cutoff = float(dist.inverse_cdf(xbar))
+    extreme = theta_max if sign > 0.0 else theta_min
+    common, cutoff, deficit = _cutoff_deficit(game, dist, xs)
+    prefers = sign * deficit > 0.0
+    corner = xs == corner_level
+    clamped = np.asarray(dist.cdf(common)) == 1.0 - corner_level
+    lhs = protocol.rate(sign * deficit)
+    rhs = protocol.rate(sign * (extreme - common))
+    member = prefers & (corner | clamped | (lhs >= rhs))
+    return _CertificateScan(
+        member, prefers, corner, clamped, common, cutoff, deficit, lhs, rhs, extreme
+    )
 
-    def make(is_member, branch, lhs, rhs, argmax, reason):
-        return is_member, CriticalMassCertificate(
-            xbar=xbar,
-            direction=direction,
-            is_member=is_member,
-            cutoff_type=cutoff,
-            common_payoff=common,
-            branch=branch,
-            rate_lhs=lhs,
-            rate_rhs=rhs,
-            rhs_argmax_type=argmax,
-            reason=reason,
-        )
 
-    if direction == DECREASE:
-        if not cutoff > common:
-            return make(
-                False, None, None, None, None,
-                f"cut-off type {cutoff:.6g} does not strictly prefer O at F={common:.6g}",
-            )
-        if xbar == 1.0:
-            return make(True, BRANCH_CORNER, None, None, None, "corner level 1")
-        if float(dist.cdf(common)) == 0.0:
-            return make(
-                True, BRANCH_CLAMPED, None, None, None,
-                "no type has I as best response (clamped c.d.f. is 0)",
-            )
-        lhs = float(protocol.rate(cutoff - common))
-        rhs = float(protocol.rate(common - theta_min))
-        ok = lhs >= rhs
-        verdict = "holds" if ok else "fails"
-        return make(
-            ok, BRANCH_RATES, lhs, rhs, theta_min,
-            f"exit rate {lhs:.6g} vs entry-rate supremum {rhs:.6g} at "
-            f"theta={theta_min:.6g}: {verdict}",
-        )
-
-    if not cutoff < common:
-        return make(
-            False, None, None, None, None,
-            f"cut-off type {cutoff:.6g} does not strictly prefer I at F={common:.6g}",
-        )
-    if xbar == 0.0:
-        return make(True, BRANCH_CORNER, None, None, None, "corner level 0")
-    if float(dist.cdf(common)) == 1.0:
-        return make(
-            True, BRANCH_CLAMPED, None, None, None,
-            "every type has I as best response (clamped c.d.f. is 1)",
-        )
-    lhs = float(protocol.rate(common - cutoff))
-    rhs = float(protocol.rate(theta_max - common))
-    ok = lhs >= rhs
-    verdict = "holds" if ok else "fails"
-    return make(
-        ok, BRANCH_RATES, lhs, rhs, theta_max,
-        f"entry rate {lhs:.6g} vs exit-rate supremum {rhs:.6g} at "
-        f"theta={theta_max:.6g}: {verdict}",
+def _certificate_at(game, dist, protocol, xbar: float, direction: str):
+    scan = _certify(game, dist, protocol, xbar, direction)
+    _, corner_level, action, clamped_reason, lhs_name, rhs_name = _SIDES[direction]
+    cutoff, common = float(scan.cutoff), float(scan.common)
+    is_member = bool(scan.member)
+    lhs = rhs = argmax = None
+    if not scan.prefers:
+        branch = None
+        reason = f"cut-off type {cutoff:.6g} does not strictly prefer {action} at F={common:.6g}"
+    elif scan.corner:
+        branch, reason = BRANCH_CORNER, f"corner level {corner_level:g}"
+    elif scan.clamped:
+        branch, reason = BRANCH_CLAMPED, clamped_reason
+    else:
+        branch = BRANCH_RATES
+        lhs, rhs, argmax = float(scan.rate_lhs), float(scan.rate_rhs), scan.extreme_type
+        verdict = "holds" if is_member else "fails"
+        reason = f"{lhs_name} {lhs:.6g} vs {rhs_name} {rhs:.6g} at theta={argmax:.6g}: {verdict}"
+    return is_member, CriticalMassCertificate(
+        xbar=xbar,
+        direction=direction,
+        is_member=is_member,
+        cutoff_type=cutoff,
+        common_payoff=common,
+        branch=branch,
+        rate_lhs=lhs,
+        rate_rhs=rhs,
+        rhs_argmax_type=argmax,
+        reason=reason,
     )
 
 
@@ -148,7 +166,7 @@ def is_critical_mass_decrease(
     """Certify that the aggregate falls at ``xbar`` for every composition."""
     if not 0.0 < xbar <= 1.0:
         raise InputError(f"decrease level xbar={xbar} must lie in (0, 1]")
-    return _certificate(game, dist, protocol, xbar, DECREASE)
+    return _certificate_at(game, dist, protocol, xbar, DECREASE)
 
 
 def is_critical_mass_increase(
@@ -160,7 +178,7 @@ def is_critical_mass_increase(
     """Certify that the aggregate rises at ``xbar`` for every composition."""
     if not 0.0 <= xbar < 1.0:
         raise InputError(f"increase level xbar={xbar} must lie in [0, 1)")
-    return _certificate(game, dist, protocol, xbar, INCREASE)
+    return _certificate_at(game, dist, protocol, xbar, INCREASE)
 
 
 @dataclass(frozen=True)
@@ -208,12 +226,8 @@ def critical_mass_sets(
     m = int(round(1.0 / resolution))
     xs_dec = np.linspace(resolution, 1.0, m)
     xs_inc = np.linspace(0.0, 1.0 - resolution, m)
-    dec_member = np.array(
-        [is_critical_mass_decrease(game, dist, protocol, float(x))[0] for x in xs_dec]
-    )
-    inc_member = np.array(
-        [is_critical_mass_increase(game, dist, protocol, float(x))[0] for x in xs_inc]
-    )
+    dec_member = _certify(game, dist, protocol, xs_dec, DECREASE).member
+    inc_member = _certify(game, dist, protocol, xs_inc, INCREASE).member
 
     report = find_aggregate_equilibria(game, dist)
     eq_levels = [e.xbar for e in report.equilibria]
@@ -268,9 +282,7 @@ def _side_sup(game, dist, lo: float, hi: float, sign: float, resolution: float):
         return None, None
     count = max(int(round((hi - lo) / resolution)) + 1, 2)
     xs = np.linspace(lo, hi, count)
-    deficit = sign * (
-        np.asarray(game.payoff(xs)) - np.asarray(dist.inverse_cdf(xs))
-    )
+    deficit = sign * _cutoff_deficit(game, dist, xs)[2]
     np.maximum(deficit, 0.0, out=deficit)
     best = int(np.argmax(deficit))
     return float(deficit[best]), float(xs[best])

@@ -204,7 +204,8 @@ def test_cli_outputs_are_byte_identical(config_path, tmp_path):
 def test_cli_config_error_exit_code(tmp_path, capsys):
     code = main(["equilibria", "--config", str(tmp_path / "missing.ini")])
     assert code == 2
-    payload = json.loads(capsys.readouterr().out)
+    (line,) = capsys.readouterr().out.splitlines()  # exactly one line
+    payload = json.loads(line)
     assert payload["error"]["kind"] == "config"
 
 
@@ -224,7 +225,8 @@ def test_cli_analysis_error_exit_code(config_path, tmp_path, capsys):
         ]
     )
     assert code == 3
-    payload = json.loads(capsys.readouterr().out)
+    (line,) = capsys.readouterr().out.splitlines()  # exactly one line
+    payload = json.loads(line)
     assert payload["error"]["kind"] == "analysis"
 
 
@@ -274,12 +276,11 @@ def test_snapshot_times_written(config_path, tmp_path):
     assert times == {0.5, 1.0}
 
 
-def test_select_sweep_mode(tmp_path, monkeypatch):
+def test_select_sweep_mode(tmp_path):
     path = tmp_path / "sweep.ini"
     path.write_text(
         CANONICAL + "\n"
     )
-    monkeypatch.setenv("EVODYN_THREADS", "2")
     out = tmp_path / "out"
     code = main(
         [
@@ -302,13 +303,17 @@ def test_select_sweep_mode(tmp_path, monkeypatch):
 
 
 GOLDEN = Path(__file__).parent / "golden"
+ENTRY_CONFIG = Path(__file__).parents[1] / "configs" / "entry_sqrt.ini"
 
 
 @pytest.mark.parametrize("subcommand,filename", [
     ("equilibria", "equilibria.json"),
     ("select", "select.json"),
+    ("critical-mass", "critical_mass.json"),
+    ("escape", "escape.json"),
 ])
-def test_cli_reports_match_golden_files(config_path, tmp_path, subcommand, filename):
+def test_cli_reports_match_golden_files(tmp_path, subcommand, filename):
+    # golden files are the bundled entry config's reports
     out = tmp_path / "out"
-    assert main([subcommand, "--config", str(config_path), "--out", str(out)]) == 0
+    assert main([subcommand, "--config", str(ENTRY_CONFIG), "--out", str(out)]) == 0
     assert (out / filename).read_bytes() == (GOLDEN / filename).read_bytes()

@@ -9,6 +9,7 @@ from evodyn import (
     aggregate,
     aggregate_velocity_from_flows,
     bound_trajectory,
+    critical_mass_sets,
     deficit_distributions,
     detailed_balance_residual,
     escape_certificate,
@@ -305,6 +306,12 @@ class TestRateRatioBound:
         midpoint = 0.5 * (np.asarray(canon_dist.inverse_cdf(xs)) + 0.0)
         oracle = xs[: int(np.argmin(common <= midpoint))][-1] if not (common <= midpoint).all() else xs[-1]
         assert result.max_certified_decrease == pytest.approx(float(oracle), abs=2e-4)
+
+    def test_prefix_level_is_first_certified_decrease_run(self, canon_game, canon_dist, cubic):
+        # both read the same decrease certificate on the same 1e-4 scan
+        result = rate_ratio_escape_bound(canon_game, canon_dist, cubic)
+        report = critical_mass_sets(canon_game, canon_dist, cubic, resolution=1e-4)
+        assert report.decrease_intervals[0] == (1e-4, result.max_certified_decrease)
 
     def test_requires_coordination_shape(self, canon_dist, cubic):
         from evodyn import affine_game

@@ -10,9 +10,12 @@ Closed-form oracles for the canonical game:
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evodyn import (
     InputError,
+    SqrtShiftTypes,
     TruncatedLogisticTypes,
     affine_game,
     bounded_power_protocol,
@@ -22,12 +25,14 @@ from evodyn import (
     is_critical_mass_decrease,
     is_critical_mass_increase,
     linear_coordination_game,
+    power_protocol,
     risk_dominant_action,
     robustness_threshold,
     select_most_robust,
     sorted_composition,
     vector_field,
 )
+from evodyn.stability import _certify
 from tests.conftest import random_composition
 
 XC = (2.9 - np.sqrt(8.01)) / 2  # ~ 0.0349028
@@ -119,6 +124,27 @@ class TestIncreaseCertificates:
         for proto in (cubic, standard):
             ok, _ = is_critical_mass_increase(canon_game, canon_dist, proto, xbar)
             assert ok == grid_sup_membership(canon_game, canon_dist, proto, xbar, "increase")
+
+
+tempered_protocols = st.one_of(
+    st.builds(power_protocol, st.sampled_from([1, 2, 3, 6]) | st.floats(0.3, 8.0)),
+    st.builds(
+        bounded_power_protocol,
+        st.sampled_from([1, 2, 3]) | st.floats(0.3, 8.0),
+        st.floats(0.005, 1.0),
+    ),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=st.floats(0.2, 5.0), b=st.floats(-1.5, 1.0), protocol=tempered_protocols)
+def test_certificate_scan_matches_grid_sup_oracle(a, b, protocol):
+    game, dist = affine_game(a, b), SqrtShiftTypes()
+    levels = np.linspace(0.0, 1.0, 101)
+    for direction, xs in (("decrease", levels[1:]), ("increase", levels[:-1])):
+        member = _certify(game, dist, protocol, xs, direction).member
+        oracle = [grid_sup_membership(game, dist, protocol, float(x), direction) for x in xs]
+        assert member.tolist() == oracle
 
 
 class TestBoundedTempering:
