@@ -194,9 +194,7 @@ def _run_critical_mass(scenario: Scenario, out: Path) -> None:
     }
     _write_json(out / "critical_mass.json", payload)
     xs = np.linspace(0.0, 1.0, 1001)
-    deficit = np.abs(
-        np.asarray(scenario.game.payoff(xs)) - np.asarray(scenario.dist.inverse_cdf(xs))
-    )
+    deficit = np.abs(stability._cutoff_deficit(scenario.game, scenario.dist, xs)[2])
     _write_csv(out / "deficit_curve.csv", "xbar,deficit", zip(xs, deficit))
 
 

@@ -1,10 +1,10 @@
 """Discretized strategy compositions on a type grid.
 
 A Bayesian strategy assigns each type a participation rate in [0, 1]; its
-aggregate is the weight-averaged rate.  The grid is equiprobable (mass 1/n
-per node, nodes at the quantiles of the type distribution), which makes
-cut-off constructions index computations and keeps flow-distribution atom
-masses uniform.
+aggregate is the mean rate.  The grid is equiprobable by construction (mass
+1/n per node, nodes at the quantiles of the type distribution; there is no
+weight argument), which makes cut-off constructions index computations and
+keeps flow-distribution atom masses uniform.
 
 Constructors provided here are the canonical compositions used throughout:
 
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConstructionError, InputError
-from .games import AggregateGame, TypeDistribution
+from .games import AggregateGame, TypeDistribution, require_aggregate_equilibrium
 
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
@@ -41,20 +41,18 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TypeGrid:
-    """Increasing type nodes with probability masses summing to one."""
+    """Nondecreasing type nodes, each of mass 1/n (``weights`` is derived)."""
 
     nodes: np.ndarray
-    weights: np.ndarray
+    weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", _freeze(self.nodes))
-        object.__setattr__(self, "weights", _freeze(self.weights))
-        if self.nodes.ndim != 1 or self.nodes.shape != self.weights.shape:
-            raise InputError("nodes and weights must be 1-d arrays of equal length")
+        if self.nodes.ndim != 1 or self.nodes.size == 0:
+            raise InputError("grid nodes must be a non-empty 1-d array")
         if np.any(np.diff(self.nodes) < 0.0):
             raise InputError("grid nodes must be nondecreasing")
-        if abs(float(self.weights.sum()) - 1.0) > 1e-12:
-            raise InputError("grid weights must sum to 1 within 1e-12")
+        object.__setattr__(self, "weights", _freeze(np.full(self.n, 1.0 / self.n)))
 
     @property
     def n(self) -> int:
@@ -66,8 +64,7 @@ def make_grid(dist: TypeDistribution, n: int) -> TypeGrid:
     if n < 2:
         raise InputError(f"grid size n={n} must be at least 2")
     u = (np.arange(n) + 0.5) / n
-    return TypeGrid(nodes=np.asarray(dist.inverse_cdf(u), dtype=float),
-                    weights=np.full(n, 1.0 / n))
+    return TypeGrid(nodes=np.asarray(dist.inverse_cdf(u), dtype=float))
 
 
 @dataclass(frozen=True)
@@ -90,21 +87,14 @@ class BayesianStrategy:
 
 
 def aggregate(x: BayesianStrategy) -> float:
-    """Total participating mass: sum of weight * rate."""
+    """Total participating mass: sum of (1/n) * rate."""
     return float(np.dot(x.grid.weights, x.values))
 
 
 def _cutoff_split(grid: TypeGrid, xbar: float) -> tuple[int, float]:
-    """Number of fully filled nodes and the fractional fill of the next one.
-
-    The index arithmetic is exact only for uniform masses, so the cut-off
-    constructors insist on the equiprobable grid.
-    """
+    """Number of fully filled nodes and the fractional fill of the next one."""
     if not 0.0 <= xbar <= 1.0:
         raise InputError(f"xbar={xbar} outside [0, 1]")
-    weights = grid.weights
-    if not np.allclose(weights, weights[0]):
-        raise InputError("cut-off constructors require the equiprobable grid")
     scaled = xbar * grid.n
     k = min(int(np.floor(scaled)), grid.n)
     return k, scaled - k
@@ -169,9 +159,8 @@ def balanced_composition(
     if pimax <= 0.0:
         raise InputError(f"pimax={pimax} must be positive")
 
+    require_aggregate_equilibrium(game, dist, xbar_star)
     theta_star = game.payoff(xbar_star)
-    if abs(float(dist.cdf(theta_star)) - xbar_star) > 1e-6:
-        raise InputError(f"xbar_star={xbar_star} is not an aggregate equilibrium")
     lo, hi = dist.support
     if theta_star - pimax < lo - 1e-12:
         raise ConstructionError(

@@ -35,7 +35,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .composition import BayesianStrategy, TypeGrid, aggregate
+from .composition import BayesianStrategy, TypeGrid
 from .errors import InputError, IntegrationError
 from .games import AggregateGame, TypeDistribution, aggregate_best_response
 
@@ -68,14 +68,15 @@ class RevisionProtocol:
 
     def _power(self, base: np.ndarray) -> np.ndarray:
         # integer exponents by repeated multiply: float pow dominates the
-        # integration profile otherwise
+        # integration profile otherwise; np.power (not **) so a scalar takes
+        # the same ufunc loop as an array and gives the same bits
         k = self.k
         if k == int(k) and 1 <= k <= 6:
             out = base
             for _ in range(int(k) - 1):
                 out = out * base
             return out
-        return base**k
+        return np.power(base, k)
 
     def rate(self, deficit):
         """Vectorized switching rate; zero for nonpositive deficits."""
@@ -182,7 +183,7 @@ def _rk4(
 
     x = np.array(x0, dtype=float)
     times[0] = 0.0
-    xbars[0] = x.mean() if x.size > 1 else float(x[0])
+    xbars[0] = x.mean()
     t = 0.0
     si = 0
     while si < len(wanted) and wanted[si] <= 0.0:
@@ -202,7 +203,7 @@ def _rk4(
         clamp_total += float(np.abs(x - clipped).sum())
         x = clipped
         times[step] = t
-        xbars[step] = x.mean() if x.size > 1 else float(x[0])
+        xbars[step] = x.mean()
         while si < len(wanted) and wanted[si] <= t + 1e-12:
             snaps.append((t, x.copy()))
             si += 1
@@ -230,10 +231,6 @@ def integrate(
     Records (t, aggregate) every step and full strategies at the requested
     snapshot times (snapped to the next step boundary).
     """
-    weights = x0.grid.weights
-    if not np.allclose(weights, weights[0]):
-        # recorded aggregates use the plain mean, valid only for uniform weights
-        raise InputError("integration requires the equiprobable grid")
     field = _field_function(game, protocol, x0.grid)
     return _rk4(field, x0.values, t_end, dt, snapshot_times)
 
@@ -260,6 +257,6 @@ def integrate_homogenized(
 
     def field(state: np.ndarray) -> np.ndarray:
         x = min(max(float(state[0]), 0.0), 1.0)
-        return np.array([float(aggregate_best_response(game, dist, x)) - x])
+        return np.array([homogenized_field(game, dist, x)])
 
     return _rk4(field, np.array([xbar0]), t_end, dt, snapshot_times=())

@@ -21,8 +21,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .composition import BayesianStrategy, TypeGrid, sorted_composition
+from .dynamics import homogenized_field
 from .errors import InputError
-from .games import AggregateGame, TypeDistribution, aggregate_best_response
+from .games import (
+    AggregateGame,
+    TypeDistribution,
+    aggregate_best_response,
+    require_aggregate_equilibrium,
+)
 
 STABLE = "stable"
 UNSTABLE = "unstable"
@@ -83,7 +89,7 @@ def find_aggregate_equilibria(
         raise InputError(f"scan_resolution={scan_resolution} out of range")
 
     def g(x: float) -> float:
-        return float(aggregate_best_response(game, dist, x)) - x
+        return homogenized_field(game, dist, x)
 
     m = int(round(1.0 / scan_resolution))
     xs = np.linspace(0.0, 1.0, m + 1)
@@ -132,12 +138,7 @@ def bayesian_equilibrium(
     equilibrium the cut-off type equals the indifferent type F(xbar_star), so
     the indicator form holds at every non-boundary node.
     """
-    residual = float(aggregate_best_response(game, dist, xbar_star)) - xbar_star
-    if abs(residual) > 1e-6:
-        raise InputError(
-            f"xbar_star={xbar_star} is not an aggregate equilibrium "
-            f"(fixed-point residual {residual:.3g})"
-        )
+    require_aggregate_equilibrium(game, dist, xbar_star)
     return sorted_composition(grid, xbar_star)
 
 

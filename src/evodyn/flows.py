@@ -36,15 +36,18 @@ from .composition import BayesianStrategy, aggregate
 from .dynamics import RevisionProtocol
 from .equilibria import STABLE, UNSTABLE, find_aggregate_equilibria
 from .errors import AnalysisError, InputError
-from .games import AggregateGame, TypeDistribution, aggregate_best_response
+from .games import AggregateGame, TypeDistribution, require_aggregate_equilibrium
 from .stability import DECREASE, _certify, is_critical_mass_decrease
-
-KIND_RATES = "rates"
-KIND_DEFICITS = "deficits"
 
 O_DOMINATES = "O_dominates"
 I_DOMINATES = "I_dominates"
 INCOMPARABLE = "incomparable"
+
+# Fixed numerical settings: the rate-ratio prefix scan step, the number of
+# log-spaced bound samples, and the slack of the strict part of dominance.
+_PREFIX_RESOLUTION = 1e-4
+_BOUND_SAMPLES = 2000
+_STRICT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -53,7 +56,6 @@ class SwitchingRateDistribution:
 
     qs: np.ndarray
     ms: np.ndarray
-    kind: str = KIND_RATES
 
     def __post_init__(self):
         qs = np.asarray(self.qs, dtype=float)
@@ -121,12 +123,10 @@ def flow_distributions(
     inflow = SwitchingRateDistribution(
         qs=protocol.rate(common - theta[below]),
         ms=w[below] * (1.0 - x.values[below]),
-        kind=KIND_RATES,
     )
     outflow = SwitchingRateDistribution(
         qs=protocol.rate(theta[above] - common),
         ms=w[above] * x.values[above],
-        kind=KIND_RATES,
     )
     return inflow, outflow
 
@@ -142,12 +142,10 @@ def deficit_distributions(
     inflow = SwitchingRateDistribution(
         qs=common - theta[below],
         ms=w[below] * (1.0 - x.values[below]),
-        kind=KIND_DEFICITS,
     )
     outflow = SwitchingRateDistribution(
         qs=theta[above] - common,
         ms=w[above] * x.values[above],
-        kind=KIND_DEFICITS,
     )
     return inflow, outflow
 
@@ -177,7 +175,6 @@ def sosd_compare(
     outflow: SwitchingRateDistribution,
     inflow: SwitchingRateDistribution,
     mass_tol: float = 1e-9,
-    strict_tol: float = 1e-12,
 ) -> str:
     """Second-order stochastic dominance between the flow distributions.
 
@@ -196,11 +193,11 @@ def sosd_compare(
     if merged.size == 0:
         return INCOMPARABLE
     diff = outflow.integrated_cdf(merged) - inflow.integrated_cdf(merged)
-    o_weak = bool(np.all(diff <= strict_tol))
-    i_weak = bool(np.all(diff >= -strict_tol))
-    if o_weak and np.any(diff < -strict_tol):
+    o_weak = bool(np.all(diff <= _STRICT_TOL))
+    i_weak = bool(np.all(diff >= -_STRICT_TOL))
+    if o_weak and np.any(diff < -_STRICT_TOL):
         return O_DOMINATES
-    if i_weak and np.any(diff > strict_tol):
+    if i_weak and np.any(diff > _STRICT_TOL):
         return I_DOMINATES
     return INCOMPARABLE
 
@@ -263,7 +260,6 @@ def rate_ratio_escape_bound(
     game: AggregateGame,
     dist: TypeDistribution,
     protocol: RevisionProtocol,
-    resolution: float = 1e-4,
 ) -> RateRatioBound:
     """Escape certificate for the reversed composition in a coordination game.
 
@@ -306,7 +302,7 @@ def rate_ratio_escape_bound(
 
     # Largest level such that every level up to it is a certified decrease
     # level (prefix scan).
-    xs = np.linspace(resolution, 1.0, int(round(1.0 / resolution)))
+    xs = np.linspace(_PREFIX_RESOLUTION, 1.0, int(round(1.0 / _PREFIX_RESOLUTION)))
     ok = _certify(game, dist, protocol, xs, DECREASE).member
     first_fail = int(np.argmin(ok)) if not ok.all() else xs.size
     if first_fail == 0:
@@ -332,7 +328,6 @@ def escape_certificate(
     x0: BayesianStrategy,
     xbar_dagger: float,
     t_end: float = 50.0,
-    n_times: int = 2000,
 ) -> EscapeReport:
     """Certify permanent escape below ``xbar_dagger`` from an equilibrium.
 
@@ -345,12 +340,7 @@ def escape_certificate(
     the certified level in finite time and stays below it forever.
     """
     xbar_star = aggregate(x0)
-    residual = float(aggregate_best_response(game, dist, xbar_star)) - xbar_star
-    if abs(residual) > 1e-6:
-        raise InputError(
-            f"composition aggregate {xbar_star:.6g} is not an aggregate "
-            f"equilibrium (residual {residual:.3g})"
-        )
+    require_aggregate_equilibrium(game, dist, xbar_star)
     if not game.positive_externality:
         raise InputError("escape certification requires positive externality")
     if not 0.0 < xbar_dagger < xbar_star:
@@ -368,7 +358,7 @@ def escape_certificate(
     inflow, outflow = flow_distributions(game, dist, protocol, x0, xbar_star)
     mass_tol = 2.0 / x0.grid.n
     dominance = sosd_compare(outflow, inflow, mass_tol=mass_tol)
-    times = np.geomspace(1e-3, t_end, n_times)
+    times = np.geomspace(1e-3, t_end, _BOUND_SAMPLES)
     bound = bound_trajectory(inflow, outflow, xbar_star, times)
 
     below_star = np.maximum.accumulate(bound) < xbar_star

@@ -274,3 +274,16 @@ def aggregate_best_response(
 ) -> ArrayLike:
     """Mass of types whose best response is I: P(F(xbar)), clamped at the support."""
     return dist.cdf(game.payoff(xbar))
+
+
+def require_aggregate_equilibrium(
+    game: AggregateGame, dist: TypeDistribution, xbar: float
+) -> None:
+    """Raise InputError unless P(F(xbar)) = xbar within 1e-6."""
+    xbar = float(xbar)
+    residual = float(aggregate_best_response(game, dist, xbar)) - xbar
+    if abs(residual) > 1e-6:
+        raise InputError(
+            f"xbar={xbar!r} is not an aggregate equilibrium "
+            f"(fixed-point residual {residual:.3g})"
+        )

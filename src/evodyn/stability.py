@@ -55,6 +55,9 @@ BRANCH_CORNER = "corner"
 BRANCH_CLAMPED = "clamped_cdf"
 BRANCH_RATES = "rate_comparison"
 
+# scan step of the robustness-threshold deficit suprema
+_THRESHOLD_RESOLUTION = 1e-4
+
 
 @dataclass(frozen=True)
 class CriticalMassCertificate:
@@ -277,10 +280,10 @@ class ThresholdEntry:
     overall: float
 
 
-def _side_sup(game, dist, lo: float, hi: float, sign: float, resolution: float):
-    if hi - lo < resolution / 2.0:
+def _side_sup(game, dist, lo: float, hi: float, sign: float):
+    if hi - lo < _THRESHOLD_RESOLUTION / 2.0:
         return None, None
-    count = max(int(round((hi - lo) / resolution)) + 1, 2)
+    count = max(int(round((hi - lo) / _THRESHOLD_RESOLUTION)) + 1, 2)
     xs = np.linspace(lo, hi, count)
     deficit = sign * _cutoff_deficit(game, dist, xs)[2]
     np.maximum(deficit, 0.0, out=deficit)
@@ -293,7 +296,6 @@ def robustness_threshold(
     dist: TypeDistribution,
     xbar_star: float,
     report: EquilibriumReport,
-    resolution: float = 1e-4,
 ) -> ThresholdEntry:
     """Side-wise suprema of the cut-off type's payoff deficit over the basin.
 
@@ -305,8 +307,8 @@ def robustness_threshold(
     eq = report.locate(xbar_star, tol=1e-9)
     if eq.stability != STABLE:
         raise InputError(f"equilibrium {xbar_star} is {eq.stability}, not stable")
-    left, at_left = _side_sup(game, dist, eq.basin_lo, eq.xbar, +1.0, resolution)
-    right, at_right = _side_sup(game, dist, eq.xbar, eq.basin_hi, -1.0, resolution)
+    left, at_left = _side_sup(game, dist, eq.basin_lo, eq.xbar, +1.0)
+    right, at_right = _side_sup(game, dist, eq.xbar, eq.basin_hi, -1.0)
     sides = [s for s in (left, right) if s is not None]
     if not sides:
         raise AnalysisError(f"equilibrium {xbar_star} has an empty basin")
@@ -334,7 +336,6 @@ class RobustnessReport:
 def select_most_robust(
     game: AggregateGame,
     dist: TypeDistribution,
-    resolution: float = 1e-4,
 ) -> RobustnessReport:
     """Pick the stable equilibrium with the largest overall threshold.
 
@@ -344,9 +345,7 @@ def select_most_robust(
     stable = report.stable
     if not stable:
         raise AnalysisError("the game has no stable aggregate equilibrium")
-    entries = tuple(
-        robustness_threshold(game, dist, eq.xbar, report, resolution) for eq in stable
-    )
+    entries = tuple(robustness_threshold(game, dist, eq.xbar, report) for eq in stable)
     best = max(entries, key=lambda e: e.overall)
     contenders = [e for e in entries if abs(e.overall - best.overall) <= 1e-9]
     if len(contenders) > 1:

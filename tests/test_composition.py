@@ -110,9 +110,12 @@ def test_strategy_rejects_out_of_range(grid2000):
         BayesianStrategy(grid=grid2000, values=bad)
 
 
-def test_grid_rejects_bad_weights():
-    with pytest.raises(InputError):
-        TypeGrid(nodes=np.array([0.0, 1.0]), weights=np.array([0.5, 0.6]))
+def test_grid_weights_are_derived_from_node_count():
+    grid = TypeGrid(nodes=np.array([0.0, 1.0, 2.0]))
+    assert np.array_equal(grid.weights, np.full(3, 1.0 / 3.0))
+    assert not grid.weights.flags.writeable
+    with pytest.raises(TypeError):
+        TypeGrid(nodes=np.array([0.0, 1.0]), weights=np.array([0.5, 0.5]))
 
 
 class TestBalancedComposition:
@@ -142,7 +145,7 @@ class TestBalancedComposition:
             balanced_composition(grid4000, canon_dist, canon_game, 0.25, 0.95, 0.3)
 
     def test_requires_aggregate_equilibrium(self, grid4000, canon_dist, canon_game):
-        with pytest.raises(InputError, match="equilibrium"):
+        with pytest.raises(InputError, match=r"is not an aggregate equilibrium \(fixed-point residual"):
             balanced_composition(grid4000, canon_dist, canon_game, 0.22, 0.2, 0.1)
 
 

@@ -311,6 +311,8 @@ ENTRY_CONFIG = Path(__file__).parents[1] / "configs" / "entry_sqrt.ini"
     ("select", "select.json"),
     ("critical-mass", "critical_mass.json"),
     ("escape", "escape.json"),
+    ("simulate", "summary.json"),
+    ("flows", "flows.json"),
 ])
 def test_cli_reports_match_golden_files(tmp_path, subcommand, filename):
     # golden files are the bundled entry config's reports

@@ -87,7 +87,7 @@ def test_bayesian_equilibrium_cutoffs(canon_game, canon_dist, grid4000):
 
 
 def test_bayesian_equilibrium_rejects_non_equilibrium(canon_game, canon_dist, grid2000):
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=r"is not an aggregate equilibrium \(fixed-point residual"):
         bayesian_equilibrium(canon_game, canon_dist, grid2000, 0.22)
 
 

@@ -24,9 +24,9 @@ from evodyn.composition import BayesianStrategy
 from tests.conftest import random_composition
 
 
-def atoms(pairs, kind="rates"):
+def atoms(pairs):
     qs, ms = zip(*pairs) if pairs else ((), ())
-    return SwitchingRateDistribution(qs=np.array(qs, float), ms=np.array(ms, float), kind=kind)
+    return SwitchingRateDistribution(qs=np.array(qs, float), ms=np.array(ms, float))
 
 
 @pytest.fixture(scope="module")
@@ -237,7 +237,7 @@ class TestEscapeCertificate:
 
     def test_preconditions(self, canon_game, canon_dist, cubic, grid2000):
         not_eq = sorted_composition(grid2000, 0.3)
-        with pytest.raises(InputError, match="equilibrium"):
+        with pytest.raises(InputError, match=r"is not an aggregate equilibrium \(fixed-point residual"):
             escape_certificate(canon_game, canon_dist, cubic, not_eq, 0.03)
         eq = sorted_composition(grid2000, 0.25)
         with pytest.raises(InputError, match="certified"):

@@ -137,14 +137,26 @@ tempered_protocols = st.one_of(
 
 
 @settings(max_examples=60, deadline=None)
-@given(a=st.floats(0.2, 5.0), b=st.floats(-1.5, 1.0), protocol=tempered_protocols)
+@given(
+    a=st.floats(0.2, 5.0),
+    b=st.floats(-1.5, 1.0),
+    protocol=tempered_protocols
+    | st.builds(power_protocol, st.floats(1.5, 4.5).filter(lambda k: k != int(k))),
+)
 def test_certificate_scan_matches_grid_sup_oracle(a, b, protocol):
     game, dist = affine_game(a, b), SqrtShiftTypes()
     levels = np.linspace(0.0, 1.0, 101)
+    single = {"decrease": is_critical_mass_decrease, "increase": is_critical_mass_increase}
     for direction, xs in (("decrease", levels[1:]), ("increase", levels[:-1])):
-        member = _certify(game, dist, protocol, xs, direction).member
+        scan = _certify(game, dist, protocol, xs, direction)
         oracle = [grid_sup_membership(game, dist, protocol, float(x), direction) for x in xs]
-        assert member.tolist() == oracle
+        assert scan.member.tolist() == oracle
+        # a single-level check evaluates the scan's rates to the bit
+        for i, x in enumerate(xs):
+            ok, cert = single[direction](game, dist, protocol, float(x))
+            assert ok == scan.member[i]
+            if cert.branch == "rate_comparison":
+                assert (cert.rate_lhs, cert.rate_rhs) == (scan.rate_lhs[i], scan.rate_rhs[i])
 
 
 class TestBoundedTempering:
