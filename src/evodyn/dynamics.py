@@ -17,11 +17,18 @@ The per-type law of motion at aggregate xbar with common payoff F(xbar):
     xdot(theta) = (1 - x(theta)) * rate(F - theta)   if theta <= F
     xdot(theta) = -x(theta) * rate(theta - F)        if theta >  F
 
-(the tie contributes nothing since rate(0) = 0).  Integration is classical
-fixed-step RK4; the tempered field is continuous in the state and the grid,
-not the step size, governs accuracy at the tolerances used here.  States are
-clamped to [0, 1] after each step and the total clamped magnitude is kept as
-a diagnostic (the continuous field points inward, so it stays negligible).
+(the tie contributes nothing since rate(0) = 0).  The state enters only
+through the aggregate and the grid nodes are nondecreasing, so the types with
+theta <= F are a prefix of the nodes: the field is computed on two slices,
+split by one binary search, with no masks.
+
+Integration is classical fixed-step RK4; the tempered field is continuous in
+the state and the grid, not the step size, governs accuracy at the
+tolerances used here.  The field and the step work in place on buffers
+allocated once per run, with the same operations in the same order as the
+textbook formula, so they give its bits.  A state that leaves [0, 1] is
+clamped back after the step and the total clamped magnitude is kept as a
+diagnostic (the continuous field points inward, so it stays negligible).
 
 The aggregate of the standard dynamic follows the homogenized smooth
 best-response dynamic xbardot = P(F(xbar)) - xbar regardless of the
@@ -66,28 +73,37 @@ class RevisionProtocol:
     def is_tempered(self) -> bool:
         return self.kind != KIND_STANDARD
 
-    def _power(self, base: np.ndarray) -> np.ndarray:
-        # integer exponents by repeated multiply: float pow dominates the
-        # integration profile otherwise; np.power (not **) so a scalar takes
-        # the same ufunc loop as an array and gives the same bits
+    def _rate_into(self, d: np.ndarray, out: np.ndarray) -> None:
+        """Write the switching rate of nonnegative deficits ``d`` into ``out``.
+
+        ``d`` is scratch (bounded_power scales it in place) and must not be
+        ``out``.  Integer exponents are repeated multiplies: float pow
+        dominates the integration profile otherwise.  A scalar runs as a 0-d
+        array through the same ufunc loops as an array and gets the same bits.
+        """
+        if self.kind == KIND_STANDARD:
+            np.greater(d, 0.0, out=out)
+            return
+        if self.kind == KIND_BOUNDED_POWER:
+            np.divide(d, self.pisharp, out=d)
         k = self.k
-        if k == int(k) and 1 <= k <= 6:
-            out = base
-            for _ in range(int(k) - 1):
-                out = out * base
-            return out
-        return np.power(base, k)
+        if k == 1:
+            np.copyto(out, d)
+        elif k == int(k) and 2 <= k <= 6:
+            np.multiply(d, d, out=out)
+            for _ in range(int(k) - 2):
+                np.multiply(out, d, out=out)
+        else:
+            np.power(d, k, out=out)
+        if self.kind == KIND_BOUNDED_POWER:
+            np.minimum(out, 1.0, out=out)
 
     def rate(self, deficit):
         """Vectorized switching rate; zero for nonpositive deficits."""
         d = np.asarray(deficit, dtype=float)
-        if self.kind == KIND_STANDARD:
-            out = np.where(d > 0.0, 1.0, 0.0)
-        elif self.kind == KIND_POWER:
-            out = self._power(np.maximum(d, 0.0))
-        else:
-            scaled = np.maximum(d, 0.0) / self.pisharp
-            out = np.minimum(self._power(scaled), 1.0)
+        d = np.maximum(d, 0.0, out=np.empty_like(d))
+        out = np.empty_like(d)
+        self._rate_into(d, out)
         return float(out) if np.ndim(deficit) == 0 else out
 
 
@@ -110,23 +126,39 @@ def switching_rate(protocol: RevisionProtocol, deficit: float) -> float:
     return protocol.rate(deficit)
 
 
+_Field = Callable[[np.ndarray, np.ndarray], None]
+
+
 def _field_function(
     game: AggregateGame,
     protocol: RevisionProtocol,
     grid: TypeGrid,
-) -> Callable[[np.ndarray], np.ndarray]:
+) -> _Field:
+    """In-place per-node field: ``field(values, out)`` writes the velocities.
+
+    The nodes are nondecreasing, so the types with a nonnegative gap
+    F - theta form the prefix ``theta[:m]``; the deficit is F - theta there
+    and theta - F after it (float negation is exact, so both equal |gap|,
+    and both are nonnegative as the rate routine requires).
+    """
     theta = grid.nodes
     weights = grid.weights
     slope, intercept = game.slope, game.intercept
     dom_lo, dom_hi = game.domain
+    scratch = np.empty(grid.n)
 
-    def field(values: np.ndarray) -> np.ndarray:
+    def field(values: np.ndarray, out: np.ndarray) -> None:
         xbar = float(np.dot(weights, values))
         if not dom_lo <= xbar <= dom_hi:
             raise InputError(f"aggregate {xbar!r} left the payoff evaluation domain")
-        gap = slope * xbar + intercept - theta
-        rates = protocol.rate(np.abs(gap))
-        return np.where(gap >= 0.0, (1.0 - values) * rates, -values * rates)
+        common = slope * xbar + intercept
+        m = int(np.searchsorted(theta, common, side="right"))
+        np.subtract(common, theta[:m], out=scratch[:m])
+        np.subtract(theta[m:], common, out=scratch[m:])
+        protocol._rate_into(scratch, out)
+        np.subtract(1.0, values[:m], out=scratch[:m])
+        np.negative(values[m:], out=scratch[m:])
+        np.multiply(out, scratch, out=out)
 
     return field
 
@@ -138,7 +170,9 @@ def vector_field(
     x: BayesianStrategy,
 ) -> np.ndarray:
     """Per-node participation velocities at the strategy's own aggregate."""
-    return _field_function(game, protocol, x.grid)(x.values)
+    out = np.empty(x.grid.n)
+    _field_function(game, protocol, x.grid)(x.values, out)
+    return out
 
 
 @dataclass(frozen=True)
@@ -162,19 +196,21 @@ class Trajectory:
 
 
 def _rk4(
-    field: Callable[[np.ndarray], np.ndarray],
+    field: _Field,
     x0: np.ndarray,
     t_end: float,
     dt: float,
     snapshot_times: Sequence[float],
 ) -> Trajectory:
-    if t_end <= 0.0:
-        raise InputError(f"t_end={t_end} must be positive")
-    if dt <= 0.0:
-        raise InputError(f"dt={dt} must be positive")
+    if not (np.isfinite(t_end) and t_end > 0.0):
+        raise InputError(f"t_end={t_end} must be positive and finite")
+    if not (np.isfinite(dt) and dt > 0.0):
+        raise InputError(f"dt={dt} must be positive and finite")
+    ratio = t_end / dt
+    if not np.isfinite(ratio):
+        raise InputError(f"t_end={t_end} / dt={dt} is not a finite step count")
 
-    steps = int(round(t_end / dt))
-    steps = max(steps, 1)
+    steps = max(int(round(ratio)), 1)
     wanted = sorted(float(s) for s in snapshot_times)
     times = np.empty(steps + 1)
     xbars = np.empty(steps + 1)
@@ -182,6 +218,8 @@ def _rk4(
     clamp_total = 0.0
 
     x = np.array(x0, dtype=float)
+    k, acc, stage = np.empty_like(x), np.empty_like(x), np.empty_like(x)
+    half, sixth = 0.5 * dt, dt / 6.0
     times[0] = 0.0
     xbars[0] = x.mean()
     t = 0.0
@@ -191,17 +229,34 @@ def _rk4(
         si += 1
 
     for step in range(1, steps + 1):
-        k1 = field(x)
-        k2 = field(x + 0.5 * dt * k1)
-        k3 = field(x + 0.5 * dt * k2)
-        k4 = field(x + dt * k3)
-        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        # x + (dt/6) (((k1 + 2 k2) + 2 k3) + k4), accumulated stage by stage
+        # (doubling is exact, so 2 k is k * 2 in place)
+        field(x, acc)
+        np.multiply(acc, half, out=stage)
+        np.add(x, stage, out=stage)
+        field(stage, k)
+        np.multiply(k, half, out=stage)
+        np.add(x, stage, out=stage)
+        np.multiply(k, 2.0, out=k)
+        np.add(acc, k, out=acc)
+        field(stage, k)
+        np.multiply(k, dt, out=stage)
+        np.add(x, stage, out=stage)
+        np.multiply(k, 2.0, out=k)
+        np.add(acc, k, out=acc)
+        field(stage, k)
+        np.add(acc, k, out=acc)
+        np.multiply(acc, sixth, out=acc)
+        np.add(x, acc, out=x)
         t = step * dt
-        if not np.all(np.isfinite(x)):
-            raise IntegrationError("state became non-finite", time=t)
-        clipped = np.clip(x, 0.0, 1.0)
-        clamp_total += float(np.abs(x - clipped).sum())
-        x = clipped
+        lo, hi = x.min(), x.max()
+        if not (lo >= 0.0 and hi <= 1.0):
+            # NaN fails both comparisons; +-inf shows in the min or the max
+            if not (np.isfinite(lo) and np.isfinite(hi)):
+                raise IntegrationError("state became non-finite", time=t)
+            clipped = np.clip(x, 0.0, 1.0)
+            clamp_total += float(np.abs(x - clipped).sum())
+            x = clipped
         times[step] = t
         xbars[step] = x.mean()
         while si < len(wanted) and wanted[si] <= t + 1e-12:
@@ -255,8 +310,8 @@ def integrate_homogenized(
     if not 0.0 <= xbar0 <= 1.0:
         raise InputError(f"xbar0={xbar0} outside [0, 1]")
 
-    def field(state: np.ndarray) -> np.ndarray:
+    def field(state: np.ndarray, out: np.ndarray) -> None:
         x = min(max(float(state[0]), 0.0), 1.0)
-        return np.array([homogenized_field(game, dist, x)])
+        out[0] = homogenized_field(game, dist, x)
 
     return _rk4(field, np.array([xbar0]), t_end, dt, snapshot_times=())

@@ -11,11 +11,15 @@ which turns each into a polynomial integral:
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evodyn import (
     InputError,
+    IntegrationError,
+    UniformTypes,
+    affine_game,
+    make_grid,
     reversed_composition,
     bounded_power_protocol,
     homogenized_field,
@@ -27,6 +31,8 @@ from evodyn import (
     switching_rate,
     vector_field,
 )
+from evodyn.composition import BayesianStrategy, TypeGrid
+from evodyn.dynamics import _field_function
 from tests.conftest import random_composition
 
 REVERSED_VELOCITY = -1.9735285
@@ -136,6 +142,22 @@ def test_integrator_validation(canon_game, canon_dist, grid2000, cubic):
         integrate(canon_game, canon_dist, cubic, x, t_end=1.0, dt=-0.1)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_integrators_reject_non_finite_times(canon_game, canon_dist, grid2000, cubic, bad):
+    x = sorted_composition(grid2000, 0.25)
+    for t_end, dt in ((bad, 0.01), (1.0, bad)):
+        with pytest.raises(InputError, match="finite"):
+            integrate(canon_game, canon_dist, cubic, x, t_end=t_end, dt=dt)
+        with pytest.raises(InputError, match="finite"):
+            integrate_homogenized(canon_game, canon_dist, 0.25, t_end=t_end, dt=dt)
+
+
+def test_integrator_rejects_unbounded_step_count(canon_game, canon_dist, grid2000, cubic):
+    x = sorted_composition(grid2000, 0.25)
+    with pytest.raises(InputError, match="not a finite step count"):
+        integrate(canon_game, canon_dist, cubic, x, t_end=1e300, dt=1e-300)
+
+
 def test_forward_invariance_and_clamp_budget(canon_game, canon_dist, grid2000, cubic):
     rng = np.random.default_rng(11)
     x0 = random_composition(grid2000, 0.4, rng)
@@ -237,3 +259,166 @@ class TestHomogenized:
         traj = integrate_homogenized(canon_game, canon_dist, 0.21, t_end=400.0, dt=0.02)
         assert np.all(np.diff(traj.xbars) >= -1e-12)
         assert abs(traj.final_xbar - 0.25) <= 1e-4
+
+
+# -- the in-place field and integrator against plain allocating oracles ------
+
+
+def oracle_field(game, protocol, grid, values):
+    """The per-node law of motion written with masks and fresh arrays."""
+    xbar = float(np.dot(grid.weights, values))
+    lo, hi = game.domain
+    if not lo <= xbar <= hi:
+        raise InputError(f"aggregate {xbar!r} left the payoff evaluation domain")
+    gap = game.slope * xbar + game.intercept - grid.nodes
+    rates = protocol.rate(np.abs(gap))
+    return np.where(gap >= 0.0, (1.0 - values) * rates, -values * rates)
+
+
+def oracle_rk4(game, protocol, x0, t_end, dt, snapshot_times=()):
+    """Classical RK4 with a clamp after each step, every array allocated anew."""
+    steps = max(int(round(t_end / dt)), 1)
+    wanted = sorted(snapshot_times)
+    x = np.array(x0.values, dtype=float)
+    xbars, snaps, clamp_total = [x.mean()], [], 0.0
+    si = 0
+    while si < len(wanted) and wanted[si] <= 0.0:
+        snaps.append((0.0, x.copy()))
+        si += 1
+
+    def f(v):
+        return oracle_field(game, protocol, x0.grid, v)
+
+    for step in range(1, steps + 1):
+        k1 = f(x)
+        k2 = f(x + 0.5 * dt * k1)
+        k3 = f(x + 0.5 * dt * k2)
+        k4 = f(x + dt * k3)
+        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t = step * dt
+        if not np.all(np.isfinite(x)):
+            raise IntegrationError("state became non-finite", time=t)
+        clipped = np.clip(x, 0.0, 1.0)
+        clamp_total += float(np.abs(x - clipped).sum())
+        x = clipped
+        xbars.append(x.mean())
+        while si < len(wanted) and wanted[si] <= t + 1e-12:
+            snaps.append((t, x.copy()))
+            si += 1
+    return np.array(xbars), x, clamp_total, snaps
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def protocols():
+    """Every protocol kind, with integer and non-integer exponents."""
+    k = st.one_of(st.integers(1, 6).map(float), st.floats(0.5, 5.0))
+    pisharp = st.floats(0.01, 2.0)
+    return st.one_of(
+        st.just(standard_protocol()),
+        k.map(power_protocol),
+        st.builds(bounded_power_protocol, k, pisharp),
+    )
+
+
+@st.composite
+def field_cases(draw):
+    n = draw(st.integers(2, 40))
+    nodes = draw(st.lists(st.floats(-2.0, 3.0), min_size=n, max_size=n))
+    if draw(st.booleans()):  # duplicate nodes
+        nodes[1:] = [nodes[i - 1] if draw(st.booleans()) else nodes[i] for i in range(1, n)]
+    grid = TypeGrid(nodes=np.sort(np.array(nodes)))
+    # stage states stray slightly outside [0, 1]
+    values = np.array(draw(st.lists(st.floats(-0.05, 1.05), min_size=n, max_size=n)))
+    if draw(st.booleans()):  # F(xbar) lands exactly on a node
+        game = affine_game(0.0, float(grid.nodes[draw(st.integers(0, n - 1))]))
+    else:
+        game = affine_game(draw(st.floats(-3.0, 3.0)), draw(st.floats(-2.0, 3.0)))
+    return game, grid, values
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=field_cases(), protocol=protocols())
+@example(  # F on a duplicated node, stage values outside [0, 1]
+    case=(affine_game(0.0, 0.2), TypeGrid(nodes=np.array([0.1, 0.2, 0.2, 0.3])),
+          np.array([0.5, 1.5, -0.5, 0.5])),
+    protocol=standard_protocol(),
+)
+def test_field_matches_masked_oracle_bit_for_bit(case, protocol):
+    game, grid, values = case
+    out = np.full(grid.n, np.nan)
+    _field_function(game, protocol, grid)(values, out)
+    assert same_bits(out, oracle_field(game, protocol, grid, values))
+
+
+def assert_same_run(game, dist, protocol, x0, t_end, dt, snapshot_times=()):
+    traj = integrate(game, dist, protocol, x0, t_end=t_end, dt=dt, snapshot_times=snapshot_times)
+    xbars, final, clamp_total, snaps = oracle_rk4(game, protocol, x0, t_end, dt, snapshot_times)
+    assert same_bits(traj.xbars, xbars)
+    assert same_bits(traj.final_values, final)
+    assert same_bits(traj.clamp_total, clamp_total)
+    assert len(traj.snapshots) == len(snaps)
+    for (t, v), (t_ref, v_ref) in zip(traj.snapshots, snaps):
+        assert t == t_ref and same_bits(v, v_ref)
+    return traj
+
+
+class TestIntegratorOracle:
+    def test_canonical_escape(self, canon_game, canon_dist, cubic, grid2000):
+        rev = reversed_composition(grid2000, canon_dist, 0.25)
+        assert_same_run(canon_game, canon_dist, cubic, rev, 2.0, 0.01, (0.0, 0.5, 1.0))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_games_and_protocols(self, seed):
+        rng = np.random.default_rng(seed)
+        dist = UniformTypes(0.0, float(rng.uniform(0.5, 2.0)))
+        game = affine_game(float(rng.uniform(0.5, 2.5)), float(rng.uniform(-0.2, 0.2)))
+        k = float(rng.uniform(0.5, 4.5))
+        protocol = [standard_protocol(), power_protocol(k),
+                    bounded_power_protocol(k, float(rng.uniform(0.05, 0.5)))][seed % 3]
+        x0 = random_composition(make_grid(dist, 300), float(rng.uniform(0.1, 0.9)), rng)
+        assert_same_run(game, dist, protocol, x0, 1.0, 0.02, (0.25,))
+
+    def test_large_step_that_clamps(self):
+        dist = UniformTypes(0.0, 1.0)
+        game = affine_game(3.0, 0.0)
+        x0 = random_composition(make_grid(dist, 200), 0.5, np.random.default_rng(2))
+        traj = assert_same_run(game, dist, power_protocol(1), x0, 6.0, 1.0)
+        assert traj.clamp_total > 0.0
+
+    def test_stage_leaving_the_domain_is_refused(self):
+        dist = UniformTypes(0.0, 50.0)
+        game = affine_game(10.0, 0.0)
+        x0 = sorted_composition(make_grid(dist, 200), 0.3)
+        for run in (integrate, lambda g, d, p, x, t_end, dt: oracle_rk4(g, p, x, t_end, dt)):
+            with pytest.raises(InputError, match="left the payoff evaluation domain"):
+                run(game, dist, power_protocol(3), x0, t_end=2.0, dt=0.5)
+
+    def test_overflowing_state_raises_integration_error(self):
+        # two types far on either side of a constant payoff: every stage keeps
+        # the aggregate at 0 while the velocities grow past the float range
+        grid = TypeGrid(nodes=np.array([-1e80, 1e80]))
+        x0 = BayesianStrategy(grid=grid, values=np.array([0.5, 0.5]))
+        game = affine_game(0.0, 0.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for run in (integrate, lambda g, d, p, x, t_end, dt: oracle_rk4(g, p, x, t_end, dt)):
+                with pytest.raises(IntegrationError, match="non-finite"):
+                    run(game, UniformTypes(0.0, 1.0), power_protocol(1), x0, t_end=1.0, dt=1.0)
+
+    def test_homogenized_matches_scalar_rk4(self, canon_game, canon_dist):
+        traj = integrate_homogenized(canon_game, canon_dist, 0.3, t_end=2.0, dt=0.05)
+
+        def g(x):
+            return homogenized_field(canon_game, canon_dist, min(max(x, 0.0), 1.0))
+
+        x, dt = 0.3, 0.05
+        for step in range(1, 41):
+            k1 = g(x)
+            k2 = g(x + 0.5 * dt * k1)
+            k3 = g(x + 0.5 * dt * k2)
+            k4 = g(x + dt * k3)
+            x = min(max(x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), 0.0), 1.0)
+            assert traj.xbars[step] == x

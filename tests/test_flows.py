@@ -211,6 +211,52 @@ class TestBoundTrajectory:
         assert float((escape_run.xbars[1:upto] - bound).max()) <= 1e-3
 
 
+    @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
+    def test_rejects_negative_and_non_finite_times(self, bad):
+        a = atoms([(1.0, 0.1)])
+        with pytest.raises(InputError, match="finite and nonnegative"):
+            bound_trajectory(a, a, 0.25, np.array([0.5, bad]))
+
+
+def dense_bound(inflow, outflow, xbar_star, ts):
+    """The frozen-rate bound as one dense block over every sample time."""
+    out = np.full(ts.shape, xbar_star)
+    if inflow.qs.size:
+        out -= np.exp(-ts[:, None] * inflow.qs[None, :]) @ inflow.ms
+    if outflow.qs.size:
+        out += np.exp(-ts[:, None] * outflow.qs[None, :]) @ outflow.ms
+    return out
+
+
+class TestBoundBlocks:
+    """The time-blocked bound against the dense formula."""
+
+    @pytest.fixture(scope="class")
+    def sources(self, canon_game, canon_dist, cubic, reversed25):
+        return flow_distributions(canon_game, canon_dist, cubic, reversed25, 0.25)
+
+    def test_bit_identical_at_the_certificate_samples(self, sources):
+        ts = np.geomspace(1e-3, 50.0, 2000)  # what escape_certificate samples
+        bound = bound_trajectory(*sources, 0.25, ts)
+        assert bound.tobytes() == dense_bound(*sources, 0.25, ts).tobytes()
+
+    @pytest.mark.parametrize("count", [1, 17, 5003])
+    def test_ragged_sample_counts(self, sources, count):
+        # a partial block sums its rows in a different BLAS order
+        ts = np.geomspace(1e-3, 50.0, count)
+        bound = bound_trajectory(*sources, 0.25, ts)
+        assert np.abs(bound - dense_bound(*sources, 0.25, ts)).max() <= 1e-15
+
+    def test_empty_sources(self, sources):
+        inflow, outflow = sources
+        empty = atoms([])
+        ts = np.geomspace(1e-3, 50.0, 2000)
+        for pair in ((empty, outflow), (inflow, empty), (empty, empty)):
+            bound = bound_trajectory(*pair, 0.25, ts)
+            assert bound.tobytes() == dense_bound(*pair, 0.25, ts).tobytes()
+        assert bound_trajectory(inflow, outflow, 0.25, np.array([])).shape == (0,)
+
+
 class TestEscapeCertificate:
     def test_reversed_certified_escape(self, canon_game, canon_dist, cubic, reversed25, escape_run):
         report = escape_certificate(canon_game, canon_dist, cubic, reversed25, 0.03)
