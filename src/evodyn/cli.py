@@ -15,6 +15,7 @@ machine-readable JSON line on stdout.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -24,7 +25,7 @@ import numpy as np
 from . import composition as comp
 from . import dynamics, equilibria, flows, stability
 from .config import Scenario, parse_config
-from .errors import ConfigError, EvodynError, InputError
+from .errors import AnalysisError, ConfigError, EvodynError, InputError
 
 SUBCOMMANDS = ("equilibria", "simulate", "critical-mass", "select", "flows", "escape")
 
@@ -282,14 +283,14 @@ def _run_escape(scenario: Scenario, out: Path) -> None:
         xbar_dagger,
         t_end=scenario.t_end,
     )
-    rate_ratio = None
-    if report.rate_ratio is not None:
-        rate_ratio = {
-            "r": report.rate_ratio.r,
-            "max_certified_decrease": report.rate_ratio.max_certified_decrease,
-            "bound_value": report.rate_ratio.bound_value,
-            "holds": report.rate_ratio.holds,
-        }
+    # a separate certificate, run after the frozen-rate one so that its
+    # refusals keep their message; null where its preconditions fail
+    try:
+        ratio = flows.rate_ratio_escape_bound(scenario.game, scenario.dist, scenario.protocol)
+    except (InputError, AnalysisError):
+        rate_ratio = None
+    else:
+        rate_ratio = dataclasses.asdict(ratio)
     _write_json(
         out / "escape.json",
         {

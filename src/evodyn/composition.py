@@ -78,12 +78,10 @@ class BayesianStrategy:
         vals = np.asarray(self.values, dtype=float)
         if vals.shape != self.grid.nodes.shape:
             raise InputError("strategy values must match the grid shape")
-        if vals.min(initial=0.0) < -1e-9 or vals.max(initial=0.0) > 1.0 + 1e-9:
+        # negated so that NaN, which fails every comparison, is rejected
+        if not (vals.min(initial=0.0) >= -1e-9 and vals.max(initial=0.0) <= 1.0 + 1e-9):
             raise InputError("strategy values must lie in [0, 1]")
         object.__setattr__(self, "values", _freeze(np.clip(vals, 0.0, 1.0)))
-
-    def with_values(self, values: np.ndarray) -> "BayesianStrategy":
-        return BayesianStrategy(grid=self.grid, values=values)
 
 
 def aggregate(x: BayesianStrategy) -> float:

@@ -29,6 +29,8 @@ allocated once per run, with the same operations in the same order as the
 textbook formula, so they give its bits.  A state that leaves [0, 1] is
 clamped back after the step and the total clamped magnitude is kept as a
 diagnostic (the continuous field points inward, so it stays negligible).
+The recorded aggregates are the field's own ``composition.aggregate`` values
+(from each step's first stage, and one more evaluation for the final state).
 
 The aggregate of the standard dynamic follows the homogenized smooth
 best-response dynamic xbardot = P(F(xbar)) - xbar regardless of the
@@ -68,10 +70,6 @@ class RevisionProtocol:
             self.pisharp is None or self.pisharp <= 0.0
         ):
             raise InputError("bounded_power needs a positive sensitivity bound pisharp")
-
-    @property
-    def is_tempered(self) -> bool:
-        return self.kind != KIND_STANDARD
 
     def _rate_into(self, d: np.ndarray, out: np.ndarray) -> None:
         """Write the switching rate of nonnegative deficits ``d`` into ``out``.
@@ -126,7 +124,7 @@ def switching_rate(protocol: RevisionProtocol, deficit: float) -> float:
     return protocol.rate(deficit)
 
 
-_Field = Callable[[np.ndarray, np.ndarray], None]
+_Field = Callable[[np.ndarray, np.ndarray], float]
 
 
 def _field_function(
@@ -134,7 +132,8 @@ def _field_function(
     protocol: RevisionProtocol,
     grid: TypeGrid,
 ) -> _Field:
-    """In-place per-node field: ``field(values, out)`` writes the velocities.
+    """In-place per-node field: ``field(values, out)`` writes the velocities
+    and returns the aggregate it evaluated them at.
 
     The nodes are nondecreasing, so the types with a nonnegative gap
     F - theta form the prefix ``theta[:m]``; the deficit is F - theta there
@@ -147,7 +146,7 @@ def _field_function(
     dom_lo, dom_hi = game.domain
     scratch = np.empty(grid.n)
 
-    def field(values: np.ndarray, out: np.ndarray) -> None:
+    def field(values: np.ndarray, out: np.ndarray) -> float:
         xbar = float(np.dot(weights, values))
         if not dom_lo <= xbar <= dom_hi:
             raise InputError(f"aggregate {xbar!r} left the payoff evaluation domain")
@@ -159,6 +158,7 @@ def _field_function(
         np.subtract(1.0, values[:m], out=scratch[:m])
         np.negative(values[m:], out=scratch[m:])
         np.multiply(out, scratch, out=out)
+        return xbar
 
     return field
 
@@ -212,7 +212,7 @@ def _rk4(
 
     steps = max(int(round(ratio)), 1)
     wanted = sorted(float(s) for s in snapshot_times)
-    times = np.empty(steps + 1)
+    times = np.arange(steps + 1) * dt
     xbars = np.empty(steps + 1)
     snaps: list[tuple[float, np.ndarray]] = []
     clamp_total = 0.0
@@ -220,8 +220,6 @@ def _rk4(
     x = np.array(x0, dtype=float)
     k, acc, stage = np.empty_like(x), np.empty_like(x), np.empty_like(x)
     half, sixth = 0.5 * dt, dt / 6.0
-    times[0] = 0.0
-    xbars[0] = x.mean()
     t = 0.0
     si = 0
     while si < len(wanted) and wanted[si] <= 0.0:
@@ -231,7 +229,7 @@ def _rk4(
     for step in range(1, steps + 1):
         # x + (dt/6) (((k1 + 2 k2) + 2 k3) + k4), accumulated stage by stage
         # (doubling is exact, so 2 k is k * 2 in place)
-        field(x, acc)
+        xbars[step - 1] = field(x, acc)
         np.multiply(acc, half, out=stage)
         np.add(x, stage, out=stage)
         field(stage, k)
@@ -257,11 +255,10 @@ def _rk4(
             clipped = np.clip(x, 0.0, 1.0)
             clamp_total += float(np.abs(x - clipped).sum())
             x = clipped
-        times[step] = t
-        xbars[step] = x.mean()
         while si < len(wanted) and wanted[si] <= t + 1e-12:
             snaps.append((t, x.copy()))
             si += 1
+    xbars[steps] = field(x, k)
 
     return Trajectory(
         times=times,
@@ -310,8 +307,9 @@ def integrate_homogenized(
     if not 0.0 <= xbar0 <= 1.0:
         raise InputError(f"xbar0={xbar0} outside [0, 1]")
 
-    def field(state: np.ndarray, out: np.ndarray) -> None:
+    def field(state: np.ndarray, out: np.ndarray) -> float:
         x = min(max(float(state[0]), 0.0), 1.0)
         out[0] = homogenized_field(game, dist, x)
+        return float(state[0])
 
     return _rk4(field, np.array([xbar0]), t_end, dt, snapshot_times=())

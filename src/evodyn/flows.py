@@ -24,6 +24,10 @@ These distributions carry the aggregate dynamics at the reference point:
   and slow entries.  If the bound stays below xbar* and dips under a
   certified decrease level, the true path reaches that level in finite time
   and never crosses back.
+
+``escape_certificate`` (this bound for one composition) and
+``rate_ratio_escape_bound`` (the reversed composition's two extreme rates,
+from the equilibrium set) are separate certificates; neither calls the other.
 """
 
 from __future__ import annotations
@@ -43,9 +47,10 @@ O_DOMINATES = "O_dominates"
 I_DOMINATES = "I_dominates"
 INCOMPARABLE = "incomparable"
 
-# Fixed numerical settings: the rate-ratio prefix scan step, the number of
-# log-spaced bound samples, and the slack of the strict part of dominance.
+# Fixed numerical settings: the rate-ratio prefix scan step, the first and
+# the number of log-spaced bound samples, and the slack of strict dominance.
 _PREFIX_RESOLUTION = 1e-4
+_BOUND_FIRST_TIME = 1e-3
 _BOUND_SAMPLES = 2000
 _STRICT_TOL = 1e-12
 # Sample times per block of the frozen-rate bound: a block of 16 times by
@@ -274,7 +279,6 @@ class EscapeReport:
     times: np.ndarray
     bound: np.ndarray
     crossing_time: float | None
-    rate_ratio: RateRatioBound | None
 
 
 def rate_ratio_escape_bound(
@@ -358,8 +362,11 @@ def escape_certificate(
     log-spaced time grid; the crossing time is the first sample where the
     bound has stayed below the equilibrium throughout and is below
     ``xbar_dagger``.  A crossing certifies that the true aggregate reaches
-    the certified level in finite time and stays below it forever.
+    the certified level in finite time and stays below it forever.  The
+    samples run from 1e-3 to ``t_end``, which must be finite and larger.
     """
+    if not (np.isfinite(t_end) and t_end > _BOUND_FIRST_TIME):
+        raise InputError(f"t_end={t_end} must be finite and above the first bound sample")
     xbar_star = aggregate(x0)
     require_aggregate_equilibrium(game, dist, xbar_star)
     if not game.positive_externality:
@@ -379,22 +386,15 @@ def escape_certificate(
     inflow, outflow = flow_distributions(game, dist, protocol, x0, xbar_star)
     mass_tol = 2.0 / x0.grid.n
     dominance = sosd_compare(outflow, inflow, mass_tol=mass_tol)
-    times = np.geomspace(1e-3, t_end, _BOUND_SAMPLES)
+    times = np.geomspace(_BOUND_FIRST_TIME, t_end, _BOUND_SAMPLES)
     bound = bound_trajectory(inflow, outflow, xbar_star, times)
 
     below_star = np.maximum.accumulate(bound) < xbar_star
     hit = below_star & (bound < xbar_dagger)
     crossing_time = float(times[int(np.argmax(hit))]) if hit.any() else None
-
-    rate_ratio = None
-    try:
-        rate_ratio = rate_ratio_escape_bound(game, dist, protocol)
-    except (InputError, AnalysisError):
-        pass
     return EscapeReport(
         dominance=dominance,
         times=times,
         bound=bound,
         crossing_time=crossing_time,
-        rate_ratio=rate_ratio,
     )

@@ -226,6 +226,8 @@ def critical_mass_sets(
     level below it and a certified decrease level above it bracket it with
     no other equilibrium in between; corners supply their own inward bound.
     """
+    if not 0.0 < resolution < 0.5:
+        raise InputError(f"resolution={resolution} out of range")
     m = int(round(1.0 / resolution))
     xs_dec = np.linspace(resolution, 1.0, m)
     xs_inc = np.linspace(0.0, 1.0 - resolution, m)

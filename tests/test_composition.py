@@ -110,6 +110,14 @@ def test_strategy_rejects_out_of_range(grid2000):
         BayesianStrategy(grid=grid2000, values=bad)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_strategy_rejects_non_finite(grid2000, value):
+    bad = np.full(grid2000.n, 0.5)
+    bad[7] = value
+    with pytest.raises(InputError, match=r"must lie in \[0, 1\]"):
+        BayesianStrategy(grid=grid2000, values=bad)
+
+
 def test_grid_weights_are_derived_from_node_count():
     grid = TypeGrid(nodes=np.array([0.0, 1.0, 2.0]))
     assert np.array_equal(grid.weights, np.full(3, 1.0 / 3.0))

@@ -254,6 +254,29 @@ def test_custom_csv_composition(config_path, tmp_path):
     assert summary["xbar0"] == pytest.approx(0.25, abs=2 / 400)
 
 
+def test_custom_csv_nan_row_is_refused(config_path, tmp_path, capsys):
+    comp = tmp_path / "comp.csv"
+    comp.write_text("theta,x\n0.0,1.0\n0.5625,nan\n")
+    code = main(
+        [
+            "flows",
+            "--config",
+            str(config_path),
+            "--out",
+            str(tmp_path / "out"),
+            "--override",
+            "initial.composition=custom-csv",
+            "--override",
+            f"initial.path={comp}",
+        ]
+    )
+    assert code == 3
+    (line,) = capsys.readouterr().out.splitlines()  # exactly one line
+    payload = json.loads(line)
+    assert payload["error"]["kind"] == "analysis"
+    assert "must lie in [0, 1]" in payload["error"]["message"]
+
+
 def test_snapshot_times_written(config_path, tmp_path):
     out = tmp_path / "out"
     code = main(

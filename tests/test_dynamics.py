@@ -9,6 +9,8 @@ which turns each into a polynomial integral:
     velocity = inflow - outflow = -1.9735285...
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -19,6 +21,7 @@ from evodyn import (
     IntegrationError,
     UniformTypes,
     affine_game,
+    aggregate,
     make_grid,
     reversed_composition,
     bounded_power_protocol,
@@ -32,6 +35,7 @@ from evodyn import (
     vector_field,
 )
 from evodyn.composition import BayesianStrategy, TypeGrid
+from evodyn.config import parse_config
 from evodyn.dynamics import _field_function
 from tests.conftest import random_composition
 
@@ -280,7 +284,7 @@ def oracle_rk4(game, protocol, x0, t_end, dt, snapshot_times=()):
     steps = max(int(round(t_end / dt)), 1)
     wanted = sorted(snapshot_times)
     x = np.array(x0.values, dtype=float)
-    xbars, snaps, clamp_total = [x.mean()], [], 0.0
+    xbars, snaps, clamp_total = [np.dot(x0.grid.weights, x)], [], 0.0
     si = 0
     while si < len(wanted) and wanted[si] <= 0.0:
         snaps.append((0.0, x.copy()))
@@ -301,7 +305,7 @@ def oracle_rk4(game, protocol, x0, t_end, dt, snapshot_times=()):
         clipped = np.clip(x, 0.0, 1.0)
         clamp_total += float(np.abs(x - clipped).sum())
         x = clipped
-        xbars.append(x.mean())
+        xbars.append(np.dot(x0.grid.weights, x))
         while si < len(wanted) and wanted[si] <= t + 1e-12:
             snaps.append((t, x.copy()))
             si += 1
@@ -407,6 +411,16 @@ class TestIntegratorOracle:
             for run in (integrate, lambda g, d, p, x, t_end, dt: oracle_rk4(g, p, x, t_end, dt)):
                 with pytest.raises(IntegrationError, match="non-finite"):
                     run(game, UniformTypes(0.0, 1.0), power_protocol(1), x0, t_end=1.0, dt=1.0)
+
+    def test_recorded_aggregates_are_composition_aggregates(self):
+        # the bundled entry config's reversed composition at 0.25, whose
+        # aggregate differs from the mean of its values in the last bits
+        sc = parse_config(Path(__file__).parents[1] / "configs" / "entry_sqrt.ini")
+        x0 = reversed_composition(make_grid(sc.dist, sc.n), sc.dist, 0.25)
+        traj = integrate(sc.game, sc.dist, sc.protocol, x0, t_end=0.1, dt=sc.dt)
+        assert same_bits(traj.xbars[0], aggregate(x0))
+        final = BayesianStrategy(grid=x0.grid, values=traj.final_values)
+        assert same_bits(traj.xbars[-1], aggregate(final))
 
     def test_homogenized_matches_scalar_rk4(self, canon_game, canon_dist):
         traj = integrate_homogenized(canon_game, canon_dist, 0.3, t_end=2.0, dt=0.05)

@@ -295,6 +295,29 @@ class TestEscapeCertificate:
         with pytest.raises(InputError, match="externality"):
             escape_certificate(flat, canon_dist, cubic, flat_eq, 0.03)
 
+    @pytest.mark.parametrize("t_end", [0.0, 5e-4, -1.0, float("nan")])
+    def test_rejects_t_end_not_above_first_sample(
+        self, canon_game, canon_dist, cubic, reversed25, t_end
+    ):
+        with pytest.raises(InputError, match="first bound sample"):
+            escape_certificate(canon_game, canon_dist, cubic, reversed25, 0.03, t_end=t_end)
+
+    def test_runs_no_equilibrium_search(
+        self, canon_game, canon_dist, cubic, reversed25, monkeypatch
+    ):
+        # the rate-ratio bound is a separate certificate that needs the
+        # equilibrium set; the frozen-rate certificate needs neither
+        import evodyn.flows
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("escape_certificate must not call this")
+
+        monkeypatch.setattr(evodyn.flows, "rate_ratio_escape_bound", refuse)
+        monkeypatch.setattr(evodyn.flows, "find_aggregate_equilibria", refuse)
+        report = escape_certificate(canon_game, canon_dist, cubic, reversed25, 0.03)
+        assert report.crossing_time is not None
+        assert not hasattr(report, "rate_ratio")
+
     def test_escape_converges_to_lower_equilibrium(self, escape_run):
         # exactly one stable equilibrium below the start: the trajectory ends there
         assert abs(escape_run.final_xbar - 0.0) <= 1e-3

@@ -234,6 +234,11 @@ class TestCriticalMassSets:
                 ok, _ = is_critical_mass_increase(canon_game, canon_dist, standard, float(x))
             assert ok
 
+    @pytest.mark.parametrize("resolution", [0.0, -1e-3, float("nan"), 2.0])
+    def test_rejects_resolution_out_of_range(self, canon_game, canon_dist, cubic, resolution):
+        with pytest.raises(InputError, match="out of range"):
+            critical_mass_sets(canon_game, canon_dist, cubic, resolution=resolution)
+
     def test_condition_a_necessary(self, canon_game, canon_dist, cubic, standard):
         # no certified decrease level where the cut-off type weakly prefers I
         for proto in (cubic, standard):
