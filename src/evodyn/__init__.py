@@ -22,7 +22,6 @@ from .dynamics import (
     integrate_homogenized,
     power_protocol,
     standard_protocol,
-    switching_rate,
     vector_field,
 )
 from .equilibria import (

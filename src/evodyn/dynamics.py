@@ -99,6 +99,8 @@ class RevisionProtocol:
     def rate(self, deficit):
         """Vectorized switching rate; zero for nonpositive deficits."""
         d = np.asarray(deficit, dtype=float)
+        if not np.isfinite(d).all():
+            raise InputError("switching-rate deficits must be finite")
         d = np.maximum(d, 0.0, out=np.empty_like(d))
         out = np.empty_like(d)
         self._rate_into(d, out)
@@ -115,13 +117,6 @@ def power_protocol(k: float) -> RevisionProtocol:
 
 def bounded_power_protocol(k: float, pisharp: float) -> RevisionProtocol:
     return RevisionProtocol(kind=KIND_BOUNDED_POWER, k=k, pisharp=pisharp)
-
-
-def switching_rate(protocol: RevisionProtocol, deficit: float) -> float:
-    """Rate of switching toward an action whose payoff advantage is ``deficit``."""
-    if not np.isfinite(deficit):
-        raise InputError(f"deficit {deficit!r} must be finite")
-    return protocol.rate(deficit)
 
 
 _Field = Callable[[np.ndarray, np.ndarray], float]

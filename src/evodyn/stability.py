@@ -200,18 +200,11 @@ class CriticalMassReport:
 
 
 def _merge_runs(xs: np.ndarray, member: np.ndarray) -> tuple[tuple[float, float], ...]:
-    intervals = []
-    start = None
-    for x, ok in zip(xs, member):
-        if ok and start is None:
-            start = x
-        elif not ok and start is not None:
-            intervals.append((float(start), float(prev)))
-            start = None
-        prev = x
-    if start is not None:
-        intervals.append((float(start), float(xs[-1])))
-    return tuple(intervals)
+    """Maximal runs of member levels as (first level, last level) pairs."""
+    edges = np.flatnonzero(np.diff(np.concatenate(([False], member, [False]))))
+    return tuple(
+        (float(xs[s]), float(xs[e - 1])) for s, e in zip(edges[0::2], edges[1::2])
+    )
 
 
 def critical_mass_sets(

@@ -326,7 +326,8 @@ def test_select_sweep_mode(tmp_path):
 
 
 GOLDEN = Path(__file__).parent / "golden"
-ENTRY_CONFIG = Path(__file__).parents[1] / "configs" / "entry_sqrt.ini"
+CONFIGS = Path(__file__).parents[1] / "configs"
+ENTRY_CONFIG = CONFIGS / "entry_sqrt.ini"
 
 
 @pytest.mark.parametrize("subcommand,filename", [
@@ -336,9 +337,16 @@ ENTRY_CONFIG = Path(__file__).parents[1] / "configs" / "entry_sqrt.ini"
     ("escape", "escape.json"),
     ("simulate", "summary.json"),
     ("flows", "flows.json"),
+    ("equilibria", "coordination_logistic/equilibria.json"),
+    ("select", "coordination_logistic/select.json"),
+    ("critical-mass", "coordination_logistic/critical_mass.json"),
 ])
 def test_cli_reports_match_golden_files(tmp_path, subcommand, filename):
-    # golden files are the bundled entry config's reports
+    # golden files at the top level are the bundled entry config's reports;
+    # those in a subdirectory are the reports of the config of that name
+    golden = GOLDEN / filename
+    parent = Path(filename).parent.name
+    config = CONFIGS / f"{parent}.ini" if parent else ENTRY_CONFIG
     out = tmp_path / "out"
-    assert main([subcommand, "--config", str(ENTRY_CONFIG), "--out", str(out)]) == 0
-    assert (out / filename).read_bytes() == (GOLDEN / filename).read_bytes()
+    assert main([subcommand, "--config", str(config), "--out", str(out)]) == 0
+    assert (out / golden.name).read_bytes() == golden.read_bytes()

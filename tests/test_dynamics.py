@@ -31,7 +31,6 @@ from evodyn import (
     power_protocol,
     sorted_composition,
     standard_protocol,
-    switching_rate,
     vector_field,
 )
 from evodyn.composition import BayesianStrategy, TypeGrid
@@ -58,25 +57,25 @@ def quadrature_velocity(game, dist, protocol, x, npts=200_001):
 
 
 def test_switching_rate_examples(standard, cubic):
-    assert switching_rate(standard, 0.3) == 1.0
-    assert switching_rate(cubic, 0.5) == pytest.approx(0.125, abs=1e-15)
-    assert switching_rate(standard, -0.2) == 0.0
-    assert switching_rate(cubic, -0.2) == 0.0
-    assert switching_rate(cubic, 0.0) == 0.0
+    assert standard.rate(0.3) == 1.0
+    assert cubic.rate(0.5) == pytest.approx(0.125, abs=1e-15)
+    assert standard.rate(-0.2) == 0.0
+    assert cubic.rate(-0.2) == 0.0
+    assert cubic.rate(0.0) == 0.0
 
 
 def test_bounded_power_saturates():
     proto = bounded_power_protocol(2, pisharp=0.01)
-    assert switching_rate(proto, 0.005) == pytest.approx(0.25)
-    assert switching_rate(proto, 0.01) == 1.0
-    assert switching_rate(proto, 5.0) == 1.0
+    assert proto.rate(0.005) == pytest.approx(0.25)
+    assert proto.rate(0.01) == 1.0
+    assert proto.rate(5.0) == 1.0
     d = np.linspace(1e-6, 0.01, 100)
     assert np.all(np.diff(proto.rate(d)) > 0.0)  # strictly increasing below pisharp
 
 
 def test_power_rate_may_exceed_one(cubic):
     # a rate, not a probability: bounded by Q(max realized deficit)
-    assert switching_rate(cubic, 39 / 16) == pytest.approx((39 / 16) ** 3)
+    assert cubic.rate(39 / 16) == pytest.approx((39 / 16) ** 3)
 
 
 @settings(max_examples=200)
@@ -98,7 +97,7 @@ def test_protocol_validation():
     with pytest.raises(InputError):
         bounded_power_protocol(2, 0.0)
     with pytest.raises(InputError):
-        switching_rate(standard_protocol(), float("nan"))
+        standard_protocol().rate(float("nan"))
 
 
 def test_sorted_equilibrium_is_stationary(canon_game, canon_dist, grid4000, standard, cubic):

@@ -1,17 +1,36 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from evodyn import (
     InputError,
+    SqrtShiftTypes,
     TruncatedLogisticTypes,
     UniformTypes,
     affine_game,
+    aggregate_best_response,
     bayesian_equilibrium,
+    critical_mass_sets,
     cutoff_type,
     find_aggregate_equilibria,
+    homogenized_field,
     integrate_homogenized,
     linear_coordination_game,
+    rate_ratio_escape_bound,
+    select_most_robust,
     vector_field,
+)
+from evodyn import equilibria
+from evodyn.cli import main
+from evodyn.equilibria import (
+    SEMISTABLE,
+    STABLE,
+    UNSTABLE,
+    Equilibrium,
+    EquilibriumReport,
 )
 
 # analytic roots of 20 xbar^2 - 9 xbar + 1 = 0
@@ -38,8 +57,6 @@ def test_canonical_basins(canon_game, canon_dist):
 
 
 def test_fixed_point_residuals(canon_game, canon_dist):
-    from evodyn import aggregate_best_response
-
     report = find_aggregate_equilibria(canon_game, canon_dist)
     for eq in report.equilibria:
         residual = float(aggregate_best_response(canon_game, canon_dist, eq.xbar)) - eq.xbar
@@ -131,3 +148,154 @@ def test_random_compositions_settle_toward_stationarity(canon_game, canon_dist, 
         )
         near_eq = min(abs(end - lv) for lv in levels) <= 1e-3
         assert near_eq or abs(velocity) <= 1e-3
+
+
+# -- the lockstep bisection against the scalar search it replaced -------------
+
+def _bisect(g, lo: float, hi: float) -> float:
+    g_lo = g(lo)
+    if abs(g_lo) <= 1e-12:
+        return lo
+    g_hi = g(hi)
+    if abs(g_hi) <= 1e-12:
+        return hi
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        g_mid = g(mid)
+        if abs(g_mid) <= 1e-12 or hi - lo < 1e-16:
+            return mid
+        if (g_lo < 0.0) == (g_mid < 0.0):
+            lo, g_lo = mid, g_mid
+        else:
+            hi, g_hi = mid, g_mid
+    return 0.5 * (lo + hi)
+
+
+def scalar_search(game, dist, scan_resolution):
+    """Oracle: the array scan, then one scalar field evaluation per bisection
+    step and per stability probe."""
+
+    def g(x):
+        return homogenized_field(game, dist, x)
+
+    m = int(round(1.0 / scan_resolution))
+    xs = np.linspace(0.0, 1.0, m + 1)
+    gs = np.asarray(aggregate_best_response(game, dist, xs)) - xs
+    candidates = [float(xs[i]) for i in np.flatnonzero(np.abs(gs) <= 1e-12)]
+    candidates += [
+        _bisect(g, float(xs[i]), float(xs[i + 1]))
+        for i in np.flatnonzero(gs[:-1] * gs[1:] < 0.0)
+    ]
+    candidates.sort()
+    roots = []
+    for r in candidates:
+        if not roots or r - roots[-1] > 1e-9:
+            roots.append(r)
+    delta = scan_resolution / 2.0
+    records = []
+    for idx, r in enumerate(roots):
+        below = g(max(r - delta, 0.0)) if r > delta else None
+        above = g(min(r + delta, 1.0)) if r < 1.0 - delta else None
+        if (below is None or below > 0.0) and (above is None or above < 0.0):
+            stability = STABLE
+        elif (below is None or below < 0.0) and (above is None or above > 0.0):
+            stability = UNSTABLE
+        else:
+            stability = SEMISTABLE
+        if stability == STABLE:
+            lo = roots[idx - 1] if idx > 0 else 0.0
+            hi = roots[idx + 1] if idx + 1 < len(roots) else 1.0
+        else:
+            lo = hi = r
+        records.append(Equilibrium(xbar=r, stability=stability, basin_lo=lo, basin_hi=hi))
+    return EquilibriumReport(equilibria=tuple(records))
+
+
+def report_bits(report):
+    return [(e.xbar.hex(), e.stability, e.basin_lo.hex(), e.basin_hi.hex())
+            for e in report.equilibria]
+
+
+type_dists = st.one_of(
+    st.just(SqrtShiftTypes()),
+    st.builds(lambda lo, w: UniformTypes(lo, lo + w),
+              st.floats(min_value=-0.5, max_value=0.5), st.floats(min_value=1e-6, max_value=2.0)),
+    st.builds(lambda mu, s: TruncatedLogisticTypes(mu=mu, s=s),
+              st.floats(min_value=-0.5, max_value=1.0), st.floats(min_value=0.02, max_value=0.5)),
+)
+affine_cases = st.tuples(
+    st.builds(affine_game, st.floats(min_value=-3.0, max_value=5.0),
+              st.floats(min_value=-1.5, max_value=1.5)),
+    type_dists,
+)
+coordination_cases = st.tuples(
+    st.builds(linear_coordination_game, st.floats(min_value=0.05, max_value=0.95)),
+    st.builds(lambda mu, s: TruncatedLogisticTypes(mu=mu, s=s),
+              st.floats(min_value=-0.3, max_value=0.3), st.floats(min_value=0.02, max_value=0.3)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=st.one_of(affine_cases, coordination_cases),
+       scan_resolution=st.sampled_from([1e-4, 1e-3, 0.0137]))
+# two roots in (0.2, 0.2001) and a near-tangency
+@example(case=(affine_game(2.4001, -(0.20005 ** 2) + 1e-9), SqrtShiftTypes()),
+         scan_resolution=1e-4)
+# g' ~ 1e6: |g| <= 1e-12 holds at no float, so the bisection runs to the cap
+@example(case=(affine_game(1e6, -5e5), UniformTypes(0.0, 1.0)), scan_resolution=1e-4)
+# g = 0 on all of [0, 1]: every scanned level is a semistable root
+@example(case=(affine_game(1.0, 0.0), UniformTypes(0.0, 1.0)), scan_resolution=1e-3)
+def test_lockstep_search_matches_scalar_search(case, scan_resolution):
+    game, dist = case
+    report = find_aggregate_equilibria(game, dist, scan_resolution)
+    assert report_bits(report) == report_bits(scalar_search(game, dist, scan_resolution))
+
+
+# -- one search per game -------------------------------------------------------
+
+@pytest.fixture()
+def scans(monkeypatch):
+    """Count full-grid scans (10,001 levels at the default resolution) made
+    from an empty report cache."""
+    equilibria._search.cache_clear()
+    count = []
+    inner = equilibria.aggregate_best_response
+
+    def counting(game, dist, xbar):
+        if np.size(xbar) == 10_001:
+            count.append(1)
+        return inner(game, dist, xbar)
+
+    monkeypatch.setattr(equilibria, "aggregate_best_response", counting)
+    return count
+
+
+def test_pipeline_searches_each_game_once(scans, canon_game, canon_dist, cubic):
+    critical_mass_sets(canon_game, canon_dist, cubic)
+    select_most_robust(canon_game, canon_dist)
+    rate_ratio_escape_bound(canon_game, canon_dist, cubic)
+    find_aggregate_equilibria(canon_game, canon_dist)
+    assert len(scans) == 1
+    # an equal game built anew shares the report
+    find_aggregate_equilibria(affine_game(canon_game.slope, canon_game.intercept), SqrtShiftTypes())
+    assert len(scans) == 1
+
+
+def test_cli_escape_searches_once(scans, tmp_path):
+    config = Path(__file__).parents[1] / "configs" / "entry_sqrt.ini"
+    assert main(["escape", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    assert len(scans) == 1
+
+
+def test_scan_resolution_spellings_share_one_report(canon_game, canon_dist):
+    report = find_aggregate_equilibria(canon_game, canon_dist)
+    assert find_aggregate_equilibria(canon_game, canon_dist, 1e-4) is report
+    assert find_aggregate_equilibria(canon_game, canon_dist, scan_resolution=1e-4) is report
+    assert find_aggregate_equilibria(canon_game, canon_dist, np.float64(1e-4)) is report
+
+
+@pytest.mark.parametrize("scan_resolution", [0.0, 0.5, -1e-3, float("nan"), float("inf")])
+def test_bad_scan_resolution_raises_on_every_call(canon_game, canon_dist, scan_resolution):
+    for _ in range(2):
+        with pytest.raises(InputError, match="scan_resolution"):
+            find_aggregate_equilibria(canon_game, canon_dist, scan_resolution)

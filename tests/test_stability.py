@@ -32,7 +32,7 @@ from evodyn import (
     sorted_composition,
     vector_field,
 )
-from evodyn.stability import _certify
+from evodyn.stability import _certify, _merge_runs
 from tests.conftest import random_composition
 
 XC = (2.9 - np.sqrt(8.01)) / 2  # ~ 0.0349028
@@ -157,6 +157,32 @@ def test_certificate_scan_matches_grid_sup_oracle(a, b, protocol):
             assert ok == scan.member[i]
             if cert.branch == "rate_comparison":
                 assert (cert.rate_lhs, cert.rate_rhs) == (scan.rate_lhs[i], scan.rate_rhs[i])
+
+
+def merge_runs_loop(xs, member):
+    """Oracle: maximal member runs found by walking the levels one by one."""
+    intervals = []
+    start = None
+    for x, ok in zip(xs, member):
+        if ok and start is None:
+            start = x
+        elif not ok and start is not None:
+            intervals.append((float(start), float(prev)))
+            start = None
+        prev = x
+    if start is not None:
+        intervals.append((float(start), float(xs[-1])))
+    return tuple(intervals)
+
+
+@settings(max_examples=300, deadline=None)
+@given(member=st.lists(st.booleans(), max_size=60), lo=st.floats(0.0, 0.5))
+def test_merge_runs_matches_level_walk(member, lo):
+    member = np.array(member, dtype=bool)
+    xs = np.linspace(lo, 1.0, member.size)
+    runs = _merge_runs(xs, member)
+    assert runs == merge_runs_loop(xs, member)
+    assert all(type(v) is float for run in runs for v in run)
 
 
 class TestBoundedTempering:
