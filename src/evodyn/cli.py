@@ -134,7 +134,6 @@ def _scenario_meta(scenario: Scenario) -> dict:
         "grid_n": scenario.n,
         "dt": scenario.dt,
         "t_end": scenario.t_end,
-        "seed": scenario.seed,
     }
 
 

@@ -8,13 +8,14 @@ Sections and keys::
                     k ; pisharp ; pisharp_sweep = comma list (select sweep mode)
     [grid]          n            (default 2000)
     [sim]           dt (default 0.01) ; t_end (default 50) ;
-                    snapshot_times = comma list ; seed
+                    snapshot_times = comma list
     [initial]       composition = sorted | reversed | balanced | custom-csv ;
                     xbar0 ; kappa ; pimax ; path
 
 Unknown sections or keys are rejected with the offending line number, as are
-malformed values.  ``key=value`` overrides use dotted names (``game.a=2.45``)
-and are applied before validation.
+malformed values; every number, integer and list entry must be finite.
+``key=value`` overrides use dotted names (``game.a=2.45``) and are applied
+before validation.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ _KNOWN_KEYS = {
     "distribution": {"family", "lo", "hi", "mu", "s", "tau"},
     "protocol": {"kind", "tempering", "k", "pisharp", "pisharp_sweep"},
     "grid": {"n"},
-    "sim": {"dt", "t_end", "snapshot_times", "seed"},
+    "sim": {"dt", "t_end", "snapshot_times"},
     "initial": {"composition", "xbar0", "kappa", "pimax", "path"},
 }
 
@@ -68,9 +69,15 @@ class Scenario:
     dt: float
     t_end: float
     snapshot_times: tuple[float, ...]
-    seed: int | None
     initial: InitialSpec | None
     pisharp_sweep: tuple[float, ...] | None
+
+
+def _finite(value: str) -> float:
+    out = float(value)
+    if not math.isfinite(out):
+        raise ValueError(value)
+    return out
 
 
 class _Entries:
@@ -113,29 +120,24 @@ class _Entries:
             ) from None
 
     def number(self, section, key, default=None) -> float | None:
-        out = self._typed(section, key, float, "number", default)
-        if out is not None and not math.isfinite(out):
-            raise ConfigError(
-                f"{section}.{key} must be finite", self.line(section, key)
-            )
-        return out
+        return self._typed(section, key, _finite, "finite number", default)
 
     def integer(self, section, key, default=None) -> int | None:
         def cast(value: str) -> int:
-            as_float = float(value)
+            as_float = _finite(value)
             as_int = int(as_float)
             if as_int != as_float:
                 raise ValueError(value)
             return as_int
 
-        return self._typed(section, key, cast, "integer", default)
+        return self._typed(section, key, cast, "finite integer", default)
 
     def number_list(self, section, key) -> tuple[float, ...] | None:
         def cast(value: str) -> tuple[float, ...]:
             parts = [p.strip() for p in value.split(",") if p.strip()]
-            return tuple(float(p) for p in parts)
+            return tuple(_finite(p) for p in parts)
 
-        return self._typed(section, key, cast, "comma-separated number list", None)
+        return self._typed(section, key, cast, "comma-separated list of finite numbers", None)
 
 
 def _parse_lines(lines, entries: _Entries):
@@ -231,7 +233,6 @@ def _build_scenario(entries: _Entries) -> Scenario:
     if t_end <= 0.0:
         raise ConfigError("sim.t_end must be positive", entries.line("sim", "t_end"))
     snapshot_times = entries.number_list("sim", "snapshot_times") or ()
-    seed = entries.integer("sim", "seed", default=None)
 
     initial = None
     composition = entries.raw("initial", "composition")
@@ -258,7 +259,6 @@ def _build_scenario(entries: _Entries) -> Scenario:
         dt=dt,
         t_end=t_end,
         snapshot_times=snapshot_times,
-        seed=seed,
         initial=initial,
         pisharp_sweep=entries.number_list("protocol", "pisharp_sweep"),
     )

@@ -42,6 +42,8 @@ UNSTABLE = "unstable"
 SEMISTABLE = "semistable"
 
 _ROOT_TOL = 1e-12
+# distance within which EquilibriumReport.locate matches a reported level
+_LOCATE_TOL = 1e-9
 #: Number of equilibrium reports find_aggregate_equilibria keeps (least
 #: recently used dropped first).
 _CACHE_SIZE = 16
@@ -63,11 +65,11 @@ class EquilibriumReport:
     def stable(self) -> tuple[Equilibrium, ...]:
         return tuple(e for e in self.equilibria if e.stability == STABLE)
 
-    def locate(self, xbar: float, tol: float = 1e-6) -> Equilibrium:
+    def locate(self, xbar: float) -> Equilibrium:
         for eq in self.equilibria:
-            if abs(eq.xbar - xbar) <= tol:
+            if abs(eq.xbar - xbar) <= _LOCATE_TOL:
                 return eq
-        raise InputError(f"{xbar} is not a reported equilibrium (tol {tol})")
+        raise InputError(f"{xbar} is not a reported equilibrium (tol {_LOCATE_TOL})")
 
 
 def _g(game: AggregateGame, dist: TypeDistribution, xs: np.ndarray) -> np.ndarray:

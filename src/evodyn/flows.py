@@ -28,6 +28,8 @@ These distributions carry the aggregate dynamics at the reference point:
 ``escape_certificate`` (this bound for one composition) and
 ``rate_ratio_escape_bound`` (the reversed composition's two extreme rates,
 from the equilibrium set) are separate certificates; neither calls the other.
+Both take their certified decrease levels from ``stability``, which owns the
+decrease set; this module scans no levels itself.
 """
 
 from __future__ import annotations
@@ -41,14 +43,15 @@ from .dynamics import RevisionProtocol
 from .equilibria import STABLE, UNSTABLE, find_aggregate_equilibria
 from .errors import AnalysisError, InputError
 from .games import AggregateGame, TypeDistribution, require_aggregate_equilibrium
-from .stability import DECREASE, _certify, is_critical_mass_decrease
+from .stability import critical_mass_sets, is_critical_mass_decrease
 
 O_DOMINATES = "O_dominates"
 I_DOMINATES = "I_dominates"
 INCOMPARABLE = "incomparable"
 
-# Fixed numerical settings: the rate-ratio prefix scan step, the first and
-# the number of log-spaced bound samples, and the slack of strict dominance.
+# Fixed numerical settings: the resolution of the decrease set the rate-ratio
+# bound reads, the first and the number of log-spaced bound samples, and the
+# slack of strict dominance.
 _PREFIX_RESOLUTION = 1e-4
 _BOUND_FIRST_TIME = 1e-3
 _BOUND_SAMPLES = 2000
@@ -107,13 +110,22 @@ class SwitchingRateDistribution:
         return float(np.dot(self.qs, self.ms))
 
 
-def _sources(game: AggregateGame, x: BayesianStrategy, xbar_ref: float):
+def _source_atoms(game: AggregateGame, x: BayesianStrategy, xbar_ref: float, transform):
+    """Both flow sources at ``xbar_ref``, deficits in theta order mapped by ``transform``."""
     theta = x.grid.nodes
     w = x.grid.weights
     common = game.payoff(xbar_ref)
     below = theta < common
     above = theta > common
-    return theta, w, common, below, above
+    inflow = SwitchingRateDistribution(
+        qs=transform(common - theta[below]),
+        ms=w[below] * (1.0 - x.values[below]),
+    )
+    outflow = SwitchingRateDistribution(
+        qs=transform(theta[above] - common),
+        ms=w[above] * x.values[above],
+    )
+    return inflow, outflow
 
 
 def flow_distributions(
@@ -128,16 +140,7 @@ def flow_distributions(
     Rates are frozen at the common payoff F(xbar_ref); the composition's own
     aggregate need not equal the reference.
     """
-    theta, w, common, below, above = _sources(game, x, xbar_ref)
-    inflow = SwitchingRateDistribution(
-        qs=protocol.rate(common - theta[below]),
-        ms=w[below] * (1.0 - x.values[below]),
-    )
-    outflow = SwitchingRateDistribution(
-        qs=protocol.rate(theta[above] - common),
-        ms=w[above] * x.values[above],
-    )
-    return inflow, outflow
+    return _source_atoms(game, x, xbar_ref, protocol.rate)
 
 
 def deficit_distributions(
@@ -147,16 +150,7 @@ def deficit_distributions(
     xbar_ref: float,
 ) -> tuple[SwitchingRateDistribution, SwitchingRateDistribution]:
     """Payoff-deficit distributions in the two flow sources (protocol-free)."""
-    theta, w, common, below, above = _sources(game, x, xbar_ref)
-    inflow = SwitchingRateDistribution(
-        qs=common - theta[below],
-        ms=w[below] * (1.0 - x.values[below]),
-    )
-    outflow = SwitchingRateDistribution(
-        qs=theta[above] - common,
-        ms=w[above] * x.values[above],
-    )
-    return inflow, outflow
+    return _source_atoms(game, x, xbar_ref, lambda deficit: deficit)
 
 
 def aggregate_velocity_from_flows(
@@ -291,6 +285,9 @@ def rate_ratio_escape_bound(
     Requires the coordination shape: a stable equilibrium at 0, one interior
     unstable equilibrium, one interior stable equilibrium xbar*, and a
     reversed-composition threshold type above the indifferent type.
+    The largest prefix-certified decrease level is the end of the first
+    decrease interval of ``critical_mass_sets`` at resolution 1e-4, which
+    must start at 1e-4 (AnalysisError otherwise).
     """
     report = find_aggregate_equilibria(game, dist)
     eqs = report.equilibria
@@ -326,13 +323,12 @@ def rate_ratio_escape_bound(
         raise InputError(f"rate ratio r={r:.6g} must be below 1")
 
     # Largest level such that every level up to it is a certified decrease
-    # level (prefix scan).
-    xs = np.linspace(_PREFIX_RESOLUTION, 1.0, int(round(1.0 / _PREFIX_RESOLUTION)))
-    ok = _certify(game, dist, protocol, xs, DECREASE).member
-    first_fail = int(np.argmin(ok)) if not ok.all() else xs.size
-    if first_fail == 0:
+    # level: the end of the first decrease interval, if that interval starts
+    # at the first scan level.
+    intervals = critical_mass_sets(game, dist, protocol, _PREFIX_RESOLUTION).decrease_intervals
+    if not intervals or intervals[0][0] != _PREFIX_RESOLUTION:
         raise AnalysisError("no positive level satisfies the prefix rate condition")
-    max_certified = float(xs[first_fail - 1])
+    max_certified = intervals[0][1]
 
     if r <= 0.0:
         bound_value = 0.0

@@ -122,8 +122,8 @@ class UniformTypes(TypeDistribution):
     family: str = "uniform"
 
     def __post_init__(self):
-        if not self.lo < self.hi:
-            raise InputError(f"uniform support [{self.lo}, {self.hi}] is empty")
+        if not -math.inf < self.lo < self.hi < math.inf:
+            raise InputError(f"uniform support [{self.lo}, {self.hi}] must be finite and nonempty")
 
     @property
     def support(self) -> tuple[float, float]:
@@ -190,12 +190,14 @@ class TruncatedLogisticTypes(TypeDistribution):
     family: str = "logistic"
 
     def __post_init__(self):
-        if self.s <= 0.0:
-            raise InputError(f"logistic scale s={self.s} must be positive")
+        if not -math.inf < self.mu < math.inf:
+            raise InputError(f"logistic location mu={self.mu} must be finite")
+        if not 0.0 < self.s < math.inf:
+            raise InputError(f"logistic scale s={self.s} must be positive and finite")
         if self.tau is None:
             object.__setattr__(self, "tau", 12.0 * self.s)
-        if self.tau <= 0.0:
-            raise InputError(f"truncation half-width tau={self.tau} must be positive")
+        if not 0.0 < self.tau < math.inf:
+            raise InputError(f"truncation half-width tau={self.tau} must be positive and finite")
 
     @property
     def support(self) -> tuple[float, float]:

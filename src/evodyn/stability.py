@@ -15,8 +15,9 @@ The mirror statement certifies increase levels.  For the monotone protocols
 supported here the supremum sits at the extreme type (theta_min below,
 theta_max above); tests cross-check that closed form against a grid scan.
 One array kernel evaluates the certificate, for single levels (the
-auditable ``CriticalMassCertificate``) and for whole scans (critical-mass
-sets here, the prefix-certified level of the escape bound in ``flows``).
+auditable ``CriticalMassCertificate``) and for whole scans (the
+critical-mass sets, whose first decrease interval also gives the
+prefix-certified level of the rate-ratio escape bound in ``flows``).
 
 A stable aggregate equilibrium bracketed by an increase level below and a
 decrease level above (with no other equilibrium between them) is
@@ -40,11 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dynamics import RevisionProtocol
-from .equilibria import (
-    STABLE,
-    EquilibriumReport,
-    find_aggregate_equilibria,
-)
+from .equilibria import STABLE, find_aggregate_equilibria
 from .errors import AnalysisError, InputError
 from .games import ACTION_IN, ACTION_OUT, AggregateGame, TypeDistribution
 
@@ -290,16 +287,16 @@ def robustness_threshold(
     game: AggregateGame,
     dist: TypeDistribution,
     xbar_star: float,
-    report: EquilibriumReport,
 ) -> ThresholdEntry:
     """Side-wise suprema of the cut-off type's payoff deficit over the basin.
 
     Left of the equilibrium the relevant deficit is F - Pinv (entry pressure
     toward it); right of it Pinv - F (exit pressure back down).  The overall
     threshold is the smaller of the sides that exist; corner equilibria have
-    a single side.
+    a single side.  ``xbar_star`` must be a reported equilibrium of the
+    game's cached equilibrium report.
     """
-    eq = report.locate(xbar_star, tol=1e-9)
+    eq = find_aggregate_equilibria(game, dist).locate(xbar_star)
     if eq.stability != STABLE:
         raise InputError(f"equilibrium {xbar_star} is {eq.stability}, not stable")
     left, at_left = _side_sup(game, dist, eq.basin_lo, eq.xbar, +1.0)
@@ -336,11 +333,10 @@ def select_most_robust(
 
     Exact ties are reported as a tie with no selection.
     """
-    report = find_aggregate_equilibria(game, dist)
-    stable = report.stable
+    stable = find_aggregate_equilibria(game, dist).stable
     if not stable:
         raise AnalysisError("the game has no stable aggregate equilibrium")
-    entries = tuple(robustness_threshold(game, dist, eq.xbar, report) for eq in stable)
+    entries = tuple(robustness_threshold(game, dist, eq.xbar) for eq in stable)
     best = max(entries, key=lambda e: e.overall)
     contenders = [e for e in entries if abs(e.overall - best.overall) <= 1e-9]
     if len(contenders) > 1:

@@ -61,11 +61,10 @@ def test_criterion_1_equilibrium_set(canon_game, canon_dist):
 
 def test_criterion_2_robustness_thresholds(canon_game, canon_dist):
     start = time.perf_counter()
-    rep = find_aggregate_equilibria(canon_game, canon_dist)
-    upper = robustness_threshold(canon_game, canon_dist, 0.25, rep)
+    upper = robustness_threshold(canon_game, canon_dist, 0.25)
     assert abs(upper.overall - 1 / 1600) <= 1e-9
     assert abs(upper.attained_left - 0.225) <= 1e-4
-    corner = robustness_threshold(canon_game, canon_dist, 0.0, rep)
+    corner = robustness_threshold(canon_game, canon_dist, 0.0)
     assert abs(corner.overall - 0.05) <= 1e-6
     selection = select_most_robust(canon_game, canon_dist)
     assert selection.selected == pytest.approx(0.0, abs=1e-9)

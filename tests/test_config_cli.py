@@ -28,7 +28,6 @@ n = 400
 [sim]
 dt = 0.01
 t_end = 50
-seed = 1
 
 [initial]
 composition = reversed
@@ -51,7 +50,6 @@ def test_parse_canonical_config(config_path):
     assert scenario.protocol.kind == "power" and scenario.protocol.k == 3
     assert scenario.n == 400
     assert scenario.dt == 0.01 and scenario.t_end == 50.0
-    assert scenario.seed == 1
     assert scenario.initial.composition == "reversed"
     assert scenario.initial.xbar0 == 0.25
 
@@ -117,6 +115,33 @@ def test_unknown_section_rejected(tmp_path):
     with pytest.raises(ConfigError) as err:
         parse_config(path)
     assert err.value.line == 1
+
+
+@pytest.mark.parametrize("override", [
+    "grid.n=inf",
+    "grid.n=nan",
+    "game.a=inf",
+    "protocol.pisharp_sweep=nan",
+    "protocol.pisharp_sweep=0.01, inf",
+    "sim.snapshot_times=nan",
+    "sim.snapshot_times=0.5, -inf",
+])
+def test_non_finite_numbers_exit_2_with_one_json_line(config_path, tmp_path, override, capsys):
+    out = tmp_path / "out"
+    code = main(["select", "--config", str(config_path), "--out", str(out),
+                 "--override", override])
+    assert code == 2
+    (line,) = capsys.readouterr().out.splitlines()  # exactly one line
+    error = json.loads(line)["error"]
+    assert error["kind"] == "config"
+    assert override.partition("=")[0] in error["message"]
+    assert "finite" in error["message"]
+    assert not out.exists()
+
+
+def test_seed_key_is_unknown(config_path):
+    with pytest.raises(ConfigError, match="unknown key sim.seed"):
+        parse_config(config_path, overrides=("sim.seed=1",))
 
 
 def test_overrides_apply(config_path):

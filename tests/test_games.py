@@ -139,3 +139,26 @@ def test_make_distribution_factory():
     assert logi.support == pytest.approx((-1.2, 1.2))  # tau defaults to 12 scale units
     with pytest.raises(InputError):
         make_distribution("gamma")
+
+
+@pytest.mark.parametrize("lo,hi", [
+    (0.0, np.inf), (-np.inf, 1.0), (np.nan, 1.0), (0.0, np.nan), (1.0, 1.0), (2.0, 1.0),
+])
+def test_uniform_rejects_non_finite_or_empty_support(lo, hi):
+    with pytest.raises(InputError, match="finite and nonempty"):
+        UniformTypes(lo, hi)
+
+
+@pytest.mark.parametrize("params,name", [
+    ({"mu": np.nan, "s": 0.05}, "mu"),
+    ({"mu": np.inf, "s": 0.05}, "mu"),
+    ({"mu": 0.0, "s": np.nan}, "s"),
+    ({"mu": 0.0, "s": np.inf}, "s"),
+    ({"mu": 0.0, "s": 0.0}, "s"),
+    ({"mu": 0.0, "s": 0.05, "tau": np.nan}, "tau"),
+    ({"mu": 0.0, "s": 0.05, "tau": np.inf}, "tau"),
+    ({"mu": 0.0, "s": 0.05, "tau": -0.1}, "tau"),
+])
+def test_logistic_rejects_non_finite_parameters(params, name):
+    with pytest.raises(InputError, match=f"{name}="):
+        TruncatedLogisticTypes(**params)

@@ -312,32 +312,32 @@ class TestCertificateSoundness:
 
 class TestRobustnessThresholds:
     def test_upper_equilibrium_threshold(self, canon_game, canon_dist):
-        report = find_aggregate_equilibria(canon_game, canon_dist)
-        entry = robustness_threshold(canon_game, canon_dist, 0.25, report)
+        entry = robustness_threshold(canon_game, canon_dist, 0.25)
         assert entry.threshold_left == pytest.approx(1 / 1600, abs=1e-9)
         assert entry.attained_left == pytest.approx(0.225, abs=1e-4)
         assert entry.threshold_right == pytest.approx(0.6, abs=1e-6)
         assert entry.overall == pytest.approx(1 / 1600, abs=1e-9)
 
     def test_corner_threshold_is_one_sided(self, canon_game, canon_dist):
-        report = find_aggregate_equilibria(canon_game, canon_dist)
-        entry = robustness_threshold(canon_game, canon_dist, 0.0, report)
+        entry = robustness_threshold(canon_game, canon_dist, 0.0)
         assert entry.threshold_left is None
         assert entry.threshold_right == pytest.approx(0.05, abs=1e-6)
         assert entry.overall == pytest.approx(0.05, abs=1e-6)
 
     def test_rejects_unstable_input(self, canon_game, canon_dist):
-        report = find_aggregate_equilibria(canon_game, canon_dist)
         with pytest.raises(InputError):
-            robustness_threshold(canon_game, canon_dist, 0.2, report)
+            robustness_threshold(canon_game, canon_dist, 0.2)
+
+    def test_rejects_level_that_is_not_an_equilibrium(self, canon_game, canon_dist):
+        with pytest.raises(InputError, match="not a reported equilibrium"):
+            robustness_threshold(canon_game, canon_dist, 0.1)
 
     def test_flat_game_threshold_positive(self):
         # F constant below the support: O strictly optimal everywhere, and the
         # corner keeps a positive basin-wide deficit
         game = affine_game(0.0, -0.4)
         dist = TruncatedLogisticTypes(mu=0.0, s=0.05, tau=0.3)
-        report = find_aggregate_equilibria(game, dist)
-        entry = robustness_threshold(game, dist, 0.0, report)
+        entry = robustness_threshold(game, dist, 0.0)
         assert entry.overall > 0.0
 
 
