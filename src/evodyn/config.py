@@ -5,7 +5,8 @@ Sections and keys::
     [game]          family = affine | linear_coordination ; a, b ; c
     [distribution]  family = uniform | sqrt_shift | logistic ; lo, hi ; mu, s, tau
     [protocol]      kind = standard | tempered ; tempering = power | bounded_power
-                    k ; pisharp ; pisharp_sweep = comma list (select sweep mode)
+                    k ; pisharp ; pisharp_sweep = comma list (select sweep mode;
+                    distinct positive values)
     [grid]          n            (default 2000)
     [sim]           dt (default 0.01) ; t_end (default 50) ;
                     snapshot_times = comma list
@@ -251,6 +252,15 @@ def _build_scenario(entries: _Entries) -> Scenario:
             path=entries.raw("initial", "path"),
         )
 
+    pisharp_sweep = entries.number_list("protocol", "pisharp_sweep")
+    if pisharp_sweep is not None:
+        # each value names its own sweep/ directory and sweep.json entry
+        line = entries.line("protocol", "pisharp_sweep")
+        if any(p <= 0.0 for p in pisharp_sweep):
+            raise ConfigError("protocol.pisharp_sweep values must be positive", line)
+        if len(set(pisharp_sweep)) != len(pisharp_sweep):
+            raise ConfigError("protocol.pisharp_sweep values must be distinct", line)
+
     return Scenario(
         game=game,
         dist=dist,
@@ -260,7 +270,7 @@ def _build_scenario(entries: _Entries) -> Scenario:
         t_end=t_end,
         snapshot_times=snapshot_times,
         initial=initial,
-        pisharp_sweep=entries.number_list("protocol", "pisharp_sweep"),
+        pisharp_sweep=pisharp_sweep,
     )
 
 

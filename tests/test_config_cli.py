@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -136,6 +137,27 @@ def test_non_finite_numbers_exit_2_with_one_json_line(config_path, tmp_path, ove
     assert error["kind"] == "config"
     assert override.partition("=")[0] in error["message"]
     assert "finite" in error["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("override,problem", [
+    ("protocol.pisharp_sweep=0.01, 0", "positive"),
+    ("protocol.pisharp_sweep=-1, 0.01, 0.010", "positive"),
+    ("protocol.pisharp_sweep=0.01, 0.010", "distinct"),  # equal floats
+    ("protocol.pisharp_sweep=0.05, 0.01, 5e-2", "distinct"),
+])
+def test_bad_sweep_exits_2_with_one_json_line(config_path, tmp_path, override, problem,
+                                              capsys):
+    # every sweep value writes its own sweep/ directory and sweep.json entry
+    out = tmp_path / "out"
+    code = main(["select", "--config", str(config_path), "--out", str(out),
+                 "--override", override])
+    assert code == 2
+    (line,) = capsys.readouterr().out.splitlines()  # exactly one line
+    error = json.loads(line)["error"]
+    assert error["kind"] == "config"
+    assert "protocol.pisharp_sweep" in error["message"]
+    assert problem in error["message"]
     assert not out.exists()
 
 
@@ -375,3 +397,20 @@ def test_cli_reports_match_golden_files(tmp_path, subcommand, filename):
     out = tmp_path / "out"
     assert main([subcommand, "--config", str(config), "--out", str(out)]) == 0
     assert (out / golden.name).read_bytes() == golden.read_bytes()
+
+
+# SHA-256 of simulate's trajectory.csv on each bundled config, taken before the
+# RK4 step's per-call overhead was trimmed: every recorded aggregate of the run
+# must keep its bits, not only the first and last ones in summary.json
+TRAJECTORY_SHA256 = {
+    "entry_sqrt": "07e94f147982e2dc71d0d8c8c7bfca9fbed4f078596699d0d85e1894641cb2c4",
+    "coordination_logistic": "8eb9b8e74974777c4c3704bf41a801716cf7936c2fab3819abd923ef5ef998c7",
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRAJECTORY_SHA256))
+def test_simulated_path_matches_pinned_hash(tmp_path, name):
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(CONFIGS / f"{name}.ini"), "--out", str(out)]) == 0
+    digest = hashlib.sha256((out / "trajectory.csv").read_bytes()).hexdigest()
+    assert digest == TRAJECTORY_SHA256[name]

@@ -9,6 +9,7 @@ which turns each into a polynomial integral:
     velocity = inflow - outflow = -1.9735285...
 """
 
+from bisect import bisect_right
 from pathlib import Path
 
 import numpy as np
@@ -350,11 +351,36 @@ def field_cases(draw):
           np.array([0.5, 1.5, -0.5, 0.5])),
     protocol=standard_protocol(),
 )
+@example(  # F below the first node: the cut is m = 0, every type flows out
+    case=(affine_game(0.0, -1.0), TypeGrid(nodes=np.array([0.1, 0.2, 0.3])),
+          np.array([0.2, 0.7, 1.0])),
+    protocol=power_protocol(3.0),
+)
+@example(  # F above the last node: the cut is m = n, every type flows in
+    case=(affine_game(0.0, 5.0), TypeGrid(nodes=np.array([0.1, 0.2, 0.3])),
+          np.array([0.0, 0.4, 0.9])),
+    protocol=bounded_power_protocol(2.0, 0.5),
+)
+@example(  # F exactly on a single node value: that node joins the prefix
+    case=(affine_game(0.0, 0.2), TypeGrid(nodes=np.array([0.1, 0.2, 0.3])),
+          np.array([0.3, 0.6, 0.9])),
+    protocol=power_protocol(1.5),
+)
 def test_field_matches_masked_oracle_bit_for_bit(case, protocol):
     game, grid, values = case
     out = np.full(grid.n, np.nan)
     _field_function(game, protocol, grid)(values, out)
     assert same_bits(out, oracle_field(game, protocol, grid, values))
+
+
+@settings(max_examples=300, deadline=None)
+@given(nodes=st.lists(st.floats(-2.0, 3.0), min_size=1, max_size=40), data=st.data())
+def test_bisected_cut_matches_searchsorted(nodes, data):
+    # the field bisects the node list; searchsorted on the array is the oracle
+    repeats = data.draw(st.lists(st.sampled_from(nodes), max_size=20))
+    theta = np.sort(np.array(nodes + repeats))
+    common = data.draw(st.one_of(st.sampled_from(nodes), st.floats(-3.0, 4.0)))
+    assert bisect_right(theta.tolist(), common) == np.searchsorted(theta, common, side="right")
 
 
 def assert_same_run(game, dist, protocol, x0, t_end, dt, snapshot_times=()):
