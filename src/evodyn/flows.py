@@ -56,10 +56,10 @@ _PREFIX_RESOLUTION = 1e-4
 _BOUND_FIRST_TIME = 1e-3
 _BOUND_SAMPLES = 2000
 _STRICT_TOL = 1e-12
-# Sample times per block of the frozen-rate bound: a block of 16 times by
-# n atoms is a few megabytes at the largest grids used, where one block of
-# all 2000 samples would need hundreds of megabytes of temporaries.
-_BOUND_BLOCK = 16
+# Exponentials per block of the frozen-rate bound (512 KB of float64): one
+# block of all 2000 samples would need hundreds of megabytes at the largest
+# grids used.
+_BOUND_BLOCK_ELEMENTS = 65536
 
 
 @dataclass(frozen=True)
@@ -74,6 +74,9 @@ class SwitchingRateDistribution:
         ms = np.asarray(self.ms, dtype=float)
         if qs.shape != ms.shape or qs.ndim != 1:
             raise InputError("atom values and masses must be 1-d arrays of equal length")
+        for name, arr in (("atom values", qs), ("masses", ms)):
+            if not np.all(np.isfinite(arr) & (arr >= 0.0)):
+                raise InputError(f"{name} must be finite and nonnegative")
         keep = ms > 0.0
         qs, ms = qs[keep], ms[keep]
         order = np.argsort(qs, kind="stable")
@@ -205,20 +208,6 @@ def sosd_compare(
     return INCOMPARABLE
 
 
-def _decay_sums(source: SwitchingRateDistribution, ts: np.ndarray) -> np.ndarray:
-    """sum_k m_k e^(-q_k t) at each time, over blocks of _BOUND_BLOCK times."""
-    neg_q = -source.qs
-    buf = np.empty((min(_BOUND_BLOCK, ts.size), neg_q.size))
-    sums = np.empty(ts.size)
-    for start in range(0, ts.size, _BOUND_BLOCK):
-        stop = min(start + _BOUND_BLOCK, ts.size)
-        e = buf[: stop - start]
-        np.multiply(ts[start:stop, None], neg_q, out=e)
-        np.exp(e, out=e)
-        sums[start:stop] = e @ source.ms
-    return sums
-
-
 def bound_trajectory(
     inflow: SwitchingRateDistribution,
     outflow: SwitchingRateDistribution,
@@ -232,21 +221,41 @@ def bound_trajectory(
     only loses entrants and gains leavers relative to this, making the
     frozen path an upper bound on the actual aggregate.
 
-    The exponentials are computed over blocks of 16 sample times, so the
-    temporaries hold 16 values per atom (4 MB at 32000 atoms) whatever the
-    sample count.  A block's BLAS matrix-vector product may sum in an order
-    that depends on its row count: with OpenBLAS on x86-64, sample counts
-    that are multiples of 16 (the 2000 of ``escape_certificate``) give the
-    bits of one dense block over all samples, while a partial last block
-    differs from it by about 1e-16.
+    One pass covers both sources: the block holds e^(-q t) for the inflow
+    atoms and then the outflow atoms, and each source's sums are a BLAS
+    matrix-vector product on its columns.  A block has a multiple of 4 rows:
+    as many as fit in 65536 exponentials (512 KB), but at least 4 and no
+    more than there are samples.  With OpenBLAS on x86-64, a product over a
+    multiple of 4 rows sums each row in the order of one dense block over
+    all samples, so 2000 samples (the count ``escape_certificate`` takes)
+    give the dense bits; a last block whose row count is not a multiple of
+    4, possible only when the sample count is not, differs by about 1e-15.
+    ``times`` must be a 1-d array of finite, nonnegative values.
     """
     ts = np.asarray(times, dtype=float)
+    if ts.ndim != 1:
+        raise InputError("bound trajectory times must be a 1-d array")
     if not np.all(np.isfinite(ts) & (ts >= 0.0)):
         raise InputError("bound trajectory times must be finite and nonnegative")
     out = np.full(ts.shape, xbar_star, dtype=float)
-    for source, sign in ((inflow, -1.0), (outflow, 1.0)):
-        if source.qs.size:
-            out += sign * _decay_sums(source, ts)
+    n_in = inflow.qs.size
+    neg_q = -np.concatenate((inflow.qs, outflow.qs))
+    if not neg_q.size:
+        return out
+    rows = max(4, _BOUND_BLOCK_ELEMENTS // neg_q.size // 4 * 4)
+    buf = np.empty((min(rows, ts.size), neg_q.size))
+    s_in, s_out = np.empty(ts.size), np.empty(ts.size)
+    for start in range(0, ts.size, rows):
+        stop = min(start + rows, ts.size)
+        e = buf[: stop - start]
+        np.multiply(ts[start:stop, None], neg_q, out=e)
+        np.exp(e, out=e)
+        np.matmul(e[:, :n_in], inflow.ms, out=s_in[start:stop])
+        np.matmul(e[:, n_in:], outflow.ms, out=s_out[start:stop])
+    if n_in:
+        out -= s_in
+    if outflow.qs.size:
+        out += s_out
     return out
 
 

@@ -414,3 +414,15 @@ def test_simulated_path_matches_pinned_hash(tmp_path, name):
     assert main(["simulate", "--config", str(CONFIGS / f"{name}.ini"), "--out", str(out)]) == 0
     digest = hashlib.sha256((out / "trajectory.csv").read_bytes()).hexdigest()
     assert digest == TRAJECTORY_SHA256[name]
+
+
+# SHA-256 of escape's bound.csv on the bundled entry config, taken before the
+# frozen-rate bound was computed in one pass over both sources: the golden
+# escape.json pins the crossing time, this pins all 2000 bound samples
+BOUND_SHA256 = "b97897ebf82592bb722bb7230180b75b634ed716e40c5a144722c499df6568c2"
+
+
+def test_escape_bound_matches_pinned_hash(tmp_path):
+    out = tmp_path / "out"
+    assert main(["escape", "--config", str(ENTRY_CONFIG), "--out", str(out)]) == 0
+    assert hashlib.sha256((out / "bound.csv").read_bytes()).hexdigest() == BOUND_SHA256

@@ -74,6 +74,20 @@ class TestFlowDistributions:
         assert 0.0 <= inflow.qs.min() and inflow.qs.max() <= 9 / 16
         assert 3 / 2 - 0.01 <= outflow.qs.min() and outflow.qs.max() <= 39 / 16
 
+    @pytest.mark.parametrize("qs,ms,what", [
+        ([float("nan"), 1.0], [0.1, 0.1], "atom values"),
+        ([float("inf"), 1.0], [0.1, 0.1], "atom values"),
+        ([-0.5, 1.0], [0.1, 0.1], "atom values"),
+        ([0.5, 1.0], [float("nan"), 0.1], "masses"),
+        ([0.5, 1.0], [float("inf"), 0.1], "masses"),
+        ([0.5, 1.0], [-0.1, 0.1], "masses"),
+    ])
+    def test_rejects_non_finite_or_negative_atoms(self, qs, ms, what):
+        # a NaN rate would make a NaN bound; a NaN or negative mass would be
+        # dropped with the zero masses
+        with pytest.raises(InputError, match=f"{what} must be finite and nonnegative"):
+            SwitchingRateDistribution(qs=np.array(qs), ms=np.array(ms))
+
 
 class TestVelocityIdentity:
     def test_arithmetic_examples(self):
@@ -217,6 +231,12 @@ class TestBoundTrajectory:
         with pytest.raises(InputError, match="finite and nonnegative"):
             bound_trajectory(a, a, 0.25, np.array([0.5, bad]))
 
+    @pytest.mark.parametrize("times", [0.5, np.full((2, 3), 0.5)], ids=["scalar", "2-d"])
+    def test_rejects_times_that_are_not_1d(self, times):
+        a = atoms([(1.0, 0.1)])
+        with pytest.raises(InputError, match="1-d array"):
+            bound_trajectory(a, a, 0.25, times)
+
 
 def dense_bound(inflow, outflow, xbar_star, ts):
     """The frozen-rate bound as one dense block over every sample time."""
@@ -228,6 +248,15 @@ def dense_bound(inflow, outflow, xbar_star, ts):
     return out
 
 
+def drawn_sources(n_in, n_out):
+    """Sources of the given atom counts, rates in the canonical cubic ranges."""
+    rng = np.random.default_rng(n_in * 7919 + n_out)
+    return (
+        SwitchingRateDistribution(qs=rng.uniform(0.0, 0.18, n_in), ms=np.full(n_in, 0.25) / n_in),
+        SwitchingRateDistribution(qs=rng.uniform(3.3, 14.5, n_out), ms=np.full(n_out, 0.25) / n_out),
+    )
+
+
 class TestBoundBlocks:
     """The time-blocked bound against the dense formula."""
 
@@ -235,7 +264,19 @@ class TestBoundBlocks:
     def sources(self, canon_game, canon_dist, cubic, reversed25):
         return flow_distributions(canon_game, canon_dist, cubic, reversed25, 0.25)
 
-    def test_bit_identical_at_the_certificate_samples(self, sources):
+    # atom counts (inflow, outflow) and the blocks of rows they give at 2000
+    # samples; None is the canonical pair of 1000-atom sources (62 x 32 + 16)
+    @pytest.mark.parametrize("sizes", [
+        None,
+        (1, 0),       # one atom: one block of all 2000 rows
+        (12, 20),     # tens of atoms: one block of all 2000 rows
+        (36, 24),     # 1092 + 908
+        (300, 2500),  # 100 x 20
+        (1900, 500),  # 83 x 24 + 8
+    ], ids=["canonical", "1+0", "12+20", "36+24", "300+2500", "1900+500"])
+    def test_bit_identical_at_the_certificate_samples(self, sources, sizes):
+        if sizes is not None:
+            sources = drawn_sources(*sizes)
         ts = np.geomspace(1e-3, 50.0, 2000)  # what escape_certificate samples
         bound = bound_trajectory(*sources, 0.25, ts)
         assert bound.tobytes() == dense_bound(*sources, 0.25, ts).tobytes()
