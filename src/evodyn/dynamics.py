@@ -30,16 +30,32 @@ the state and the grid, not the step size, governs accuracy at the
 tolerances used here.  The field and the step work in place on buffers
 allocated once per run, with the same operations in the same order as the
 textbook formula, so they give its bits.  At the grid sizes run here
-(hundreds to thousands of nodes) a step costs about fifty ufunc calls and is
-bound by their dispatch, not by arithmetic, so the field and the step bind
-the ufuncs to locals and pass ``out`` positionally, which skips the keyword
-parsing of each call.  ``np.minimum`` and ``np.maximum`` keep ``out=``: a
-positional output is deprecated for them as of numpy 2.4.  A state that
-leaves [0, 1] is clamped back after the step and the total clamped magnitude
-is kept as a diagnostic (the continuous field points inward, so it stays
-negligible).
+(hundreds to thousands of nodes) a step is bound by the dispatch of its
+numpy calls, not by arithmetic: 13 ufunc calls and two reductions in the
+step, plus per field evaluation a dot product and 2 ufunc calls (standard),
+7 (cubic) or 8 (bounded_power with k = 2), so 27 calls per standard step
+and 47 per cubic one.  The field and the step therefore bind the ufuncs to
+locals and pass ``out`` positionally, which skips the keyword parsing of
+each call.  ``np.minimum`` and ``np.maximum`` keep ``out=``: a positional
+output is deprecated for them as of numpy 2.4.  A state that leaves [0, 1]
+is clamped back after the step and the total clamped magnitude is kept as a
+diagnostic (the continuous field points inward, so it stays negligible).
 The recorded aggregates are the field's own ``composition.aggregate`` values
 (from each step's first stage, and one more evaluation for the final state).
+
+Every scalar operand of the hot loop is a 0-d float64 array built once: the
+constants 0, 1 and 2 per module (read-only, since every run shares them),
+the step sizes per run, k and pisharp per protocol, and F(xbar) in a 0-d
+buffer that each field owns and overwrites at each evaluation.  A ufunc
+turns a Python float operand into exactly such an array on every call, so a
+prebuilt one selects the same loop on the same values and gives the same
+bits without the conversion.
+
+The standard field skips the rate.  Off the tie its rate is exactly 1, and
+(1 - x) * 1 and -x * 1 are 1 - x and -x bit for bit, so it writes those on
+the two slices.  Nodes tied at F have rate(0) = 0 and get (1 - x) * 0 as a
+multiply, not a stored 0.0: the product keeps the sign of 1 - x (-0.0 for a
+stage value above 1), as the rate-times-gap form does.
 
 The aggregate of the standard dynamic follows the homogenized smooth
 best-response dynamic xbardot = P(F(xbar)) - xbar regardless of the
@@ -48,7 +64,8 @@ underlying composition; tempered dynamics are generically not aggregable.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -63,6 +80,16 @@ KIND_POWER = "power"
 KIND_BOUNDED_POWER = "bounded_power"
 
 
+def _constant(value: float) -> np.ndarray:
+    """A read-only 0-d float64 operand (see the module docstring)."""
+    c = np.array(value, dtype=float)
+    c.flags.writeable = False
+    return c
+
+
+_ZERO, _ONE, _TWO = _constant(0.0), _constant(1.0), _constant(2.0)
+
+
 @dataclass(frozen=True)
 class RevisionProtocol:
     """Conditional switching rate as a function of the payoff deficit."""
@@ -74,38 +101,53 @@ class RevisionProtocol:
     def __post_init__(self):
         if self.kind not in (KIND_STANDARD, KIND_POWER, KIND_BOUNDED_POWER):
             raise InputError(f"unknown protocol kind {self.kind!r}")
+        if not math.isfinite(self.k):
+            raise InputError(f"tempering exponent k={self.k} must be finite")
+        if self.pisharp is not None and not math.isfinite(self.pisharp):
+            raise InputError(f"sensitivity bound pisharp={self.pisharp} must be finite")
         if self.kind != KIND_STANDARD and self.k <= 0.0:
             raise InputError(f"tempering exponent k={self.k} must be positive")
         if self.kind == KIND_BOUNDED_POWER and (
             self.pisharp is None or self.pisharp <= 0.0
         ):
             raise InputError("bounded_power needs a positive sensitivity bound pisharp")
+        # the rate's operands, built once: an integer k in 2..6 is kept as an
+        # int for repeated multiplies (0 otherwise), and k as a 0-d exponent
+        k = self.k
+        object.__setattr__(self, "_int_k", int(k) if k == int(k) and 2 <= k <= 6 else 0)
+        object.__setattr__(self, "_k", _constant(k))
+        if self.pisharp is not None:
+            object.__setattr__(self, "_pisharp", _constant(self.pisharp))
 
     def _rate_into(self, d: np.ndarray, out: np.ndarray) -> None:
         """Write the switching rate of nonnegative deficits ``d`` into ``out``.
 
         ``d`` is scratch (bounded_power scales it in place) and must not be
         ``out``.  Integer exponents are repeated multiplies: float pow
-        dominates the integration profile otherwise.  A scalar runs as a 0-d
-        array through the same ufunc loops as an array and gets the same bits.
+        dominates the integration profile otherwise.  Every scalar operand is
+        a 0-d array built once (module docstring), so a call makes one to
+        seven numpy calls and no conversions.  A scalar deficit runs as
+        a 0-d array through the same ufunc loops as an array and gets the
+        same bits.
         """
-        if self.kind == KIND_STANDARD:
-            np.greater(d, 0.0, out)
+        kind = self.kind
+        if kind == KIND_STANDARD:
+            np.greater(d, _ZERO, out)
             return
-        if self.kind == KIND_BOUNDED_POWER:
-            np.divide(d, self.pisharp, d)
-        k = self.k
-        if k == 1:
-            np.copyto(out, d)
-        elif k == int(k) and 2 <= k <= 6:
+        if kind == KIND_BOUNDED_POWER:
+            np.divide(d, self._pisharp, d)
+        int_k = self._int_k
+        if int_k:
             multiply = np.multiply
             multiply(d, d, out)
-            for _ in range(int(k) - 2):
+            for _ in range(int_k - 2):
                 multiply(out, d, out)
+        elif self.k == 1:
+            np.copyto(out, d)
         else:
-            np.power(d, k, out)
-        if self.kind == KIND_BOUNDED_POWER:
-            np.minimum(out, 1.0, out=out)
+            np.power(d, self._k, out)
+        if kind == KIND_BOUNDED_POWER:
+            np.minimum(out, _ONE, out=out)
 
     def rate(self, deficit):
         """Vectorized switching rate; zero for nonpositive deficits."""
@@ -144,15 +186,19 @@ def _field_function(
     The nodes are nondecreasing, so the types with a nonnegative gap
     F - theta form the prefix ``theta[:m]``; the deficit is F - theta there
     and theta - F after it (float negation is exact, so both equal |gap|,
-    and both are nonnegative as the rate routine requires).
+    and both are nonnegative as the rate routine requires).  Each field owns
+    the 0-d buffer that carries F into the two subtractions.
     """
     theta = grid.nodes
     cuts = theta.tolist()
     dot = grid.weights.dot
     slope, intercept = game.slope, game.intercept
     dom_lo, dom_hi = game.domain
-    scratch = np.empty(grid.n)
     subtract, negative, multiply = np.subtract, np.negative, np.multiply
+    one, zero = _ONE, _ZERO
+    standard = protocol.kind == KIND_STANDARD
+    scratch = np.empty(grid.n)
+    c0 = np.empty(())
     rate_into = protocol._rate_into
 
     def field(values: np.ndarray, out: np.ndarray) -> float:
@@ -161,10 +207,20 @@ def _field_function(
             raise InputError(f"aggregate {xbar!r} left the payoff evaluation domain")
         common = slope * xbar + intercept
         m = bisect_right(cuts, common)
-        subtract(common, theta[:m], scratch[:m])
-        subtract(theta[m:], common, scratch[m:])
+        if standard:
+            # rate 1 off the tie, and (1 - x) * 1 and -x * 1 are 1 - x and -x
+            subtract(one, values[:m], out[:m])
+            negative(values[m:], out[m:])
+            if m and cuts[m - 1] == common:
+                # rate(0) = 0 at the tie: (1 - x) * 0 keeps the sign of 1 - x
+                tied = out[bisect_left(cuts, common, 0, m) : m]
+                multiply(tied, zero, tied)
+            return xbar
+        c0[()] = common
+        subtract(c0, theta[:m], scratch[:m])
+        subtract(theta[m:], c0, scratch[m:])
         rate_into(scratch, out)
-        subtract(1.0, values[:m], scratch[:m])
+        subtract(one, values[:m], scratch[:m])
         negative(values[m:], scratch[m:])
         multiply(out, scratch, out)
         return xbar
@@ -228,7 +284,7 @@ def _rk4(
 
     x = np.array(x0, dtype=float)
     k, acc, stage = np.empty_like(x), np.empty_like(x), np.empty_like(x)
-    half, sixth = 0.5 * dt, dt / 6.0
+    half, sixth, step_dt, two = _constant(0.5 * dt), _constant(dt / 6.0), _constant(dt), _TWO
     t = 0.0
     si = 0
     while si < len(wanted) and wanted[si] <= 0.0:
@@ -246,12 +302,12 @@ def _rk4(
         field(stage, k)
         multiply(k, half, stage)
         add(x, stage, stage)
-        multiply(k, 2.0, k)
+        multiply(k, two, k)
         add(acc, k, acc)
         field(stage, k)
-        multiply(k, dt, stage)
+        multiply(k, step_dt, stage)
         add(x, stage, stage)
-        multiply(k, 2.0, k)
+        multiply(k, two, k)
         add(acc, k, acc)
         field(stage, k)
         add(acc, k, acc)

@@ -36,6 +36,7 @@ from evodyn import (
 )
 from evodyn.composition import BayesianStrategy, TypeGrid
 from evodyn.config import parse_config
+from evodyn import dynamics
 from evodyn.dynamics import _field_function
 from tests.conftest import random_composition
 
@@ -99,6 +100,19 @@ def test_protocol_validation():
         bounded_power_protocol(2, 0.0)
     with pytest.raises(InputError):
         standard_protocol().rate(float("nan"))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_protocol_rejects_non_finite_parameters(bad):
+    # unchecked, a NaN k failed on the first rate call with a raw ValueError,
+    # a NaN pisharp gave NaN rates and an infinite one rate 0 everywhere
+    for make in (
+        lambda: power_protocol(bad),
+        lambda: bounded_power_protocol(bad, 0.5),
+        lambda: bounded_power_protocol(2, bad),
+    ):
+        with pytest.raises(InputError, match="must be finite"):
+            make()
 
 
 def test_sorted_equilibrium_is_stationary(canon_game, canon_dist, grid4000, standard, cubic):
@@ -366,11 +380,56 @@ def field_cases(draw):
           np.array([0.3, 0.6, 0.9])),
     protocol=power_protocol(1.5),
 )
+@example(  # standard, F on a single node whose stage value is above 1: -0.0
+    case=(affine_game(0.0, 0.2), TypeGrid(nodes=np.array([0.1, 0.2, 0.3])),
+          np.array([0.3, 1.5, 0.9])),
+    protocol=standard_protocol(),
+)
+@example(  # standard, F below the first node (m = 0)
+    case=(affine_game(0.0, -1.0), TypeGrid(nodes=np.array([0.1, 0.2, 0.3])),
+          np.array([0.2, 0.7, 1.0])),
+    protocol=standard_protocol(),
+)
+@example(  # standard, F above the last node (m = n)
+    case=(affine_game(0.0, 5.0), TypeGrid(nodes=np.array([0.1, 0.2, 0.3])),
+          np.array([0.0, 0.4, 0.9])),
+    protocol=standard_protocol(),
+)
 def test_field_matches_masked_oracle_bit_for_bit(case, protocol):
     game, grid, values = case
     out = np.full(grid.n, np.nan)
     _field_function(game, protocol, grid)(values, out)
     assert same_bits(out, oracle_field(game, protocol, grid, values))
+
+
+@pytest.mark.parametrize(
+    "protocol",
+    [standard_protocol(), power_protocol(3), power_protocol(1.5), bounded_power_protocol(2, 0.3)],
+    ids=["standard", "cubic", "power1.5", "bounded_power"],
+)
+def test_fields_of_different_games_called_alternately(protocol):
+    # each field keeps its own payoff buffer: evaluating one field between
+    # the evaluations of another leaves the other's velocities unchanged
+    rng = np.random.default_rng(7)
+    grid = make_grid(UniformTypes(0.0, 1.0), 60)
+    games = [affine_game(1.5, -0.2), affine_game(0.5, 0.4)]
+    fields = [_field_function(game, protocol, grid) for game in games]
+    for _ in range(10):
+        for game, field in zip(games, fields):
+            values = rng.uniform(-0.05, 1.05, grid.n)
+            out = np.full(grid.n, np.nan)
+            field(values, out)
+            assert same_bits(out, oracle_field(game, protocol, grid, values))
+
+
+def test_module_level_operands_are_read_only():
+    # the shared 0-d operands of the hot loop: a write would change every run
+    operands = [v for v in vars(dynamics).values() if isinstance(v, np.ndarray) and v.ndim == 0]
+    assert operands
+    for operand in operands:
+        assert not operand.flags.writeable
+        with pytest.raises(ValueError):
+            operand[()] = 0.5
 
 
 @settings(max_examples=300, deadline=None)
