@@ -416,10 +416,28 @@ def test_simulated_path_matches_pinned_hash(tmp_path, name):
     assert digest == TRAJECTORY_SHA256[name]
 
 
-# SHA-256 of escape's bound.csv on the bundled entry config, taken before the
-# frozen-rate bound was computed in one pass over both sources: the golden
+def test_escape_bound_is_within_grid_error_of_the_grid_bound(tmp_path):
+    # the bound now sums Gauss-Legendre atoms of the continuum sources; the
+    # n = 2000 grid atoms are their midpoint rule, 4.1e-8 away at most
+    from evodyn import bound_trajectory, flow_distributions, make_grid, reversed_composition
+
+    out = tmp_path / "out"
+    assert main(["escape", "--config", str(ENTRY_CONFIG), "--out", str(out)]) == 0
+    times, bound = np.loadtxt(out / "bound.csv", delimiter=",", skiprows=1).T
+    sc = parse_config(ENTRY_CONFIG)
+    x0 = reversed_composition(make_grid(sc.dist, sc.n), sc.dist, 0.25)
+    grid = bound_trajectory(
+        *flow_distributions(sc.game, sc.dist, sc.protocol, x0, 0.25), 0.25, times
+    )
+    assert sc.n == 2000
+    assert np.abs(bound - grid).max() <= 1e-7
+
+
+# SHA-256 of escape's bound.csv on the bundled entry config, taken when the
+# bound moved from the n = 2000 grid atoms to Gauss-Legendre atoms of the
+# continuum sources (within 1e-7 of the grid bound, checked above): the golden
 # escape.json pins the crossing time, this pins all 2000 bound samples
-BOUND_SHA256 = "b97897ebf82592bb722bb7230180b75b634ed716e40c5a144722c499df6568c2"
+BOUND_SHA256 = "a91e1179d052b6d12ee8f422ca2fb3479b9254c533d9877913352f62862242a6"
 
 
 def test_escape_bound_matches_pinned_hash(tmp_path):

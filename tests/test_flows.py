@@ -1,26 +1,42 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import evodyn.flows
 from evodyn import (
     InputError,
+    SqrtShiftTypes,
     SwitchingRateDistribution,
+    TruncatedLogisticTypes,
+    affine_game,
     aggregate,
     aggregate_velocity_from_flows,
+    balanced_composition,
     bound_trajectory,
+    bounded_power_protocol,
     critical_mass_sets,
     deficit_distributions,
     detailed_balance_residual,
     escape_certificate,
     flow_distributions,
     integrate,
+    linear_coordination_game,
+    make_grid,
+    power_protocol,
     rate_ratio_escape_bound,
+    reversed_composition,
     sorted_composition,
     sosd_compare,
+    standard_protocol,
     vector_field,
 )
-from evodyn.composition import BayesianStrategy
+from evodyn.composition import BayesianStrategy, TypeGrid, destabilizing_perturbation
 from tests.conftest import random_composition
 
 
@@ -428,3 +444,186 @@ class TestRateRatioBound:
 
         with pytest.raises(InputError, match="coordination shape"):
             rate_ratio_escape_bound(affine_game(0.0, 0.7), canon_dist, cubic)
+
+
+CERTIFY_TIMES = np.geomspace(1e-3, 50.0, 2000)  # the samples escape_certificate takes
+
+
+def grid_escape(game, dist, protocol, x0, xbar_dagger):
+    """The escape report on grid atoms only: dominance and bound alike."""
+    xbar_star = aggregate(x0)
+    inflow, outflow = flow_distributions(game, dist, protocol, x0, xbar_star)
+    bound = bound_trajectory(inflow, outflow, xbar_star, CERTIFY_TIMES)
+    hit = (np.maximum.accumulate(bound) < xbar_star) & (bound < xbar_dagger)
+    return (
+        sosd_compare(outflow, inflow, mass_tol=2.0 / x0.grid.n),
+        bound,
+        float(CERTIFY_TIMES[int(np.argmax(hit))]) if hit.any() else None,
+    )
+
+
+def quadrature_bound(game, dist, protocol, x0, nodes=evodyn.flows._QUADRATURE_NODES):
+    xbar_star = aggregate(x0)
+    sources = evodyn.flows._cutoff_sources(game, dist, protocol, x0, xbar_star, nodes)
+    assert sources is not None
+    return bound_trajectory(*sources, xbar_star, CERTIFY_TIMES)
+
+
+class TestQuadratureSources:
+    """Gauss-Legendre atoms of the continuum sources, with the grid as oracle."""
+
+    @staticmethod
+    def grid_errors(canon_game, canon_dist, cubic, sizes):
+        errors = []
+        for n in sizes:
+            x0 = reversed_composition(make_grid(canon_dist, n), canon_dist, 0.25)
+            grid = grid_escape(canon_game, canon_dist, cubic, x0, 0.03)[1]
+            errors.append(np.abs(grid - quadrature_bound(canon_game, canon_dist, cubic, x0)).max())
+        return np.array(errors)
+
+    def test_grid_bound_converges_at_second_order(self, canon_game, canon_dist, cubic):
+        # the grid atoms are the midpoint rule of the same integrals: with
+        # the cut on a cell boundary (0.25 n nodes) the error falls 4x per
+        # doubling of n, 1.0e-8 at the n = 4000 of the certify benchmark
+        errors = self.grid_errors(canon_game, canon_dist, cubic, (1000, 2000, 4000, 8000))
+        assert 0.9e-8 <= errors[2] <= 1.1e-8
+        assert np.all((3.8 <= errors[:-1] / errors[1:]) & (errors[:-1] / errors[1:] <= 4.2))
+
+    def test_grid_bound_converges_at_first_order_on_a_split_cell(
+        self, canon_game, canon_dist, cubic
+    ):
+        # 0.25 n = i + 1/4: the cell holding P(F) = 0.25 is all inflow or all
+        # not, a mass error of order 1/n at a rate near 0
+        errors = self.grid_errors(canon_game, canon_dist, cubic, (1001, 2001, 4001, 8001))
+        assert np.all((1.9 <= errors[:-1] / errors[1:]) & (errors[:-1] / errors[1:] <= 2.1))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        family=st.sampled_from(["affine", "logistic", "standard-affine", "standard-logistic"]),
+        a=st.floats(2.3, 2.7),
+        b=st.floats(-0.08, -0.03),
+        c=st.floats(0.15, 0.85),
+        s=st.floats(0.03, 0.08),
+        k=st.sampled_from([2, 3, 4]),
+        pisharp=st.floats(0.01, 0.2),
+        level=st.floats(0.01, 0.99),
+        reversed_=st.booleans(),
+    )
+    # the hardest interval found: the unsaturated inflow of a logistic game
+    # next to the support end, where 112 nodes miss by 6e-13 and 128 by 4.8e-14
+    @example(family="logistic", a=2.5, b=-0.05, c=0.365, s=0.03, k=3, pisharp=0.2,
+             level=0.3, reversed_=True)
+    def test_shipped_rule_matches_a_256_node_rule(
+        self, family, a, b, c, s, k, pisharp, level, reversed_
+    ):
+        # the certify benchmark's families: affine games on sqrt-shift types
+        # with power k in {2, 3, 4}, logistic coordination games with
+        # bounded_power k in {2, 3}, and the standard protocol on either
+        if family.endswith("logistic"):
+            game, dist = linear_coordination_game(c), TruncatedLogisticTypes(0.0, s)
+        else:
+            game, dist = affine_game(a, b), SqrtShiftTypes()
+        if family == "affine":
+            protocol = power_protocol(k)
+        elif family == "logistic":
+            protocol = bounded_power_protocol(min(k, 3), pisharp)
+        else:
+            protocol = standard_protocol()
+        grid = make_grid(dist, 4000)
+        if reversed_:
+            x0 = reversed_composition(grid, dist, level)
+        else:
+            x0 = sorted_composition(grid, level)
+        shipped = quadrature_bound(game, dist, protocol, x0)
+        reference = quadrature_bound(game, dist, protocol, x0, nodes=256)
+        assert np.abs(shipped - reference).max() <= 1e-13
+
+
+def test_quadrature_rule_is_not_imported_at_start():
+    # numpy.polynomial costs milliseconds of every CLI start; only a
+    # cut-off escape bound needs it
+    code = "import sys, evodyn.cli; sys.exit('numpy.polynomial' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(evodyn.flows.__file__).parents[1]))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+class TestAtomRouting:
+    """Which compositions the escape bound takes off the grid."""
+
+    @pytest.mark.parametrize("n", [2000, 2001], ids=["cut-on-a-cell-boundary", "cut-splits-a-cell"])
+    @pytest.mark.parametrize("shape", ["sorted", "reversed"])
+    def test_cutoff_compositions_use_quadrature(self, canon_game, canon_dist, cubic, shape, n):
+        grid = make_grid(canon_dist, n)
+        x0 = (
+            sorted_composition(grid, 0.25)
+            if shape == "sorted"
+            else reversed_composition(grid, canon_dist, 0.25)
+        )
+        report = escape_certificate(canon_game, canon_dist, cubic, x0, 0.03)
+        dominance, grid_bound, _ = grid_escape(canon_game, canon_dist, cubic, x0, 0.03)
+        bound = quadrature_bound(canon_game, canon_dist, cubic, x0)
+        assert report.bound.tobytes() == bound.tobytes()
+        assert report.dominance == dominance
+        if shape == "reversed":
+            # the grid error: second order on a cell boundary, first order
+            # where the cut splits a cell
+            assert 0.0 < np.abs(bound - grid_bound).max() <= (5e-8 if n == 2000 else 2e-4)
+
+    @pytest.fixture(scope="class")
+    def grid_compositions(self, canon_game, canon_dist, grid4000):
+        srt = sorted_composition(grid4000, 0.25)
+        rev = reversed_composition(grid4000, canon_dist, 0.25)
+        shifted = TypeGrid(nodes=np.nextafter(grid4000.nodes, np.inf))
+        two_fractional = srt.values.copy()  # a monotone step, same aggregate
+        two_fractional[999:1001] = (0.6, 0.4)
+        return {
+            "balanced": balanced_composition(grid4000, canon_dist, canon_game, 0.25, 0.2, 0.3),
+            "perturbed": destabilizing_perturbation(srt, canon_game, canon_dist, 0.05, 0.5, 1e-5),
+            "mixture": BayesianStrategy(grid=grid4000, values=0.5 * (srt.values + rev.values)),
+            "random": random_composition(grid4000, 0.25, np.random.default_rng(5)),
+            "two-fractional": BayesianStrategy(grid=grid4000, values=two_fractional),
+            "other-grid": reversed_composition(shifted, canon_dist, 0.25),
+        }
+
+    @pytest.mark.parametrize(
+        "name", ["balanced", "perturbed", "mixture", "random", "two-fractional", "other-grid"]
+    )
+    def test_other_compositions_keep_grid_atoms(
+        self, canon_game, canon_dist, cubic, grid_compositions, name
+    ):
+        x0 = grid_compositions[name]
+        xbar_star = aggregate(x0)
+        assert evodyn.flows._cutoff_sources(canon_game, canon_dist, cubic, x0, xbar_star) is None
+        report = escape_certificate(canon_game, canon_dist, cubic, x0, 0.03)
+        dominance, bound, crossing = grid_escape(canon_game, canon_dist, cubic, x0, 0.03)
+        assert report.times.tobytes() == CERTIFY_TIMES.tobytes()
+        assert report.bound.tobytes() == bound.tobytes()
+        assert (report.dominance, report.crossing_time) == (dominance, crossing)
+
+    @pytest.mark.parametrize("protocol", [power_protocol(2.5), bounded_power_protocol(1.5, 0.3)],
+                             ids=["power-2.5", "bounded-power-1.5"])
+    def test_non_integer_exponent_keeps_grid_atoms(
+        self, canon_game, canon_dist, reversed25, protocol
+    ):
+        # d^k is not smooth where the deficit vanishes, at an end of a source
+        report = escape_certificate(canon_game, canon_dist, protocol, reversed25, 0.03)
+        dominance, bound, crossing = grid_escape(canon_game, canon_dist, protocol, reversed25, 0.03)
+        assert report.bound.tobytes() == bound.tobytes()
+        assert (report.dominance, report.crossing_time) == (dominance, crossing)
+
+    def test_constant_rate_intervals_get_one_atom(self, canon_game, canon_dist, reversed25):
+        # the standard rate is 1 on both sources; bounded_power saturates
+        # past pisharp, on the far interval of each source
+        sources = evodyn.flows._cutoff_sources(
+            canon_game, canon_dist, standard_protocol(), reversed25, 0.25
+        )
+        for src in sources:
+            assert src.qs.tolist() == [1.0]
+            assert src.ms.tolist() == [pytest.approx(0.25, abs=1e-15)]
+        inflow, outflow = evodyn.flows._cutoff_sources(
+            canon_game, canon_dist, bounded_power_protocol(2, 0.3), reversed25, 0.25
+        )
+        nodes = evodyn.flows._QUADRATURE_NODES
+        assert (inflow.qs == 1.0).sum() == 1 and inflow.qs.size == nodes + 1
+        assert outflow.qs.tolist() == [1.0]  # every leaver is past pisharp
+        assert inflow.total_mass == pytest.approx(0.25, abs=1e-15)
