@@ -61,7 +61,6 @@ from .games import (
     best_response,
     linear_coordination_game,
     make_distribution,
-    payoff,
 )
 from .stability import (
     CriticalMassReport,

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -119,6 +120,8 @@ def _load_custom_csv(path: Path, grid: comp.TypeGrid) -> comp.BayesianStrategy:
                 values.append(float(parts[1]))
             except ValueError:
                 raise ConfigError(f"malformed number in {path}", lineno) from None
+            if not math.isfinite(thetas[-1]):  # BayesianStrategy refuses a non-finite x
+                raise ConfigError(f"theta must be finite in {path}", lineno)
     if not thetas:
         raise ConfigError(f"composition file {path} has no rows")
     order = np.argsort(thetas)

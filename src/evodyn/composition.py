@@ -50,6 +50,8 @@ class TypeGrid:
         object.__setattr__(self, "nodes", _freeze(self.nodes))
         if self.nodes.ndim != 1 or self.nodes.size == 0:
             raise InputError("grid nodes must be a non-empty 1-d array")
+        if not np.isfinite(self.nodes).all():
+            raise InputError("grid nodes must be finite")
         if np.any(np.diff(self.nodes) < 0.0):
             raise InputError("grid nodes must be nondecreasing")
         object.__setattr__(self, "weights", _freeze(np.full(self.n, 1.0 / self.n)))

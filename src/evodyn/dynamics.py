@@ -73,7 +73,7 @@ import numpy as np
 
 from .composition import BayesianStrategy, TypeGrid
 from .errors import InputError, IntegrationError
-from .games import AggregateGame, TypeDistribution, aggregate_best_response
+from .games import DEFAULT_DOMAIN, AggregateGame, TypeDistribution, aggregate_best_response
 
 KIND_STANDARD = "standard"
 KIND_POWER = "power"
@@ -193,7 +193,7 @@ def _field_function(
     cuts = theta.tolist()
     dot = grid.weights.dot
     slope, intercept = game.slope, game.intercept
-    dom_lo, dom_hi = game.domain
+    dom_lo, dom_hi = DEFAULT_DOMAIN
     subtract, negative, multiply = np.subtract, np.negative, np.multiply
     one, zero = _ONE, _ZERO
     standard = protocol.kind == KIND_STANDARD
@@ -277,6 +277,10 @@ def _rk4(
 
     steps = max(int(round(ratio)), 1)
     wanted = sorted(float(s) for s in snapshot_times)
+    # the recording loop below takes every time up to steps * dt + 1e-12
+    for s in wanted:
+        if not (math.isfinite(s) and s <= steps * dt + 1e-12):
+            raise InputError(f"snapshot time {s!r} must be finite and at most {steps * dt!r}")
     times = np.arange(steps + 1) * dt
     xbars = np.empty(steps + 1)
     snaps: list[tuple[float, np.ndarray]] = []
@@ -348,7 +352,8 @@ def integrate(
     """Integrate the heterogeneous dynamic from composition ``x0``.
 
     Records (t, aggregate) every step and full strategies at the requested
-    snapshot times (snapped to the next step boundary).
+    snapshot times (snapped to the next step boundary; a negative time to
+    t = 0).  A non-finite time, or one after the last step, raises InputError.
     """
     field = _field_function(game, protocol, x0.grid)
     return _rk4(field, x0.values, t_end, dt, snapshot_times)

@@ -123,10 +123,6 @@ class SwitchingRateDistribution:
         out = points * cum_m[idx] - cum_qm[idx]
         return float(out[0]) if np.ndim(q) == 0 else out
 
-    def rate_mass_sum(self) -> float:
-        """Sum of q_k m_k over the atoms."""
-        return float(np.dot(self.qs, self.ms))
-
 
 def _source_atoms(game: AggregateGame, x: BayesianStrategy, xbar_ref: float, transform):
     """Both flow sources at ``xbar_ref``, deficits in theta order mapped by ``transform``."""
@@ -256,7 +252,7 @@ def aggregate_velocity_from_flows(
     inflow: SwitchingRateDistribution, outflow: SwitchingRateDistribution
 ) -> float:
     """Aggregate velocity identified from the two rate distributions alone."""
-    return inflow.rate_mass_sum() - outflow.rate_mass_sum()
+    return float(np.dot(inflow.qs, inflow.ms)) - float(np.dot(outflow.qs, outflow.ms))
 
 
 def detailed_balance_residual(

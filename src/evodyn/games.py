@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import ClassVar, Union
 
 import numpy as np
 
@@ -34,25 +34,12 @@ DEFAULT_DOMAIN = (-0.5, 1.5)
 
 @dataclass(frozen=True)
 class AggregateGame:
-    """Affine common payoff F(xbar) = slope * xbar + intercept.
+    """Affine common payoff F(xbar) = slope * xbar + intercept."""
 
-    ``family`` records how the game was built:
-
-    * ``affine``: direct slope/intercept.
-    * ``linear_coordination``: random matching in a 2x2 coordination game
-      with participation cost c in (0, 1), F(xbar) = xbar - c
-      (payoff -c when nobody participates, 1 - c when everybody does).
-    """
-
-    family: str
     slope: float
     intercept: float
-    domain: tuple[float, float] = DEFAULT_DOMAIN
 
     def __post_init__(self):
-        lo, hi = self.domain
-        if not (lo <= 0.0 and hi >= 1.0):
-            raise InputError(f"evaluation domain {self.domain} must contain [0, 1]")
         if not (math.isfinite(self.slope) and math.isfinite(self.intercept)):
             raise InputError("payoff coefficients must be finite")
 
@@ -61,10 +48,11 @@ class AggregateGame:
         return self.slope > 0.0
 
     def payoff(self, xbar: ArrayLike) -> ArrayLike:
-        """F(xbar).  Raises InputError outside the evaluation domain."""
-        lo, hi = self.domain
+        """F(xbar).  Raises InputError outside DEFAULT_DOMAIN (NaN included)."""
+        lo, hi = DEFAULT_DOMAIN
         x = np.asarray(xbar, dtype=float)
-        if np.any(x < lo) or np.any(x > hi):
+        # negated so that NaN, which fails every comparison, is refused
+        if not (np.all(x >= lo) and np.all(x <= hi)):
             raise InputError(f"aggregate {xbar!r} outside evaluation domain [{lo}, {hi}]")
         out = self.slope * x + self.intercept
         return float(out) if np.ndim(xbar) == 0 else out
@@ -72,14 +60,18 @@ class AggregateGame:
 
 def affine_game(a: float, b: float) -> AggregateGame:
     """Game with F(xbar) = a * xbar + b."""
-    return AggregateGame(family="affine", slope=a, intercept=b)
+    return AggregateGame(slope=a, intercept=b)
 
 
 def linear_coordination_game(c: float) -> AggregateGame:
-    """F(xbar) = (1 - c) * xbar - c * (1 - xbar) = xbar - c, with c in (0, 1)."""
+    """Random matching in a 2x2 coordination game with participation cost c.
+
+    The payoff is -c when nobody participates and 1 - c when everybody does,
+    so F(xbar) = (1 - c) * xbar - c * (1 - xbar) = xbar - c, with c in (0, 1).
+    """
     if not 0.0 < c < 1.0:
         raise InputError(f"coordination cost c={c} must lie in (0, 1)")
-    return AggregateGame(family="linear_coordination", slope=1.0, intercept=-c)
+    return AggregateGame(slope=1.0, intercept=-c)
 
 
 class TypeDistribution:
@@ -90,7 +82,7 @@ class TypeDistribution:
     identity cdf(inverse_cdf(u)) = u for u in [0, 1].
     """
 
-    family: str
+    family: ClassVar[str]
     support: tuple[float, float]
 
     def cdf(self, theta: ArrayLike) -> ArrayLike:
@@ -117,9 +109,9 @@ class TypeDistribution:
 class UniformTypes(TypeDistribution):
     """Uniform types on [lo, hi]."""
 
+    family: ClassVar[str] = "uniform"
     lo: float
     hi: float
-    family: str = "uniform"
 
     def __post_init__(self):
         if not -math.inf < self.lo < self.hi < math.inf:
@@ -152,7 +144,7 @@ class SqrtShiftTypes(TypeDistribution):
     Inverse is (u + 1)^2 - 1; density 1 / (2 sqrt(theta + 1)).
     """
 
-    family: str = "sqrt_shift"
+    family: ClassVar[str] = "sqrt_shift"
 
     @property
     def support(self) -> tuple[float, float]:
@@ -184,10 +176,10 @@ class TruncatedLogisticTypes(TypeDistribution):
     point symmetry around mu is preserved.
     """
 
+    family: ClassVar[str] = "logistic"
     mu: float
     s: float
     tau: float | None = None
-    family: str = "logistic"
 
     def __post_init__(self):
         if not -math.inf < self.mu < math.inf:
@@ -249,11 +241,6 @@ def make_distribution(family: str, **params) -> TypeDistribution:
             mu=params["mu"], s=params["s"], tau=params.get("tau")
         )
     raise InputError(f"unknown distribution family {family!r}")
-
-
-def payoff(game: AggregateGame, xbar: float) -> float:
-    """Common payoff of the inside action at aggregate xbar."""
-    return game.payoff(xbar)
 
 
 def best_response(

@@ -81,7 +81,6 @@ class _CertificateScan(NamedTuple):
     clamped: np.ndarray
     common: np.ndarray
     cutoff: np.ndarray
-    deficit: np.ndarray
     rate_lhs: np.ndarray
     rate_rhs: np.ndarray
     extreme_type: float
@@ -120,9 +119,7 @@ def _certify(game, dist, protocol, xs, direction: str) -> _CertificateScan:
     lhs = protocol.rate(sign * deficit)
     rhs = protocol.rate(sign * (extreme - common))
     member = prefers & (corner | clamped | (lhs >= rhs))
-    return _CertificateScan(
-        member, prefers, corner, clamped, common, cutoff, deficit, lhs, rhs, extreme
-    )
+    return _CertificateScan(member, prefers, corner, clamped, common, cutoff, lhs, rhs, extreme)
 
 
 def _certificate_at(game, dist, protocol, xbar: float, direction: str):

@@ -126,6 +126,17 @@ def test_grid_weights_are_derived_from_node_count():
         TypeGrid(nodes=np.array([0.0, 1.0]), weights=np.array([0.5, 0.5]))
 
 
+@pytest.mark.parametrize("nodes", [
+    [0.0, np.nan, 1.0],  # np.diff against NaN is NaN, never negative
+    [np.nan, 0.0, 1.0],
+    [0.0, 1.0, np.inf],
+    [-np.inf, 0.0, 1.0],
+])
+def test_grid_refuses_non_finite_nodes(nodes):
+    with pytest.raises(InputError, match="must be finite"):
+        TypeGrid(nodes=np.array(nodes))
+
+
 class TestBalancedComposition:
     def test_zero_kappa_is_sorted_equilibrium(self, grid4000, canon_dist, canon_game):
         bal = balanced_composition(grid4000, canon_dist, canon_game, 0.25, 0.0, 0.3)

@@ -324,6 +324,54 @@ def test_custom_csv_nan_row_is_refused(config_path, tmp_path, capsys):
     assert "must lie in [0, 1]" in payload["error"]["message"]
 
 
+@pytest.mark.parametrize("theta", ["nan", "inf", "-inf"])
+def test_custom_csv_non_finite_theta_is_refused(config_path, tmp_path, capsys, theta):
+    comp = tmp_path / "comp.csv"
+    comp.write_text(f"theta,x\n0.0,1.0\n{theta},0.0\n")
+    code = main(
+        [
+            "simulate",
+            "--config",
+            str(config_path),
+            "--out",
+            str(tmp_path / "out"),
+            "--override",
+            "initial.composition=custom-csv",
+            "--override",
+            f"initial.path={comp}",
+            "--override",
+            "sim.t_end=1",
+        ]
+    )
+    assert code == 2
+    (line,) = capsys.readouterr().out.splitlines()  # exactly one line
+    error = json.loads(line)["error"]
+    assert error["kind"] == "config"
+    assert "theta must be finite" in error["message"]
+    assert error["line"] == 3
+
+
+def test_snapshot_time_after_the_run_exits_3(config_path, tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main(
+        [
+            "simulate",
+            "--config",
+            str(config_path),
+            "--out",
+            str(out),
+            "--override",
+            "sim.snapshot_times=0.5,80",
+        ]
+    )
+    assert code == 3
+    (line,) = capsys.readouterr().out.splitlines()  # exactly one line
+    error = json.loads(line)["error"]
+    assert error["kind"] == "analysis"
+    assert "snapshot time 80.0" in error["message"]
+    assert not (out / "snapshots.csv").exists()
+
+
 def test_snapshot_times_written(config_path, tmp_path):
     out = tmp_path / "out"
     code = main(

@@ -36,6 +36,7 @@ from evodyn import (
 )
 from evodyn.composition import BayesianStrategy, TypeGrid
 from evodyn.config import parse_config
+from evodyn.games import DEFAULT_DOMAIN
 from evodyn import dynamics
 from evodyn.dynamics import _field_function
 from tests.conftest import random_composition
@@ -194,6 +195,27 @@ def test_snapshots_recorded(canon_game, canon_dist, grid2000, cubic):
     assert traj.snapshots[0][1].shape == (grid2000.n,)
 
 
+@pytest.mark.parametrize("when", [
+    (float("nan"), 0.5),  # NaN sorted first would block every later time
+    (0.5, float("inf")),
+    (-float("inf"),),
+    (0.5, 1.5),  # after the last step, t = 1
+])
+def test_unrecordable_snapshot_time_is_refused(canon_game, canon_dist, cubic, when):
+    x = sorted_composition(make_grid(canon_dist, 50), 0.25)
+    with pytest.raises(InputError, match="snapshot time"):
+        integrate(canon_game, canon_dist, cubic, x, t_end=1.0, dt=0.1, snapshot_times=when)
+
+
+def test_snapshot_times_at_the_ends_are_kept(canon_game, canon_dist, cubic):
+    # a negative time snaps to t = 0; the last step time itself is recorded
+    x = sorted_composition(make_grid(canon_dist, 50), 0.25)
+    traj = integrate(
+        canon_game, canon_dist, cubic, x, t_end=1.0, dt=0.1, snapshot_times=(-0.5, 1.0)
+    )
+    assert [t for t, _ in traj.snapshots] == pytest.approx([0.0, 1.0], abs=1e-12)
+
+
 class TestAggregability:
     def test_equal_aggregates_coincide_under_standard(
         self, canon_game, canon_dist, grid2000, standard
@@ -285,7 +307,7 @@ class TestHomogenized:
 def oracle_field(game, protocol, grid, values):
     """The per-node law of motion written with masks and fresh arrays."""
     xbar = float(np.dot(grid.weights, values))
-    lo, hi = game.domain
+    lo, hi = DEFAULT_DOMAIN
     if not lo <= xbar <= hi:
         raise InputError(f"aggregate {xbar!r} left the payoff evaluation domain")
     gap = game.slope * xbar + game.intercept - grid.nodes

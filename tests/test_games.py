@@ -13,8 +13,9 @@ from evodyn import (
     best_response,
     linear_coordination_game,
     make_distribution,
-    payoff,
 )
+from evodyn.composition import balanced_composition, make_grid
+from evodyn.games import require_aggregate_equilibrium
 
 DISTRIBUTIONS = [
     UniformTypes(0.0, 1.0),
@@ -26,14 +27,28 @@ DISTRIBUTIONS = [
 
 
 def test_payoff_examples(canon_game):
-    assert payoff(canon_game, 0.25) == pytest.approx(0.5625, abs=1e-15)
-    assert payoff(canon_game, 0.0) == pytest.approx(-0.05, abs=1e-15)
-    assert payoff(linear_coordination_game(0.5), 0.5) == pytest.approx(0.0, abs=1e-15)
+    assert canon_game.payoff(0.25) == pytest.approx(0.5625, abs=1e-15)
+    assert canon_game.payoff(0.0) == pytest.approx(-0.05, abs=1e-15)
+    assert linear_coordination_game(0.5).payoff(0.5) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_payoff_domain_violation(canon_game):
     with pytest.raises(InputError):
-        payoff(canon_game, 2.0)
+        canon_game.payoff(2.0)
+
+
+def test_nan_aggregate_is_refused(canon_game, canon_dist):
+    # NaN fails every comparison, so it must not slip past the domain check
+    with pytest.raises(InputError, match="outside evaluation domain"):
+        canon_game.payoff(float("nan"))
+    with pytest.raises(InputError, match="outside evaluation domain"):
+        canon_game.payoff(np.array([0.25, np.nan]))
+    with pytest.raises(InputError):
+        require_aggregate_equilibrium(canon_game, canon_dist, float("nan"))
+    with pytest.raises(InputError):
+        balanced_composition(
+            make_grid(canon_dist, 400), canon_dist, canon_game, float("nan"), 0.2, 0.3
+        )
 
 
 def test_linear_coordination_validates_cost():
