@@ -63,8 +63,9 @@ class TypeGrid:
 
 def make_grid(dist: TypeDistribution, n: int) -> TypeGrid:
     """Equiprobable grid: node i at the ((i - 1/2)/n)-quantile, weight 1/n."""
-    if n < 2:
-        raise InputError(f"grid size n={n} must be at least 2")
+    # negated so that NaN, which fails every comparison, is refused
+    if not (n >= 2 and float(n).is_integer()):
+        raise InputError(f"grid size n={n} must be a whole number of at least 2")
     u = (np.arange(n) + 0.5) / n
     return TypeGrid(nodes=np.asarray(dist.inverse_cdf(u), dtype=float))
 
@@ -156,7 +157,7 @@ def balanced_composition(
         if kappa == 0.0:
             return sorted_composition(grid, xbar_star)
         raise InputError(f"kappa={kappa} must lie in [0, 1]")
-    if pimax <= 0.0:
+    if not pimax > 0.0:
         raise InputError(f"pimax={pimax} must be positive")
 
     require_aggregate_equilibrium(game, dist, xbar_star)
@@ -263,7 +264,7 @@ def destabilizing_perturbation(
         raise ConstructionError(
             f"indifferent type {theta_star:.6g} not interior to [{lo:.6g}, {hi:.6g}]"
         )
-    if e <= 0.0:
+    if not e > 0.0:
         raise InputError(f"band width e={e} must be positive")
     if theta_star - 4.0 * e < lo - 1e-12 or theta_star + 2.0 * e > hi + 1e-12:
         raise ConstructionError(

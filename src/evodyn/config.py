@@ -190,10 +190,6 @@ def _build_scenario(entries: _Entries) -> Scenario:
         value = entries.number("distribution", key)
         if value is not None:
             dist_params[key] = value
-    if dist_family == "uniform" and not {"lo", "hi"} <= dist_params.keys():
-        raise ConfigError("uniform distribution needs distribution.lo and distribution.hi")
-    if dist_family == "logistic" and not {"mu", "s"} <= dist_params.keys():
-        raise ConfigError("logistic distribution needs distribution.mu and distribution.s")
     dist = guarded(
         "distribution", "family", lambda: make_distribution(dist_family, **dist_params)
     )

@@ -73,7 +73,7 @@ import numpy as np
 
 from .composition import BayesianStrategy, TypeGrid
 from .errors import InputError, IntegrationError
-from .games import DEFAULT_DOMAIN, AggregateGame, TypeDistribution, aggregate_best_response
+from .games import DEFAULT_DOMAIN, AggregateGame, TypeDistribution, _homogenized_velocity
 
 KIND_STANDARD = "standard"
 KIND_POWER = "power"
@@ -365,7 +365,7 @@ def homogenized_field(
     """Scalar field of the homogenized smooth dynamic: P(F(xbar)) - xbar."""
     if not 0.0 <= xbar <= 1.0:
         raise InputError(f"xbar={xbar} outside [0, 1]")
-    return float(aggregate_best_response(game, dist, xbar)) - xbar
+    return _homogenized_velocity(game, dist, xbar)
 
 
 def integrate_homogenized(

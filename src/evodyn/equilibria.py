@@ -33,7 +33,7 @@ from .errors import InputError
 from .games import (
     AggregateGame,
     TypeDistribution,
-    aggregate_best_response,
+    _homogenized_velocity,
     require_aggregate_equilibrium,
 )
 
@@ -72,11 +72,6 @@ class EquilibriumReport:
         raise InputError(f"{xbar} is not a reported equilibrium (tol {_LOCATE_TOL})")
 
 
-def _g(game: AggregateGame, dist: TypeDistribution, xs: np.ndarray) -> np.ndarray:
-    """g = P(F(x)) - x at every level of ``xs`` in one array evaluation."""
-    return np.asarray(aggregate_best_response(game, dist, xs)) - xs
-
-
 def _bisect_all(
     game: AggregateGame, dist: TypeDistribution, lo: np.ndarray, hi: np.ndarray
 ) -> np.ndarray:
@@ -91,7 +86,7 @@ def _bisect_all(
     if lo.size == 0:
         return roots
     lo, hi = lo.copy(), hi.copy()
-    g_lo, g_hi = np.split(_g(game, dist, np.concatenate((lo, hi))), 2)
+    g_lo, g_hi = np.split(_homogenized_velocity(game, dist, np.concatenate((lo, hi))), 2)
     at_lo = np.abs(g_lo) <= _ROOT_TOL
     at_hi = ~at_lo & (np.abs(g_hi) <= _ROOT_TOL)
     roots[at_lo], roots[at_hi] = lo[at_lo], hi[at_hi]
@@ -101,7 +96,7 @@ def _bisect_all(
             return roots
         a, b = lo[open_], hi[open_]
         mid = 0.5 * (a + b)
-        g_mid = _g(game, dist, mid)
+        g_mid = _homogenized_velocity(game, dist, mid)
         done = (np.abs(g_mid) <= _ROOT_TOL) | (b - a < 1e-16)
         roots[open_[done]] = mid[done]
         move_lo = (g_lo[open_] < 0.0) == (g_mid < 0.0)
@@ -134,7 +129,7 @@ def _search(
 ) -> EquilibriumReport:
     m = int(round(1.0 / scan_resolution))
     xs = np.linspace(0.0, 1.0, m + 1)
-    gs = _g(game, dist, xs)
+    gs = _homogenized_velocity(game, dist, xs)
 
     brackets = np.flatnonzero(gs[:-1] * gs[1:] < 0.0)
     candidates = [float(xs[i]) for i in np.flatnonzero(np.abs(gs) <= _ROOT_TOL)]
@@ -150,7 +145,7 @@ def _search(
     delta = scan_resolution / 2.0
     levels = np.array(roots)
     has_below, has_above = levels > delta, levels < 1.0 - delta
-    probes = iter(_g(game, dist, np.concatenate((
+    probes = iter(_homogenized_velocity(game, dist, np.concatenate((
         np.maximum(levels[has_below] - delta, 0.0),
         np.minimum(levels[has_above] + delta, 1.0),
     ))).tolist())

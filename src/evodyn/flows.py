@@ -280,8 +280,11 @@ def sosd_compare(
     integrated c.d.f. (strictly somewhere).  Comparison happens on the merged
     atom grid, where both integrated c.d.f.s are piecewise linear, so the
     grid comparison is exact.  Identical distributions are incomparable (no
-    strict part).  Total masses must agree within ``mass_tol``.
+    strict part).  Total masses must agree within ``mass_tol``, which must be
+    finite and nonnegative.
     """
+    if not 0.0 <= mass_tol < np.inf:
+        raise InputError(f"mass_tol={mass_tol} must be finite and nonnegative")
     if abs(outflow.total_mass - inflow.total_mass) > mass_tol:
         raise InputError(
             f"flow masses differ by {abs(outflow.total_mass - inflow.total_mass):.3g} "

@@ -8,12 +8,16 @@ supported payoff families are affine, so F is trivially Lipschitz; the game
 has positive externality iff the slope is positive.
 
 Distribution families expose exact closed-form (cdf, inverse_cdf, pdf)
-triples.  The c.d.f. clamps to 0 below the support and 1 above it, which is
-what the aggregate best response needs at corner states.
+triples; ``TypeDistribution`` applies the domain rules around them once.  The
+c.d.f. clamps to 0 below the support and 1 above it, which is what the
+aggregate best response needs at corner states.  The homogenized velocity
+g(xbar) = P(F(xbar)) - xbar, whose zeros are the aggregate equilibria, is
+written once here.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import ClassVar, Union
@@ -80,29 +84,35 @@ class TypeDistribution:
     Implementations guarantee cdf(theta_min) = 0, cdf(theta_max) = 1,
     cdf nondecreasing and Lipschitz on the support, and the exact inverse
     identity cdf(inverse_cdf(u)) = u for u in [0, 1].
+
+    A family gives its ``support`` and its closed forms on it (``_cdf``,
+    ``_inverse_cdf``, ``_pdf``); the rules around them live here: P clamps
+    to [0, 1], p is 0 off the support, a quantile outside [0, 1] (NaN
+    included) is refused, and a scalar argument gives a float.
     """
 
     family: ClassVar[str]
     support: tuple[float, float]
 
     def cdf(self, theta: ArrayLike) -> ArrayLike:
-        raise NotImplementedError
+        lo, hi = self.support
+        out = np.clip(self._cdf(np.clip(np.asarray(theta, dtype=float), lo, hi)), 0.0, 1.0)
+        return float(out) if np.ndim(theta) == 0 else out
 
     def inverse_cdf(self, u: ArrayLike) -> ArrayLike:
-        raise NotImplementedError
+        arr = np.asarray(u, dtype=float)
+        # negated so that NaN, which fails every comparison, is refused
+        if not (np.all(arr >= 0.0) and np.all(arr <= 1.0)):
+            raise InputError(f"quantile argument {u!r} outside [0, 1]")
+        out = self._inverse_cdf(arr)
+        return float(out) if np.ndim(u) == 0 else out
 
     def pdf(self, theta: ArrayLike) -> ArrayLike:
-        raise NotImplementedError
-
-    def _scalarize(self, x, arg) -> ArrayLike:
-        return float(x) if np.ndim(arg) == 0 else x
-
-    @staticmethod
-    def _check_unit(u: ArrayLike) -> np.ndarray:
-        arr = np.asarray(u, dtype=float)
-        if np.any(arr < 0.0) or np.any(arr > 1.0):
-            raise InputError(f"quantile argument {u!r} outside [0, 1]")
-        return arr
+        lo, hi = self.support
+        t = np.asarray(theta, dtype=float)
+        inside = (t >= lo) & (t <= hi)
+        out = np.where(inside, self._pdf(np.where(inside, t, lo)), 0.0)
+        return float(out) if np.ndim(theta) == 0 else out
 
 
 @dataclass(frozen=True)
@@ -121,20 +131,14 @@ class UniformTypes(TypeDistribution):
     def support(self) -> tuple[float, float]:
         return (self.lo, self.hi)
 
-    def cdf(self, theta):
-        t = np.asarray(theta, dtype=float)
-        out = np.clip((t - self.lo) / (self.hi - self.lo), 0.0, 1.0)
-        return self._scalarize(out, theta)
+    def _cdf(self, t):
+        return (t - self.lo) / (self.hi - self.lo)
 
-    def inverse_cdf(self, u):
-        arr = self._check_unit(u)
-        return self._scalarize(self.lo + arr * (self.hi - self.lo), u)
+    def _inverse_cdf(self, u):
+        return self.lo + u * (self.hi - self.lo)
 
-    def pdf(self, theta):
-        t = np.asarray(theta, dtype=float)
-        inside = (t >= self.lo) & (t <= self.hi)
-        out = np.where(inside, 1.0 / (self.hi - self.lo), 0.0)
-        return self._scalarize(out, theta)
+    def _pdf(self, t):
+        return 1.0 / (self.hi - self.lo)
 
 
 @dataclass(frozen=True)
@@ -150,20 +154,14 @@ class SqrtShiftTypes(TypeDistribution):
     def support(self) -> tuple[float, float]:
         return (0.0, 3.0)
 
-    def cdf(self, theta):
-        t = np.asarray(theta, dtype=float)
-        inner = np.sqrt(np.clip(t, 0.0, 3.0) + 1.0) - 1.0
-        return self._scalarize(np.clip(inner, 0.0, 1.0), theta)
+    def _cdf(self, t):
+        return np.sqrt(t + 1.0) - 1.0
 
-    def inverse_cdf(self, u):
-        arr = self._check_unit(u)
-        return self._scalarize((arr + 1.0) ** 2 - 1.0, u)
+    def _inverse_cdf(self, u):
+        return (u + 1.0) ** 2 - 1.0
 
-    def pdf(self, theta):
-        t = np.asarray(theta, dtype=float)
-        inside = (t >= 0.0) & (t <= 3.0)
-        out = np.where(inside, 0.5 / np.sqrt(np.where(inside, t, 0.0) + 1.0), 0.0)
-        return self._scalarize(out, theta)
+    def _pdf(self, t):
+        return 0.5 / np.sqrt(t + 1.0)
 
 
 @dataclass(frozen=True)
@@ -190,6 +188,11 @@ class TruncatedLogisticTypes(TypeDistribution):
             object.__setattr__(self, "tau", 12.0 * self.s)
         if not 0.0 < self.tau < math.inf:
             raise InputError(f"truncation half-width tau={self.tau} must be positive and finite")
+        # the untruncated c.d.f. below the support, and the mass on it
+        lo, hi = self.support
+        c_lo = float(self._base_cdf(lo))
+        object.__setattr__(self, "_c_lo", c_lo)
+        object.__setattr__(self, "_z", float(self._base_cdf(hi)) - c_lo)
 
     @property
     def support(self) -> tuple[float, float]:
@@ -199,48 +202,32 @@ class TruncatedLogisticTypes(TypeDistribution):
         z = (np.asarray(theta, dtype=float) - self.mu) / self.s
         return 1.0 / (1.0 + np.exp(-z))
 
-    @property
-    def _mass(self) -> tuple[float, float]:
-        lo, hi = self.support
-        c_lo = float(self._base_cdf(lo))
-        return c_lo, float(self._base_cdf(hi)) - c_lo
+    def _cdf(self, t):
+        return (self._base_cdf(t) - self._c_lo) / self._z
 
-    def cdf(self, theta):
+    def _inverse_cdf(self, u):
+        v = np.clip(self._c_lo + u * self._z, 1e-300, 1.0 - 1e-16)
         lo, hi = self.support
-        c_lo, z = self._mass
-        t = np.clip(np.asarray(theta, dtype=float), lo, hi)
-        out = np.clip((self._base_cdf(t) - c_lo) / z, 0.0, 1.0)
-        return self._scalarize(out, theta)
+        return np.clip(self.mu + self.s * (np.log(v) - np.log1p(-v)), lo, hi)
 
-    def inverse_cdf(self, u):
-        arr = self._check_unit(u)
-        c_lo, z = self._mass
-        v = np.clip(c_lo + arr * z, 1e-300, 1.0 - 1e-16)
-        out = self.mu + self.s * (np.log(v) - np.log1p(-v))
-        lo, hi = self.support
-        return self._scalarize(np.clip(out, lo, hi), u)
+    def _pdf(self, t):
+        sigma = self._base_cdf(t)
+        return sigma * (1.0 - sigma) / (self.s * self._z)
 
-    def pdf(self, theta):
-        lo, hi = self.support
-        _, z = self._mass
-        t = np.asarray(theta, dtype=float)
-        inside = (t >= lo) & (t <= hi)
-        sigma = self._base_cdf(np.where(inside, t, self.mu))
-        out = np.where(inside, sigma * (1.0 - sigma) / (self.s * z), 0.0)
-        return self._scalarize(out, theta)
+
+_FAMILIES = {cls.family: cls for cls in (UniformTypes, SqrtShiftTypes, TruncatedLogisticTypes)}
 
 
 def make_distribution(family: str, **params) -> TypeDistribution:
-    """Build a distribution from its config-key family name."""
-    if family == "uniform":
-        return UniformTypes(lo=params["lo"], hi=params["hi"])
-    if family == "sqrt_shift":
-        return SqrtShiftTypes()
-    if family == "logistic":
-        return TruncatedLogisticTypes(
-            mu=params["mu"], s=params["s"], tau=params.get("tau")
-        )
-    raise InputError(f"unknown distribution family {family!r}")
+    """Build a distribution from its family name; other families' parameters are ignored."""
+    if family not in _FAMILIES:
+        raise InputError(f"unknown distribution family {family!r}")
+    cls = _FAMILIES[family]
+    fields = dataclasses.fields(cls)
+    missing = [f.name for f in fields if f.name not in params and f.default is dataclasses.MISSING]
+    if missing:
+        raise InputError(f"{family} distribution needs {' and '.join(missing)}")
+    return cls(**{f.name: params[f.name] for f in fields if f.name in params})
 
 
 def best_response(
@@ -265,12 +252,22 @@ def aggregate_best_response(
     return dist.cdf(game.payoff(xbar))
 
 
+def _homogenized_velocity(
+    game: AggregateGame, dist: TypeDistribution, xbar: ArrayLike
+) -> ArrayLike:
+    """g(xbar) = P(F(xbar)) - xbar, whose zeros are the aggregate equilibria.
+
+    No [0, 1] check: the equilibrium search builds its levels inside [0, 1].
+    """
+    return aggregate_best_response(game, dist, xbar) - xbar
+
+
 def require_aggregate_equilibrium(
     game: AggregateGame, dist: TypeDistribution, xbar: float
 ) -> None:
     """Raise InputError unless P(F(xbar)) = xbar within 1e-6."""
     xbar = float(xbar)
-    residual = float(aggregate_best_response(game, dist, xbar)) - xbar
+    residual = _homogenized_velocity(game, dist, xbar)
     if abs(residual) > 1e-6:
         raise InputError(
             f"xbar={xbar!r} is not an aggregate equilibrium "

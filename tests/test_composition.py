@@ -44,6 +44,13 @@ def test_make_grid_rejects_single_node():
         make_grid(SqrtShiftTypes(), 1)
 
 
+@pytest.mark.parametrize("n", [2.5, float("nan"), float("inf")])
+def test_make_grid_rejects_a_size_that_is_not_a_whole_number(n):
+    # 2.5 once built 3 nodes at u = 0.2, 0.6 and 1.0: not cell midpoints
+    with pytest.raises(InputError, match="whole number"):
+        make_grid(SqrtShiftTypes(), n)
+
+
 def test_grid_is_immutable(grid2000):
     with pytest.raises(ValueError):
         grid2000.nodes[0] = -1.0
@@ -167,6 +174,11 @@ class TestBalancedComposition:
         with pytest.raises(InputError, match=r"is not an aggregate equilibrium \(fixed-point residual"):
             balanced_composition(grid4000, canon_dist, canon_game, 0.22, 0.2, 0.1)
 
+    @pytest.mark.parametrize("pimax", [float("nan"), 0.0, -0.1])
+    def test_band_width_must_be_positive(self, grid4000, canon_dist, canon_game, pimax):
+        with pytest.raises(InputError, match="pimax"):
+            balanced_composition(grid4000, canon_dist, canon_game, 0.25, 0.2, pimax)
+
 
 class TestDestabilizingPerturbation:
     def test_zero_eps_is_identity(self, grid4000, canon_dist, canon_game):
@@ -203,6 +215,12 @@ class TestDestabilizingPerturbation:
             destabilizing_perturbation(
                 base, canon_game, canon_dist, e=0.05, w=0.05, eps=0.01, protocol=cubic
             )
+
+    @pytest.mark.parametrize("e", [float("nan"), 0.0, -0.05])
+    def test_band_width_must_be_positive(self, grid4000, canon_dist, canon_game, e):
+        base = sorted_composition(grid4000, 0.25)
+        with pytest.raises(InputError, match="band width"):
+            destabilizing_perturbation(base, canon_game, canon_dist, e, 0.1, 0.01)
 
     def test_band_leaving_support_rejected(self, grid4000, canon_dist, canon_game):
         base = sorted_composition(grid4000, 0.25)

@@ -172,6 +172,20 @@ def test_overrides_apply(config_path):
     assert scenario.t_end == 7.0
 
 
+def test_override_may_switch_the_distribution_family(tmp_path):
+    # the file still holds the logistic mu and s, which uniform ignores
+    config = Path(__file__).parents[1] / "configs" / "coordination_logistic.ini"
+    code = main(["equilibria", "--config", str(config), "--out", str(tmp_path / "out"),
+                 "--override", "distribution.family=uniform",
+                 "--override", "distribution.lo=-0.5", "--override", "distribution.hi=0.5"])
+    assert code == 0
+
+
+def test_missing_distribution_parameter_is_config_error(config_path):
+    with pytest.raises(ConfigError, match="uniform distribution needs"):
+        parse_config(config_path, overrides=("distribution.family=uniform",))
+
+
 def test_bad_override_rejected(config_path):
     with pytest.raises(ConfigError, match="override"):
         parse_config(config_path, overrides=("game.a",))

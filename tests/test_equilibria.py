@@ -259,14 +259,14 @@ def scans(monkeypatch):
     from an empty report cache."""
     equilibria._search.cache_clear()
     count = []
-    inner = equilibria.aggregate_best_response
+    inner = equilibria._homogenized_velocity
 
     def counting(game, dist, xbar):
         if np.size(xbar) == 10_001:
             count.append(1)
         return inner(game, dist, xbar)
 
-    monkeypatch.setattr(equilibria, "aggregate_best_response", counting)
+    monkeypatch.setattr(equilibria, "_homogenized_velocity", counting)
     return count
 
 

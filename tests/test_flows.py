@@ -177,6 +177,16 @@ class TestSecondOrderDominance:
         with pytest.raises(InputError):
             sosd_compare(atoms([(1.0, 0.3)]), atoms([(1.0, 0.2)]))
 
+    @pytest.mark.parametrize("mass_tol", [float("nan"), float("inf"), -1e-9])
+    def test_mass_tolerance_must_be_finite_and_nonnegative(self, mass_tol):
+        # a NaN tolerance once skipped the mass check; a negative one refused
+        # identical distributions
+        d = atoms([(1.0, 0.2)])
+        with pytest.raises(InputError, match="mass_tol"):
+            sosd_compare(atoms([(1.0, 0.3)]), d, mass_tol=mass_tol)
+        with pytest.raises(InputError, match="mass_tol"):
+            sosd_compare(d, d, mass_tol=mass_tol)
+
     @settings(max_examples=100, deadline=None)
     @given(
         data=st.lists(

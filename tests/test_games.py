@@ -147,6 +147,14 @@ def test_inverse_rejects_out_of_range():
         SqrtShiftTypes().inverse_cdf(1.5)
 
 
+@pytest.mark.parametrize("dist", DISTRIBUTIONS, ids=lambda d: d.family + str(d.support))
+@pytest.mark.parametrize("u", [np.nan, np.array([0.5, np.nan])], ids=["scalar", "array"])
+def test_inverse_rejects_nan(dist, u):
+    # NaN fails every comparison, so it must not slip past the range check
+    with pytest.raises(InputError, match=r"outside \[0, 1\]"):
+        dist.inverse_cdf(u)
+
+
 def test_make_distribution_factory():
     assert make_distribution("uniform", lo=0.0, hi=2.0).family == "uniform"
     assert make_distribution("sqrt_shift").family == "sqrt_shift"
@@ -154,6 +162,132 @@ def test_make_distribution_factory():
     assert logi.support == pytest.approx((-1.2, 1.2))  # tau defaults to 12 scale units
     with pytest.raises(InputError):
         make_distribution("gamma")
+
+
+def test_make_distribution_ignores_other_families_parameters():
+    assert make_distribution("sqrt_shift", lo=1.0) == SqrtShiftTypes()
+    assert make_distribution("uniform", lo=0.0, hi=2.0, mu=1.0, s=0.1) == UniformTypes(0.0, 2.0)
+    assert make_distribution("logistic", mu=0.0, s=0.1, lo=-1.0) == TruncatedLogisticTypes(0.0, 0.1)
+
+
+@pytest.mark.parametrize("family,params,missing", [
+    ("uniform", {"lo": 0.0}, "hi"),
+    ("uniform", {"mu": 0.0, "s": 0.1}, "lo and hi"),
+    ("logistic", {"mu": 0.0, "tau": 1.0}, "s"),
+])
+def test_make_distribution_names_a_missing_parameter(family, params, missing):
+    with pytest.raises(InputError, match=f"{family} distribution needs {missing}$"):
+        make_distribution(family, **params)
+
+
+# -- per-family formulas: the oracle for the shared cdf / inverse_cdf / pdf ---
+# Before TypeDistribution held the clamping, off-support and scalar rules, each
+# family wrote them into its own formulas; those formulas are kept here, and the
+# shared rules must match them bit for bit.
+
+def _oracle_logistic_base(dist, theta):
+    z = (np.asarray(theta, dtype=float) - dist.mu) / dist.s
+    return 1.0 / (1.0 + np.exp(-z))
+
+
+def _oracle_logistic_mass(dist):
+    lo, hi = dist.support
+    c_lo = float(_oracle_logistic_base(dist, lo))
+    return c_lo, float(_oracle_logistic_base(dist, hi)) - c_lo
+
+
+def _oracle_cdf(dist, theta):
+    t = np.asarray(theta, dtype=float)
+    if dist.family == "uniform":
+        # the one deliberate change: below the support the shared rule gives
+        # +0.0, where (t - lo) / (hi - lo) could underflow to -0.0 (a support
+        # starting at 0 and t a subnormal below it), which the clip kept
+        out = np.where(t < dist.lo, 0.0, np.clip((t - dist.lo) / (dist.hi - dist.lo), 0.0, 1.0))
+    elif dist.family == "sqrt_shift":
+        out = np.clip(np.sqrt(np.clip(t, 0.0, 3.0) + 1.0) - 1.0, 0.0, 1.0)
+    else:
+        lo, hi = dist.support
+        c_lo, z = _oracle_logistic_mass(dist)
+        out = np.clip((_oracle_logistic_base(dist, np.clip(t, lo, hi)) - c_lo) / z, 0.0, 1.0)
+    return float(out) if np.ndim(theta) == 0 else out
+
+
+def _oracle_inverse_cdf(dist, u):
+    arr = np.asarray(u, dtype=float)
+    if dist.family == "uniform":
+        out = dist.lo + arr * (dist.hi - dist.lo)
+    elif dist.family == "sqrt_shift":
+        out = (arr + 1.0) ** 2 - 1.0
+    else:
+        c_lo, z = _oracle_logistic_mass(dist)
+        v = np.clip(c_lo + arr * z, 1e-300, 1.0 - 1e-16)
+        out = np.clip(dist.mu + dist.s * (np.log(v) - np.log1p(-v)), *dist.support)
+    return float(out) if np.ndim(u) == 0 else out
+
+
+def _oracle_pdf(dist, theta):
+    t = np.asarray(theta, dtype=float)
+    lo, hi = dist.support
+    inside = (t >= lo) & (t <= hi)
+    if dist.family == "uniform":
+        out = np.where(inside, 1.0 / (dist.hi - dist.lo), 0.0)
+    elif dist.family == "sqrt_shift":
+        out = np.where(inside, 0.5 / np.sqrt(np.where(inside, t, 0.0) + 1.0), 0.0)
+    else:
+        _, z = _oracle_logistic_mass(dist)
+        sigma = _oracle_logistic_base(dist, np.where(inside, t, dist.mu))
+        out = np.where(inside, sigma * (1.0 - sigma) / (dist.s * z), 0.0)
+    return float(out) if np.ndim(theta) == 0 else out
+
+
+def _assert_same_bits(got, want):
+    assert type(got) is type(want)
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+
+
+_random_distributions = st.one_of(
+    st.builds(
+        lambda lo, width: UniformTypes(lo, lo + width),
+        st.floats(-10.0, 10.0), st.floats(1e-3, 20.0),
+    ),
+    st.just(SqrtShiftTypes()),
+    st.builds(
+        lambda mu, s, tau_scale: TruncatedLogisticTypes(
+            mu, s, None if tau_scale is None else tau_scale * s
+        ),
+        st.floats(-5.0, 5.0), st.floats(1e-3, 2.0), st.none() | st.floats(0.01, 30.0),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(dist=_random_distributions, data=st.data())
+def test_closed_forms_match_the_per_family_formulas_bit_for_bit(dist, data):
+    lo, hi = dist.support
+    edges = [lo, hi, np.nextafter(lo, -np.inf), np.nextafter(lo, np.inf),
+             np.nextafter(hi, -np.inf), np.nextafter(hi, np.inf), -np.inf, np.inf, np.nan]
+    thetas = data.draw(st.lists(
+        st.sampled_from(edges) | st.floats(lo - 1.0, hi + 1.0) | st.floats(), max_size=24
+    ))
+    quantiles = data.draw(st.lists(
+        st.sampled_from([0.0, 1.0, 5e-324, np.nextafter(1.0, 0.0)]) | st.floats(0.0, 1.0),
+        max_size=24,
+    ))
+    for formula, oracle, args in (
+        ("cdf", _oracle_cdf, thetas),
+        ("pdf", _oracle_pdf, thetas),
+        ("inverse_cdf", _oracle_inverse_cdf, quantiles),
+    ):
+        method = getattr(dist, formula)
+        # the oracle's uniform c.d.f. overflows to inf on huge types, harmlessly
+        with np.errstate(over="ignore"):
+            _assert_same_bits(method(np.array(args)), oracle(dist, np.array(args)))
+            for x in args:
+                _assert_same_bits(method(x), oracle(dist, x))
 
 
 @pytest.mark.parametrize("lo,hi", [
