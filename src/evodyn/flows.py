@@ -27,11 +27,11 @@ These distributions carry the aggregate dynamics at the reference point:
   and never crosses back.
 
 The grid atoms are the midpoint rule in the quantile u = P(theta) of the
-continuum sources.  For a sorted or reversed composition ``escape_certificate``
-sums the bound over Gauss-Legendre atoms of those sources instead
-(``_cutoff_sources``; Golub & Welsch, Math. Comp. 23, 1969), which carry no
-grid discretization error.  The dominance verdict and every other
-composition keep the grid atoms.
+continuum sources.  Each escape report reads one pair of sources, for the
+dominance verdict and the bound alike: for a sorted or reversed composition
+the Gauss-Legendre atoms of the continuum sources (``_cutoff_sources``;
+Golub & Welsch, Math. Comp. 23, 1969), which carry no grid discretization
+error, and the grid atoms for every other composition.
 
 ``escape_certificate`` (this bound for one composition) and
 ``rate_ratio_escape_bound`` (the reversed composition's two extreme rates,
@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .composition import BayesianStrategy, aggregate, make_grid
-from .dynamics import KIND_BOUNDED_POWER, RevisionProtocol
+from .dynamics import KIND_BOUNDED_POWER, RevisionProtocol, power_protocol
 from .equilibria import STABLE, UNSTABLE, find_aggregate_equilibria
 from .errors import AnalysisError, InputError
 from .games import AggregateGame, TypeDistribution, require_aggregate_equilibrium
@@ -124,24 +124,6 @@ class SwitchingRateDistribution:
         return float(out[0]) if np.ndim(q) == 0 else out
 
 
-def _source_atoms(game: AggregateGame, x: BayesianStrategy, xbar_ref: float, transform):
-    """Both flow sources at ``xbar_ref``, deficits in theta order mapped by ``transform``."""
-    theta = x.grid.nodes
-    w = x.grid.weights
-    common = game.payoff(xbar_ref)
-    below = theta < common
-    above = theta > common
-    inflow = SwitchingRateDistribution(
-        qs=transform(common - theta[below]),
-        ms=w[below] * (1.0 - x.values[below]),
-    )
-    outflow = SwitchingRateDistribution(
-        qs=transform(theta[above] - common),
-        ms=w[above] * x.values[above],
-    )
-    return inflow, outflow
-
-
 def flow_distributions(
     game: AggregateGame,
     dist: TypeDistribution,
@@ -151,10 +133,23 @@ def flow_distributions(
 ) -> tuple[SwitchingRateDistribution, SwitchingRateDistribution]:
     """Switching-rate distributions (inflow to I, outflow from I) at ``xbar_ref``.
 
-    Rates are frozen at the common payoff F(xbar_ref); the composition's own
-    aggregate need not equal the reference.
+    One atom per grid node, its rate frozen at the common payoff F(xbar_ref);
+    the composition's own aggregate need not equal the reference.
     """
-    return _source_atoms(game, x, xbar_ref, protocol.rate)
+    theta = x.grid.nodes
+    w = x.grid.weights
+    common = game.payoff(xbar_ref)
+    below = theta < common
+    above = theta > common
+    inflow = SwitchingRateDistribution(
+        qs=protocol.rate(common - theta[below]),
+        ms=w[below] * (1.0 - x.values[below]),
+    )
+    outflow = SwitchingRateDistribution(
+        qs=protocol.rate(theta[above] - common),
+        ms=w[above] * x.values[above],
+    )
+    return inflow, outflow
 
 
 def deficit_distributions(
@@ -163,8 +158,8 @@ def deficit_distributions(
     x: BayesianStrategy,
     xbar_ref: float,
 ) -> tuple[SwitchingRateDistribution, SwitchingRateDistribution]:
-    """Payoff-deficit distributions in the two flow sources (protocol-free)."""
-    return _source_atoms(game, x, xbar_ref, lambda deficit: deficit)
+    """Payoff-deficit distributions in the two flow sources: the rate d^1."""
+    return flow_distributions(game, dist, power_protocol(1.0), x, xbar_ref)
 
 
 @functools.cache
@@ -465,14 +460,14 @@ def escape_certificate(
     the certified level in finite time and stays below it forever.  The
     samples run from 1e-3 to ``t_end``, which must be finite and larger.
 
-    The dominance verdict compares the grid atoms of ``flow_distributions``.
-    The bound does too, unless ``x0`` is a sorted or reversed cut-off
-    composition on ``make_grid(dist, n)`` under an integer k: then it sums
-    the Gauss-Legendre atoms of ``_cutoff_sources`` (their accuracy is
-    stated at ``_QUADRATURE_NODES``).  The grid bound
-    differs from it by the midpoint rule's error: second order in n where
-    the composition's cut and P(F) fall on cell boundaries (4.1e-8 on the
-    canonical game at n = 2000), first order where either splits a cell.
+    The dominance verdict and the bound read one pair of sources: the
+    Gauss-Legendre atoms of ``_cutoff_sources`` (accuracy stated at
+    ``_QUADRATURE_NODES``) when ``x0`` is a sorted or reversed cut-off
+    composition on ``make_grid(dist, n)`` under an integer k, the grid
+    atoms of ``flow_distributions`` otherwise.  A grid bound differs from
+    the quadrature one by the midpoint rule's error: second order in n
+    where the composition's cut and P(F) fall on cell boundaries (4.1e-8 on
+    the canonical game at n = 2000), first order where either splits a cell.
     """
     if not (np.isfinite(t_end) and t_end > _BOUND_FIRST_TIME):
         raise InputError(f"t_end={t_end} must be finite and above the first bound sample")
@@ -492,12 +487,11 @@ def escape_certificate(
             f"{certificate.reason}"
         )
 
-    inflow, outflow = flow_distributions(game, dist, protocol, x0, xbar_star)
-    mass_tol = 2.0 / x0.grid.n
-    dominance = sosd_compare(outflow, inflow, mass_tol=mass_tol)
+    sources = _cutoff_sources(game, dist, protocol, x0, xbar_star)
+    inflow, outflow = sources or flow_distributions(game, dist, protocol, x0, xbar_star)
+    dominance = sosd_compare(outflow, inflow, mass_tol=2.0 / x0.grid.n)
     times = np.geomspace(_BOUND_FIRST_TIME, t_end, _BOUND_SAMPLES)
-    sources = _cutoff_sources(game, dist, protocol, x0, xbar_star) or (inflow, outflow)
-    bound = bound_trajectory(*sources, xbar_star, times)
+    bound = bound_trajectory(inflow, outflow, xbar_star, times)
 
     below_star = np.maximum.accumulate(bound) < xbar_star
     hit = below_star & (bound < xbar_dagger)

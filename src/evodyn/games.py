@@ -124,7 +124,7 @@ class UniformTypes(TypeDistribution):
     hi: float
 
     def __post_init__(self):
-        if not -math.inf < self.lo < self.hi < math.inf:
+        if not (self.lo < self.hi and math.isfinite(self.hi - self.lo)):  # NaN and inf ends too
             raise InputError(f"uniform support [{self.lo}, {self.hi}] must be finite and nonempty")
 
     @property
@@ -188,8 +188,12 @@ class TruncatedLogisticTypes(TypeDistribution):
             object.__setattr__(self, "tau", 12.0 * self.s)
         if not 0.0 < self.tau < math.inf:
             raise InputError(f"truncation half-width tau={self.tau} must be positive and finite")
-        # the untruncated c.d.f. below the support, and the mass on it
         lo, hi = self.support
+        # the c.d.f. at lo takes exp((mu - lo) / s), which must stay finite;
+        # the untruncated tail past that point is below 1e-308
+        if (self.mu - lo) / self.s > math.log(np.finfo(float).max):
+            raise InputError(f"truncation half-width tau={self.tau} exceeds 709.78 s (s={self.s})")
+        # the untruncated c.d.f. below the support, and the mass on it
         c_lo = float(self._base_cdf(lo))
         object.__setattr__(self, "_c_lo", c_lo)
         object.__setattr__(self, "_z", float(self._base_cdf(hi)) - c_lo)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -268,6 +269,46 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     (line,) = capsys.readouterr().out.splitlines()  # exactly one line
     payload = json.loads(line)
     assert payload["error"]["kind"] == "config"
+
+
+@pytest.mark.parametrize("drop,override,message", [
+    ("b = -0.05\n", None, "affine game needs game.a and game.b"),
+    ("", "game.family=linear_coordination", "linear_coordination game needs game.c"),
+    ("k = 3\n", None, "tempered protocol needs protocol.k"),
+    ("", "protocol.tempering=bounded_power", "bounded_power tempering needs protocol.pisharp"),
+    ("[initial]\ncomposition = reversed\nxbar0 = 0.25\n", None,
+     "this subcommand needs an [initial] section"),
+    ("xbar0 = 0.25\n", "initial.composition=sorted",
+     "initial.composition = sorted needs initial.xbar0"),
+    ("", "initial.composition=balanced",
+     "balanced composition needs initial.kappa and initial.pimax"),
+    ("", "initial.composition=custom-csv", "custom-csv composition needs initial.path"),
+])
+def test_missing_key_exits_2_with_one_json_line(tmp_path, capsys, drop, override, message):
+    assert drop in CANONICAL
+    path = tmp_path / "scenario.ini"
+    path.write_text(CANONICAL.replace(drop, "", 1))
+    out = tmp_path / "out"
+    overrides = ["--override", override] if override else []
+    code = main(["simulate", "--config", str(path), "--out", str(out), *overrides])
+    assert code == 2
+    (line,) = capsys.readouterr().out.splitlines()  # exactly one line
+    error = json.loads(line)["error"]
+    assert (error["kind"], error["message"]) == ("config", message)
+
+
+def test_logistic_truncation_past_exp_range_exits_2(tmp_path, capsys):
+    # tau / s = 800: exp(800) in the c.d.f. at the support bottom overflows
+    config = Path(__file__).parents[1] / "configs" / "coordination_logistic.ini"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["equilibria", "--config", str(config), "--out", str(tmp_path / "out"),
+                     "--override", "distribution.tau=40"])
+    assert code == 2
+    (line,) = capsys.readouterr().out.splitlines()  # exactly one line
+    error = json.loads(line)["error"]
+    assert error["kind"] == "config"
+    assert "tau=40.0" in error["message"]
 
 
 def test_cli_analysis_error_exit_code(config_path, tmp_path, capsys):

@@ -24,6 +24,7 @@ from evodyn import (
     deficit_distributions,
     detailed_balance_residual,
     escape_certificate,
+    find_aggregate_equilibria,
     flow_distributions,
     integrate,
     linear_coordination_game,
@@ -558,7 +559,8 @@ def test_quadrature_rule_is_not_imported_at_start():
 
 
 class TestAtomRouting:
-    """Which compositions the escape bound takes off the grid."""
+    """Which compositions the escape report takes off the grid, for its bound
+    and its dominance verdict alike."""
 
     @pytest.mark.parametrize("n", [2000, 2001], ids=["cut-on-a-cell-boundary", "cut-splits-a-cell"])
     @pytest.mark.parametrize("shape", ["sorted", "reversed"])
@@ -578,6 +580,26 @@ class TestAtomRouting:
             # the grid error: second order on a cell boundary, first order
             # where the cut splits a cell
             assert 0.0 < np.abs(bound - grid_bound).max() <= (5e-8 if n == 2000 else 2e-4)
+
+    def test_verdict_reads_the_sources_the_bound_sums(self):
+        # the reversed composition at the upper stable equilibrium 0.9999233:
+        # its cut (7.7e-5 in the quantile) lies inside the top grid cell, so
+        # the grid outflow source is empty and the grid verdict incomparable,
+        # while the continuum sources carry 7.67e-5 each
+        game = linear_coordination_game(0.53)
+        dist = TruncatedLogisticTypes(mu=0.0, s=0.05)
+        protocol = bounded_power_protocol(3, 0.16)
+        xbar_star = max(e.xbar for e in find_aggregate_equilibria(game, dist).stable)
+        x0 = reversed_composition(make_grid(dist, 2000), dist, xbar_star)
+        report = escape_certificate(game, dist, protocol, x0, 0.335)
+        inflow, outflow = evodyn.flows._cutoff_sources(game, dist, protocol, x0, aggregate(x0))
+        assert report.bound.tobytes() == quadrature_bound(game, dist, protocol, x0).tobytes()
+        assert outflow.total_mass == pytest.approx(7.67e-5, rel=1e-3)
+        assert report.dominance == sosd_compare(outflow, inflow, mass_tol=1e-3) == "I_dominates"
+        assert report.crossing_time is None
+        _, grid_out = flow_distributions(game, dist, protocol, x0, aggregate(x0))
+        assert grid_out.total_mass == 0.0
+        assert grid_escape(game, dist, protocol, x0, 0.335)[0] == "incomparable"
 
     @pytest.fixture(scope="class")
     def grid_compositions(self, canon_game, canon_dist, grid4000):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -292,6 +294,7 @@ def test_closed_forms_match_the_per_family_formulas_bit_for_bit(dist, data):
 
 @pytest.mark.parametrize("lo,hi", [
     (0.0, np.inf), (-np.inf, 1.0), (np.nan, 1.0), (0.0, np.nan), (1.0, 1.0), (2.0, 1.0),
+    (-1e308, 1e308),  # finite ends whose width hi - lo overflows to inf
 ])
 def test_uniform_rejects_non_finite_or_empty_support(lo, hi):
     with pytest.raises(InputError, match="finite and nonempty"):
@@ -311,3 +314,13 @@ def test_uniform_rejects_non_finite_or_empty_support(lo, hi):
 def test_logistic_rejects_non_finite_parameters(params, name):
     with pytest.raises(InputError, match=f"{name}="):
         TruncatedLogisticTypes(**params)
+
+
+def test_logistic_rejects_a_truncation_past_the_range_of_exp():
+    # the c.d.f. at the support bottom takes exp(tau / s), here exp(800)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(InputError, match="tau=800.0"):
+            TruncatedLogisticTypes(0.0, 1.0, tau=800.0)
+        dist = TruncatedLogisticTypes(0.0, 1.0, tau=709.78)  # just inside the range
+        assert (dist.cdf(-709.78), dist.cdf(0.0), dist.cdf(709.78)) == (0.0, 0.5, 1.0)
