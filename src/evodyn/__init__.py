@@ -27,7 +27,6 @@ from .dynamics import (
 from .equilibria import (
     EquilibriumReport,
     bayesian_equilibrium,
-    cutoff_type,
     find_aggregate_equilibria,
 )
 from .errors import (
@@ -43,7 +42,6 @@ from .flows import (
     SwitchingRateDistribution,
     aggregate_velocity_from_flows,
     bound_trajectory,
-    deficit_distributions,
     detailed_balance_residual,
     escape_certificate,
     flow_distributions,

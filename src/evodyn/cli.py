@@ -104,24 +104,23 @@ def build_initial(scenario: Scenario, grid: comp.TypeGrid) -> comp.BayesianStrat
 def _load_custom_csv(path: Path, grid: comp.TypeGrid) -> comp.BayesianStrategy:
     if not path.is_file():
         raise ConfigError(f"composition file {path} does not exist")
-    thetas, values = [], []
     with path.open() as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            if lineno == 1 and text.lower().replace(" ", "") == "theta,x":
-                continue
-            parts = text.split(",")
-            if len(parts) != 2:
-                raise ConfigError(f"expected 'theta,x' in {path}", lineno)
-            try:
-                thetas.append(float(parts[0]))
-                values.append(float(parts[1]))
-            except ValueError:
-                raise ConfigError(f"malformed number in {path}", lineno) from None
-            if not math.isfinite(thetas[-1]):  # BayesianStrategy refuses a non-finite x
-                raise ConfigError(f"theta must be finite in {path}", lineno)
+        rows = [(lineno, text) for lineno, text in enumerate(map(str.strip, fh), start=1)
+                if text and not text.startswith("#")]
+    if rows and rows[0][1].lower().replace(" ", "") == "theta,x":
+        del rows[0]  # the optional header
+    thetas, values = [], []
+    for lineno, text in rows:
+        parts = text.split(",")
+        if len(parts) != 2:
+            raise ConfigError(f"expected 'theta,x' in {path}", lineno)
+        try:
+            thetas.append(float(parts[0]))
+            values.append(float(parts[1]))
+        except ValueError:
+            raise ConfigError(f"malformed number in {path}", lineno) from None
+        if not math.isfinite(thetas[-1]):  # BayesianStrategy refuses a non-finite x
+            raise ConfigError(f"theta must be finite in {path}", lineno)
     if not thetas:
         raise ConfigError(f"composition file {path} has no rows")
     order = np.argsort(thetas)
@@ -142,18 +141,7 @@ def _scenario_meta(scenario: Scenario) -> dict:
 
 def _run_equilibria(scenario: Scenario, out: Path) -> None:
     report = equilibria.find_aggregate_equilibria(scenario.game, scenario.dist)
-    payload = {
-        "equilibria": [
-            {
-                "xbar": eq.xbar,
-                "stability": eq.stability,
-                "basin_lo": eq.basin_lo,
-                "basin_hi": eq.basin_hi,
-            }
-            for eq in report.equilibria
-        ]
-    }
-    _write_json(out / "equilibria.json", payload)
+    _write_json(out / "equilibria.json", dataclasses.asdict(report))
 
 
 def _run_simulate(scenario: Scenario, out: Path) -> None:
@@ -187,15 +175,7 @@ def _run_simulate(scenario: Scenario, out: Path) -> None:
 
 def _run_critical_mass(scenario: Scenario, out: Path) -> None:
     report = stability.critical_mass_sets(scenario.game, scenario.dist, scenario.protocol)
-    payload = {
-        "decrease_intervals": [list(iv) for iv in report.decrease_intervals],
-        "increase_intervals": [list(iv) for iv in report.increase_intervals],
-        "basins": [
-            {"xbar_star": b.xbar_star, "lo": b.lo, "hi": b.hi} for b in report.basins
-        ],
-        "resolution": report.resolution,
-    }
-    _write_json(out / "critical_mass.json", payload)
+    _write_json(out / "critical_mass.json", dataclasses.asdict(report))
     xs = np.linspace(0.0, 1.0, 1001)
     deficit = np.abs(stability._cutoff_deficit(scenario.game, scenario.dist, xs)[2])
     _write_csv(out / "deficit_curve.csv", "xbar,deficit", zip(xs, deficit))

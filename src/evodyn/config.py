@@ -14,7 +14,9 @@ Sections and keys::
                     xbar0 ; kappa ; pimax ; path
 
 Unknown sections or keys are rejected with the offending line number, as are
-malformed values; every number, integer and list entry must be finite.
+malformed values and values the game, distribution or protocol refuses; every
+number, integer and list entry must be finite.  A value from an override has
+no line.
 ``key=value`` overrides use dotted names (``game.a=2.45``) and are applied
 before validation.
 """
@@ -22,6 +24,7 @@ before validation.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -50,6 +53,8 @@ _KNOWN_KEYS = {
 }
 
 _COMPOSITIONS = ("sorted", "reversed", "balanced", "custom-csv")
+
+_NAMED_VALUE = re.compile(r"(\w+)=")
 
 
 @dataclass(frozen=True)
@@ -161,11 +166,16 @@ def _parse_lines(lines, entries: _Entries):
 
 
 def _build_scenario(entries: _Entries) -> Scenario:
-    def guarded(section: str, key: str, builder):
+    def guarded(section: str, builder):
+        # a refusal names the value it refuses first, as name=value, and
+        # reports that value's line; one that names none (two values at
+        # once) reports no line, as does a value from an override
         try:
             return builder()
         except EvodynError as exc:
-            raise ConfigError(str(exc), entries.line(section, key)) from None
+            named = _NAMED_VALUE.search(str(exc))
+            line = entries.line(section, named.group(1)) if named else None
+            raise ConfigError(str(exc), line) from None
 
     family = entries.require("game", "family")
     if family == "affine":
@@ -173,12 +183,12 @@ def _build_scenario(entries: _Entries) -> Scenario:
         b = entries.number("game", "b")
         if a is None or b is None:
             raise ConfigError("affine game needs game.a and game.b")
-        game = guarded("game", "a", lambda: affine_game(a, b))
+        game = guarded("game", lambda: affine_game(a, b))
     elif family == "linear_coordination":
         c = entries.number("game", "c")
         if c is None:
             raise ConfigError("linear_coordination game needs game.c")
-        game = guarded("game", "c", lambda: linear_coordination_game(c))
+        game = guarded("game", lambda: linear_coordination_game(c))
     else:
         raise ConfigError(
             f"unknown game family {family!r}", entries.line("game", "family")
@@ -190,9 +200,7 @@ def _build_scenario(entries: _Entries) -> Scenario:
         value = entries.number("distribution", key)
         if value is not None:
             dist_params[key] = value
-    dist = guarded(
-        "distribution", "family", lambda: make_distribution(dist_family, **dist_params)
-    )
+    dist = guarded("distribution", lambda: make_distribution(dist_family, **dist_params))
 
     kind = entries.require("protocol", "kind")
     if kind == "standard":
@@ -203,14 +211,12 @@ def _build_scenario(entries: _Entries) -> Scenario:
         if k is None:
             raise ConfigError("tempered protocol needs protocol.k")
         if tempering == "power":
-            protocol = guarded("protocol", "k", lambda: power_protocol(k))
+            protocol = guarded("protocol", lambda: power_protocol(k))
         elif tempering == "bounded_power":
             pisharp = entries.number("protocol", "pisharp")
             if pisharp is None:
                 raise ConfigError("bounded_power tempering needs protocol.pisharp")
-            protocol = guarded(
-                "protocol", "pisharp", lambda: bounded_power_protocol(k, pisharp)
-            )
+            protocol = guarded("protocol", lambda: bounded_power_protocol(k, pisharp))
         else:
             raise ConfigError(
                 f"unknown tempering {tempering!r}", entries.line("protocol", "tempering")

@@ -110,7 +110,7 @@ class RevisionProtocol:
         if self.kind == KIND_BOUNDED_POWER and (
             self.pisharp is None or self.pisharp <= 0.0
         ):
-            raise InputError("bounded_power needs a positive sensitivity bound pisharp")
+            raise InputError(f"sensitivity bound pisharp={self.pisharp} must be positive")
         # the rate's operands, built once: an integer k in 2..6 is kept as an
         # int for repeated multiplies (0 otherwise), and k as a 0-d exponent
         k = self.k
@@ -142,8 +142,6 @@ class RevisionProtocol:
             multiply(d, d, out)
             for _ in range(int_k - 2):
                 multiply(out, d, out)
-        elif self.k == 1:
-            np.copyto(out, d)
         else:
             np.power(d, self._k, out)
         if kind == KIND_BOUNDED_POWER:
@@ -381,7 +379,7 @@ def integrate_homogenized(
 
     def field(state: np.ndarray, out: np.ndarray) -> float:
         x = min(max(float(state[0]), 0.0), 1.0)
-        out[0] = homogenized_field(game, dist, x)
+        out[0] = _homogenized_velocity(game, dist, x)
         return float(state[0])
 
     return _rk4(field, np.array([xbar0]), t_end, dt, snapshot_times=())

@@ -184,9 +184,3 @@ def bayesian_equilibrium(
     require_aggregate_equilibrium(game, dist, xbar_star)
     return sorted_composition(grid, xbar_star)
 
-
-def cutoff_type(dist: TypeDistribution, xbar: float) -> float:
-    """Boundary type of the sorted composition with aggregate xbar."""
-    if not 0.0 <= xbar <= 1.0:
-        raise InputError(f"xbar={xbar} outside [0, 1]")
-    return float(dist.inverse_cdf(xbar))

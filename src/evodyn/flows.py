@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .composition import BayesianStrategy, aggregate, make_grid
-from .dynamics import KIND_BOUNDED_POWER, RevisionProtocol, power_protocol
+from .dynamics import KIND_BOUNDED_POWER, RevisionProtocol
 from .equilibria import STABLE, UNSTABLE, find_aggregate_equilibria
 from .errors import AnalysisError, InputError
 from .games import AggregateGame, TypeDistribution, require_aggregate_equilibrium
@@ -150,16 +150,6 @@ def flow_distributions(
         ms=w[above] * x.values[above],
     )
     return inflow, outflow
-
-
-def deficit_distributions(
-    game: AggregateGame,
-    dist: TypeDistribution,
-    x: BayesianStrategy,
-    xbar_ref: float,
-) -> tuple[SwitchingRateDistribution, SwitchingRateDistribution]:
-    """Payoff-deficit distributions in the two flow sources: the rate d^1."""
-    return flow_distributions(game, dist, power_protocol(1.0), x, xbar_ref)
 
 
 @functools.cache
@@ -342,10 +332,8 @@ def bound_trajectory(
         np.exp(e, out=e)
         np.matmul(e[:, :n_in], inflow.ms, out=s_in[start:stop])
         np.matmul(e[:, n_in:], outflow.ms, out=s_out[start:stop])
-    if n_in:
-        out -= s_in
-    if outflow.qs.size:
-        out += s_out
+    out -= s_in
+    out += s_out
     return out
 
 

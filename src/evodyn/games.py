@@ -225,7 +225,7 @@ _FAMILIES = {cls.family: cls for cls in (UniformTypes, SqrtShiftTypes, Truncated
 def make_distribution(family: str, **params) -> TypeDistribution:
     """Build a distribution from its family name; other families' parameters are ignored."""
     if family not in _FAMILIES:
-        raise InputError(f"unknown distribution family {family!r}")
+        raise InputError(f"distribution family={family!r} is unknown")
     cls = _FAMILIES[family]
     fields = dataclasses.fields(cls)
     missing = [f.name for f in fields if f.name not in params and f.default is dataclasses.MISSING]

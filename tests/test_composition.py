@@ -10,11 +10,12 @@ from evodyn import (
     UniformTypes,
     aggregate,
     balanced_composition,
-    deficit_distributions,
     destabilizing_perturbation,
     detailed_balance_residual,
+    flow_distributions,
     make_grid,
     min_mass_ratio,
+    power_protocol,
     reversed_composition,
     sorted_composition,
     vector_field,
@@ -151,7 +152,9 @@ class TestBalancedComposition:
 
     def test_deficit_distributions_coincide(self, grid4000, canon_dist, canon_game):
         bal = balanced_composition(grid4000, canon_dist, canon_game, 0.25, 0.2, 0.3)
-        inflow, outflow = deficit_distributions(canon_game, canon_dist, bal, 0.25)
+        inflow, outflow = flow_distributions(
+            canon_game, canon_dist, power_protocol(1.0), bal, 0.25
+        )
         assert detailed_balance_residual(inflow, outflow) <= 3.0 / grid4000.n
 
     def test_aggregate_preserved(self, grid4000, canon_dist, canon_game):
@@ -271,5 +274,5 @@ def test_balanced_composition_properties(kappa, pimax):
         return  # band or density-ratio precondition rejected these parameters
     assert bal.values.min() >= 0.0 and bal.values.max() <= 1.0
     assert abs(aggregate(bal) - 0.25) <= 2.0 / grid.n
-    inflow, outflow = deficit_distributions(game, dist, bal, 0.25)
+    inflow, outflow = flow_distributions(game, dist, power_protocol(1.0), bal, 0.25)
     assert detailed_balance_residual(inflow, outflow) <= 3.0 / grid.n

@@ -547,3 +547,139 @@ def test_escape_bound_matches_pinned_hash(tmp_path):
     out = tmp_path / "out"
     assert main(["escape", "--config", str(ENTRY_CONFIG), "--out", str(out)]) == 0
     assert hashlib.sha256((out / "bound.csv").read_bytes()).hexdigest() == BOUND_SHA256
+
+
+LOGISTIC_CONFIG = CONFIGS / "coordination_logistic.ini"
+
+
+@pytest.mark.parametrize("edit,override,line", [
+    (("s = 0.05", "s = -1"), None, 12),
+    (("k = 2", "k = -1"), None, 17),
+    (None, "distribution.s=-1", None),
+    (None, "distribution.tau=40", None),
+    (None, "protocol.k=-1", None),
+    # a check on two values at once names no line
+    (("family = logistic", "family = uniform\nlo = 1\nhi = 0"), None, None),
+], ids=["s-line", "k-line", "s-override", "tau-override", "k-override", "uniform-support"])
+def test_refused_value_reports_its_own_line(tmp_path, capsys, edit, override, line):
+    # the line of the refused value, not of distribution.family or
+    # protocol.pisharp; a value from an override has no line
+    text = LOGISTIC_CONFIG.read_text()
+    if edit:
+        old, new = edit
+        assert text.count(f"\n{old}\n") == 1
+        text = text.replace(f"\n{old}\n", f"\n{new}\n")
+    path = tmp_path / "scenario.ini"
+    path.write_text(text)
+    out = tmp_path / "out"
+    overrides = ["--override", override] if override else []
+    assert main(["equilibria", "--config", str(path), "--out", str(out), *overrides]) == 2
+    (json_line,) = capsys.readouterr().out.splitlines()  # exactly one line
+    error = json.loads(json_line)["error"]
+    assert error["kind"] == "config"
+    assert error["line"] == line
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("edit,override,message,line", [
+    (("family = affine", "family = quadratic"), None, "unknown game family 'quadratic'", 2),
+    (("tempering = power", "tempering = exp"), None, "unknown tempering 'exp'", 11),
+    (None, "protocol.kind=logit", "unknown protocol kind 'logit'", None),
+    (None, "initial.composition=uniform",
+     "unknown initial composition 'uniform'; expected one of "
+     "sorted, reversed, balanced, custom-csv", None),
+    (("dt = 0.01", "dt = 0"), None, "sim.dt must be positive", 18),
+    (None, "sim.t_end=-1", "sim.t_end must be positive", None),
+    (("n = 400", "n = 400.5"), None, "grid.n = '400.5' is not a valid finite integer", 15),
+    (("[sim]", "[sim]\ndt 0.01"), None, "expected 'key = value', got 'dt 0.01'", 18),
+    (("[game]", "a = 2.45\n[game]"), None, "key outside any [section]", 1),
+    (None, "gamea=2", "override key 'gamea' must be section.key", None),
+])
+def test_bad_entry_exits_2_with_one_json_line(tmp_path, capsys, edit, override, message, line):
+    text = CANONICAL
+    if edit:
+        assert edit[0] in text
+        text = text.replace(edit[0], edit[1], 1)
+    path = tmp_path / "scenario.ini"
+    path.write_text(text)
+    out = tmp_path / "out"
+    overrides = ["--override", override] if override else []
+    assert main(["simulate", "--config", str(path), "--out", str(out), *overrides]) == 2
+    (json_line,) = capsys.readouterr().out.splitlines()  # exactly one line
+    error = json.loads(json_line)["error"]
+    suffix = f" (line {line})" if line else ""
+    assert (error["kind"], error["message"], error["line"]) == ("config", message + suffix, line)
+    assert not out.exists()
+
+
+def run_custom_csv(config_path, out, csv_path):
+    return main(["simulate", "--config", str(config_path), "--out", str(out),
+                 "--override", "initial.composition=custom-csv",
+                 "--override", f"initial.path={csv_path}", "--override", "sim.t_end=1"])
+
+
+@pytest.mark.parametrize("content,message,line", [
+    (None, "does not exist", None),
+    ("theta,x\n0.0,1.0,0.5\n", "expected 'theta,x' in", 2),
+    ("theta,x\n0.0,one\n", "malformed number in", 2),
+    ("theta,x\n# no rows yet\n\n", "has no rows", None),
+], ids=["missing-file", "three-fields", "malformed-number", "no-rows"])
+def test_custom_csv_refusals_exit_2(config_path, tmp_path, capsys, content, message, line):
+    comp = tmp_path / "comp.csv"
+    if content is not None:
+        comp.write_text(content)
+    assert run_custom_csv(config_path, tmp_path / "out", comp) == 2
+    (json_line,) = capsys.readouterr().out.splitlines()  # exactly one line
+    error = json.loads(json_line)["error"]
+    assert error["kind"] == "config"
+    assert message in error["message"]
+    assert error["line"] == line
+
+
+def test_custom_csv_header_may_follow_comments(config_path, tmp_path):
+    # the header is the first line that is neither blank nor a comment
+    rows = "theta,x\n0.0,1.0\n0.5625,0.0\n"
+    xbar0 = []
+    for name, text in (("plain", rows), ("noted", "# note\n" + rows)):
+        comp = tmp_path / f"{name}.csv"
+        comp.write_text(text)
+        out = tmp_path / name
+        assert run_custom_csv(config_path, out, comp) == 0
+        xbar0.append(json.loads((out / "summary.json").read_text())["xbar0"])
+    assert xbar0[0] == xbar0[1]
+
+
+def test_balanced_start_simulates(config_path, tmp_path):
+    out = tmp_path / "out"
+    code = main(["simulate", "--config", str(config_path), "--out", str(out),
+                 "--override", "initial.composition=balanced",
+                 "--override", "initial.kappa=0.2", "--override", "initial.pimax=0.3",
+                 "--override", "sim.t_end=1"])
+    assert code == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["xbar0"] == pytest.approx(0.25, abs=2 / 400)
+
+
+def test_escape_without_a_certified_level_below_the_start_exits_3(config_path, tmp_path,
+                                                                   capsys):
+    out = tmp_path / "out"
+    code = main(["escape", "--config", str(config_path), "--out", str(out),
+                 "--override", "game.a=2", "--override", "game.b=0.05",
+                 "--override", "initial.composition=sorted", "--override", "initial.xbar0=0.3"])
+    assert code == 3
+    (json_line,) = capsys.readouterr().out.splitlines()  # exactly one line
+    error = json.loads(json_line)["error"]
+    assert error["kind"] == "analysis"
+    assert error["message"] == "no certified decrease level below the starting equilibrium 0.3"
+    assert not (out / "escape.json").exists()
+
+
+def test_escape_writes_a_null_rate_ratio_when_its_preconditions_fail(config_path, tmp_path):
+    # the standard rate is 1 for every switcher, so the rate ratio r = 1
+    out = tmp_path / "out"
+    code = main(["escape", "--config", str(config_path), "--out", str(out),
+                 "--override", "protocol.kind=standard"])
+    assert code == 0
+    report = json.loads((out / "escape.json").read_text())
+    assert report["rate_ratio"] is None
+    assert report["xbar_star"] == pytest.approx(0.25, abs=1e-12)

@@ -14,7 +14,6 @@ from evodyn import (
     aggregate_best_response,
     bayesian_equilibrium,
     critical_mass_sets,
-    cutoff_type,
     find_aggregate_equilibria,
     homogenized_field,
     integrate_homogenized,
@@ -97,7 +96,7 @@ def test_bayesian_equilibrium_cutoffs(canon_game, canon_dist, grid4000):
 
     # at the unstable equilibrium the cut-off sits at inverse_cdf(0.2) = 0.44 = F(0.2)
     mid = bayesian_equilibrium(canon_game, canon_dist, grid4000, 0.2)
-    assert cutoff_type(canon_dist, 0.2) == pytest.approx(0.44, abs=1e-12)
+    assert canon_dist.inverse_cdf(0.2) == pytest.approx(0.44, abs=1e-12)
     assert canon_game.payoff(0.2) == pytest.approx(0.44, abs=1e-12)
     participating = grid4000.nodes[mid.values > 0]
     assert participating.max() <= 0.44 + 1e-9
@@ -119,11 +118,11 @@ def test_bayesian_equilibria_stationary_under_both_protocols(
 
 
 def test_cutoff_type_examples(canon_dist):
-    assert cutoff_type(canon_dist, 0.25) == pytest.approx(9 / 16, abs=1e-15)
-    assert cutoff_type(canon_dist, 0.0) == 0.0
-    assert cutoff_type(canon_dist, 1.0) == 3.0
+    assert canon_dist.inverse_cdf(0.25) == pytest.approx(9 / 16, abs=1e-15)
+    assert canon_dist.inverse_cdf(0.0) == 0.0
+    assert canon_dist.inverse_cdf(1.0) == 3.0
     with pytest.raises(InputError):
-        cutoff_type(canon_dist, 1.5)
+        canon_dist.inverse_cdf(1.5)
 
 
 def test_random_compositions_settle_toward_stationarity(canon_game, canon_dist, cubic):

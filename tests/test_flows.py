@@ -21,7 +21,6 @@ from evodyn import (
     bound_trajectory,
     bounded_power_protocol,
     critical_mass_sets,
-    deficit_distributions,
     detailed_balance_residual,
     escape_certificate,
     find_aggregate_equilibria,
@@ -83,11 +82,15 @@ class TestFlowDistributions:
         self, canon_game, canon_dist, grid4000
     ):
         x = sorted_composition(grid4000, 0.25)
-        inflow, outflow = deficit_distributions(canon_game, canon_dist, x, 0.25)
+        inflow, outflow = flow_distributions(
+            canon_game, canon_dist, power_protocol(1.0), x, 0.25
+        )
         assert inflow.total_mass == 0.0 and outflow.total_mass == 0.0
 
     def test_deficit_spans_for_reversed(self, canon_game, canon_dist, reversed25):
-        inflow, outflow = deficit_distributions(canon_game, canon_dist, reversed25, 0.25)
+        inflow, outflow = flow_distributions(
+            canon_game, canon_dist, power_protocol(1.0), reversed25, 0.25
+        )
         assert 0.0 <= inflow.qs.min() and inflow.qs.max() <= 9 / 16
         assert 3 / 2 - 0.01 <= outflow.qs.min() and outflow.qs.max() <= 39 / 16
 
@@ -608,6 +611,8 @@ class TestAtomRouting:
         shifted = TypeGrid(nodes=np.nextafter(grid4000.nodes, np.inf))
         two_fractional = srt.values.copy()  # a monotone step, same aggregate
         two_fractional[999:1001] = (0.6, 0.4)
+        middle_band = np.zeros(grid4000.n)  # 0/1 but neither sorted nor reversed
+        middle_band[1000:2000] = 1.0
         return {
             "balanced": balanced_composition(grid4000, canon_dist, canon_game, 0.25, 0.2, 0.3),
             "perturbed": destabilizing_perturbation(srt, canon_game, canon_dist, 0.05, 0.5, 1e-5),
@@ -615,10 +620,13 @@ class TestAtomRouting:
             "random": random_composition(grid4000, 0.25, np.random.default_rng(5)),
             "two-fractional": BayesianStrategy(grid=grid4000, values=two_fractional),
             "other-grid": reversed_composition(shifted, canon_dist, 0.25),
+            "middle-band": BayesianStrategy(grid=grid4000, values=middle_band),
         }
 
     @pytest.mark.parametrize(
-        "name", ["balanced", "perturbed", "mixture", "random", "two-fractional", "other-grid"]
+        "name",
+        ["balanced", "perturbed", "mixture", "random", "two-fractional", "other-grid",
+         "middle-band"],
     )
     def test_other_compositions_keep_grid_atoms(
         self, canon_game, canon_dist, cubic, grid_compositions, name
