@@ -22,15 +22,13 @@ requested level exactly (up to float rounding), not just within 1/n.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConstructionError, InputError
 from .games import AggregateGame, TypeDistribution, require_aggregate_equilibrium
-
-
-_trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -207,17 +205,32 @@ def min_mass_ratio(protocol, band_width: float) -> float:
 
     Equals the ratio of the switching-rate integrals over the gain band
     [e, 2e] and the loss band [3e, 4e]; below it the perturbation's
-    instantaneous aggregate velocity is not guaranteed positive.
+    instantaneous aggregate velocity is not guaranteed positive.  In closed
+    form: 1 for the standard rate; (2^(k+1) - 1) / (4^(k+1) - 3^(k+1)) for
+    d^k, divided through by 4^(k+1) so no power overflows; and for
+    min((d/pisharp)^k, 1) the ratio of its piecewise integrals, which is the
+    power form while pisharp >= 4e.
     """
-    if band_width <= 0.0:
+    # dynamics imports this module, so its protocol kinds are imported here
+    from .dynamics import KIND_BOUNDED_POWER, KIND_STANDARD
+
+    if not band_width > 0.0:
         raise InputError("band width must be positive")
-    lo_grid = np.linspace(band_width, 2.0 * band_width, 2049)
-    hi_grid = np.linspace(3.0 * band_width, 4.0 * band_width, 2049)
-    lo_int = float(_trapezoid(protocol.rate(lo_grid), lo_grid))
-    hi_int = float(_trapezoid(protocol.rate(hi_grid), hi_grid))
-    if hi_int <= 0.0:
-        raise InputError("protocol rate vanishes on the loss band")
-    return lo_int / hi_int
+    if protocol.kind == KIND_STANDARD:
+        return 1.0
+    k = protocol.k
+    # the rate in units of the band width: min((s / c)^k, 1) at d = s e
+    c = protocol.pisharp / band_width if protocol.kind == KIND_BOUNDED_POWER else math.inf
+    if c >= 4.0:
+        return (0.5 ** (k + 1.0) - 0.25 ** (k + 1.0)) / (1.0 - 0.75 ** (k + 1.0))
+
+    def integral(s: float) -> float:
+        # the integral of min((t / c)^k, 1) over t in [0, s]
+        if s <= c:
+            return s * (s / c) ** k / (k + 1.0)
+        return c / (k + 1.0) + (s - c)
+
+    return (integral(2.0) - integral(1.0)) / (integral(4.0) - integral(3.0))
 
 
 def destabilizing_perturbation(

@@ -4,8 +4,11 @@ An aggregate equilibrium is a fixed point of xbar -> P(F(xbar)), i.e. a zero
 of g(xbar) = P(F(xbar)) - xbar on [0, 1] (with the c.d.f. clamped at the
 support, so corners where F leaves the support qualify).  Roots are located
 by a sign scan of g on a uniform grid, then every sign-change bracket is
-bisected at once: the brackets step in lockstep with one array evaluation of
-g per step.  Stability is classified from the sign of g on each side (both
+bisected at once in speculative rounds: one array evaluation of g per round
+on the mids toward each bracket's regula-falsi guess, the bisection's
+decisions replayed on the true values (``_bisect_all``).  The roots are bit
+for bit those of a plain bisection, from a few evaluations instead of one
+per halving.  Stability is classified from the sign of g on each side (both
 probes of every root in one evaluation), which treats interior roots and
 clamped corners uniformly:
 
@@ -42,6 +45,8 @@ UNSTABLE = "unstable"
 SEMISTABLE = "semistable"
 
 _ROOT_TOL = 1e-12
+# halvings a bracket may take before its mid is returned as the root
+_MAX_STEPS = 200
 # distance within which EquilibriumReport.locate matches a reported level
 _LOCATE_TOL = 1e-9
 #: Number of equilibrium reports find_aggregate_equilibria keeps (least
@@ -79,33 +84,90 @@ def _bisect_all(
 
     Each bracket takes the decisions of a scalar bisection: return an
     endpoint where |g| <= _ROOT_TOL, else halve until |g(mid)| <= _ROOT_TOL
-    or the bracket is narrower than 1e-16, for at most 200 steps.  Brackets
-    that are still open step together, one array evaluation of g per step.
+    or the bracket is narrower than 1e-16, for at most _MAX_STEPS steps.
+
+    The halvings run in speculative rounds of one array evaluation of g.  A
+    round lists, for every open bracket, the mids that lead toward its
+    regula-falsi guess (``_predicted_mids``), evaluates g on all of them at
+    once and then replays the scalar decisions in Python floats.  A stored
+    value is used only while the actual mid equals the predicted one, so
+    every decision reads the true g at the true mid and the roots keep the
+    bits of one evaluation per step; the next round starts where a bracket
+    left its predicted path.  Each round advances every open bracket by at
+    least one level.  From a scan cell the first guess is good to about the
+    cell width squared, so most brackets close in the second round.  A
+    bracket whose mid rounds to the end it replaces would repeat that step
+    up to the cap, so it returns the cap's mid at once.
     """
     roots = np.empty_like(lo)
     if lo.size == 0:
         return roots
-    lo, hi = lo.copy(), hi.copy()
     g_lo, g_hi = np.split(_homogenized_velocity(game, dist, np.concatenate((lo, hi))), 2)
-    at_lo = np.abs(g_lo) <= _ROOT_TOL
-    at_hi = ~at_lo & (np.abs(g_hi) <= _ROOT_TOL)
-    roots[at_lo], roots[at_hi] = lo[at_lo], hi[at_hi]
-    open_ = np.flatnonzero(~(at_lo | at_hi))
-    for _ in range(200):
-        if open_.size == 0:
-            return roots
-        a, b = lo[open_], hi[open_]
-        mid = 0.5 * (a + b)
-        g_mid = _homogenized_velocity(game, dist, mid)
-        done = (np.abs(g_mid) <= _ROOT_TOL) | (b - a < 1e-16)
-        roots[open_[done]] = mid[done]
-        move_lo = (g_lo[open_] < 0.0) == (g_mid < 0.0)
-        left, right = open_[move_lo], open_[~move_lo]
-        lo[left], g_lo[left] = mid[move_lo], g_mid[move_lo]
-        hi[right] = mid[~move_lo]
-        open_ = open_[~done]
-    roots[open_] = 0.5 * (lo[open_] + hi[open_])
+    # an open bracket is (index, a, b, g(a), g(b), steps taken)
+    brackets = []
+    for i, (a, b, g_a, g_b) in enumerate(
+        zip(lo.tolist(), hi.tolist(), g_lo.tolist(), g_hi.tolist())
+    ):
+        if abs(g_a) <= _ROOT_TOL:
+            roots[i] = a
+        elif abs(g_b) <= _ROOT_TOL:
+            roots[i] = b
+        else:
+            brackets.append((i, a, b, g_a, g_b, 0))
+    while brackets:
+        paths = [_predicted_mids(a, b, g_a, g_b, _MAX_STEPS - steps)
+                 for _, a, b, g_a, g_b, steps in brackets]
+        values = _homogenized_velocity(
+            game, dist, np.array([mid for path in paths for mid in path])
+        ).tolist()
+        still_open, start = [], 0
+        for (i, a, b, g_a, g_b, steps), path in zip(brackets, paths):
+            root = None
+            for predicted, g_mid in zip(path, values[start:start + len(path)]):
+                mid = 0.5 * (a + b)
+                if mid != predicted:
+                    break
+                steps += 1
+                if abs(g_mid) <= _ROOT_TOL or b - a < 1e-16:
+                    root = mid
+                    break
+                # a mid that rounds to the end it replaces leaves the
+                # bracket as it was, so every later step repeats this one
+                if (g_a < 0.0) == (g_mid < 0.0):
+                    stalled, a, g_a = mid == a, mid, g_mid
+                else:
+                    stalled, b, g_b = mid == b, mid, g_mid
+                if stalled or steps == _MAX_STEPS:
+                    root = 0.5 * (a + b)
+                    break
+            start += len(path)
+            if root is None:
+                still_open.append((i, a, b, g_a, g_b, steps))
+            else:
+                roots[i] = root
+        brackets = still_open
     return roots
+
+
+def _predicted_mids(a: float, b: float, g_a: float, g_b: float, budget: int) -> list[float]:
+    """The bisection mids of [a, b] that lead toward its regula-falsi guess.
+
+    The list ends at the mid of the first bracket narrower than 1e-16 (where
+    the bisection stops), at a mid that rounds to an end of its bracket
+    (where it stalls) or after ``budget`` mids.
+    """
+    guess = a - g_a * (b - a) / (g_b - g_a)
+    mids = []
+    while len(mids) < budget:
+        mid = 0.5 * (a + b)
+        mids.append(mid)
+        if b - a < 1e-16 or mid == a or mid == b:
+            break
+        if guess < mid:
+            b = mid
+        else:
+            a = mid
+    return mids
 
 
 def find_aggregate_equilibria(

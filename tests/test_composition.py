@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from evodyn import (
     UniformTypes,
     aggregate,
     balanced_composition,
+    bounded_power_protocol,
     destabilizing_perturbation,
     detailed_balance_residual,
     flow_distributions,
@@ -18,6 +21,7 @@ from evodyn import (
     power_protocol,
     reversed_composition,
     sorted_composition,
+    standard_protocol,
     vector_field,
 )
 from evodyn.composition import BayesianStrategy, TypeGrid
@@ -191,7 +195,30 @@ class TestDestabilizingPerturbation:
 
     def test_min_mass_ratio_closed_form(self, cubic):
         # cubic tempering: (2^4 - 1)/(4^4 - 3^4) = 15/175 = 3/35
-        assert min_mass_ratio(cubic, 0.05) == pytest.approx(3 / 35, abs=1e-7)
+        assert min_mass_ratio(cubic, 0.05) == pytest.approx(3 / 35, abs=math.ulp(3 / 35))
+        assert min_mass_ratio(standard_protocol(), 0.05) == 1.0
+
+    @pytest.mark.parametrize("pisharp", [1e-3, 0.03, 0.1, 0.15, 0.2, 1.0])
+    def test_min_mass_ratio_bounded_power(self, pisharp):
+        # the rate-integral ratio by a fine trapezoid; the rate saturates on
+        # both bands at pisharp <= e and on neither at pisharp >= 4e
+        protocol, e = bounded_power_protocol(2.5, pisharp), 0.05
+        gain = np.linspace(e, 2.0 * e, 200_001)
+        loss = np.linspace(3.0 * e, 4.0 * e, 200_001)
+        trapezoid = getattr(np, "trapezoid", None) or np.trapz
+        quadrature = (trapezoid(protocol.rate(gain), gain)
+                      / trapezoid(protocol.rate(loss), loss))
+        assert min_mass_ratio(protocol, e) == pytest.approx(quadrature, rel=1e-9)
+
+    def test_w_below_exact_rate_ratio_rejected(self, grid4000, canon_dist, canon_game):
+        # at k = 0.5 the exact ratio is 0.6521135954584; a 2,049-point
+        # trapezoid gave 0.6521135941699, which let this w through
+        base = sorted_composition(grid4000, 0.25)
+        with pytest.raises(ConstructionError, match="rate-integral ratio"):
+            destabilizing_perturbation(
+                base, canon_game, canon_dist, e=0.05, w=0.652113595, eps=0.01,
+                protocol=power_protocol(0.5),
+            )
 
     def test_aggregate_increase(self, grid4000, canon_dist, canon_game, cubic):
         base = sorted_composition(grid4000, 0.25)

@@ -232,16 +232,32 @@ coordination_cases = st.tuples(
     st.builds(lambda mu, s: TruncatedLogisticTypes(mu=mu, s=s),
               st.floats(min_value=-0.3, max_value=0.3), st.floats(min_value=0.02, max_value=0.3)),
 )
+# a sigmoid far from linear across a scan cell: the regula-falsi guess from
+# the cell's ends is poor, so the search needs more speculative rounds
+steep_cases = st.tuples(
+    st.builds(linear_coordination_game, st.floats(min_value=0.05, max_value=0.95)),
+    st.builds(lambda mu, s: TruncatedLogisticTypes(mu=mu, s=s),
+              st.floats(min_value=-0.3, max_value=0.3), st.floats(min_value=1e-4, max_value=0.02)),
+)
 
 
-@settings(max_examples=150, deadline=None)
-@given(case=st.one_of(affine_cases, coordination_cases),
+@settings(max_examples=200, deadline=None)
+@given(case=st.one_of(affine_cases, coordination_cases, steep_cases),
        scan_resolution=st.sampled_from([1e-4, 1e-3, 0.0137]))
 # two roots in (0.2, 0.2001) and a near-tangency
+@example(case=(affine_game(2.4001, -(0.20005 ** 2)), SqrtShiftTypes()), scan_resolution=1e-4)
 @example(case=(affine_game(2.4001, -(0.20005 ** 2) + 1e-9), SqrtShiftTypes()),
          scan_resolution=1e-4)
 # g' ~ 1e6: |g| <= 1e-12 holds at no float, so the bisection runs to the cap
 @example(case=(affine_game(1e6, -5e5), UniformTypes(0.0, 1.0)), scan_resolution=1e-4)
+# the same above 1/2, where adjacent floats are 1.1e-16 apart, so the bracket
+# never gets narrower than 1e-16 and its mid stalls at one end before the cap
+@example(case=(affine_game(1e6, -7e5), UniformTypes(0.0, 1.0)), scan_resolution=1e-3)
+# steep logistic types: the first guesses lie on the flat side of the root
+@example(case=(linear_coordination_game(0.3), TruncatedLogisticTypes(mu=0.0, s=1e-4)),
+         scan_resolution=0.0137)
+@example(case=(linear_coordination_game(0.71), TruncatedLogisticTypes(mu=0.0, s=3e-3)),
+         scan_resolution=1e-4)
 # g = 0 on all of [0, 1]: every scanned level is a semistable root
 @example(case=(affine_game(1.0, 0.0), UniformTypes(0.0, 1.0)), scan_resolution=1e-3)
 def test_lockstep_search_matches_scalar_search(case, scan_resolution):
@@ -250,40 +266,55 @@ def test_lockstep_search_matches_scalar_search(case, scan_resolution):
     assert report_bits(report) == report_bits(scalar_search(game, dist, scan_resolution))
 
 
-# -- one search per game -------------------------------------------------------
+# -- one search per game, a few evaluations per search -------------------------
 
 @pytest.fixture()
-def scans(monkeypatch):
-    """Count full-grid scans (10,001 levels at the default resolution) made
-    from an empty report cache."""
+def evaluations(monkeypatch):
+    """The sizes of the arrays g is evaluated on, recorded from an empty
+    report cache; a full-grid scan has 10,001 levels at the default
+    resolution."""
     equilibria._search.cache_clear()
-    count = []
+    sizes = []
     inner = equilibria._homogenized_velocity
 
     def counting(game, dist, xbar):
-        if np.size(xbar) == 10_001:
-            count.append(1)
+        sizes.append(np.size(xbar))
         return inner(game, dist, xbar)
 
     monkeypatch.setattr(equilibria, "_homogenized_velocity", counting)
-    return count
+    return sizes
 
 
-def test_pipeline_searches_each_game_once(scans, canon_game, canon_dist, cubic):
+def test_pipeline_searches_each_game_once(evaluations, canon_game, canon_dist, cubic):
     critical_mass_sets(canon_game, canon_dist, cubic)
     select_most_robust(canon_game, canon_dist)
     rate_ratio_escape_bound(canon_game, canon_dist, cubic)
     find_aggregate_equilibria(canon_game, canon_dist)
-    assert len(scans) == 1
+    assert evaluations.count(10_001) == 1
     # an equal game built anew shares the report
     find_aggregate_equilibria(affine_game(canon_game.slope, canon_game.intercept), SqrtShiftTypes())
-    assert len(scans) == 1
+    assert evaluations.count(10_001) == 1
 
 
-def test_cli_escape_searches_once(scans, tmp_path):
+def test_cli_escape_searches_once(evaluations, tmp_path):
     config = Path(__file__).parents[1] / "configs" / "entry_sqrt.ini"
     assert main(["escape", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
-    assert len(scans) == 1
+    assert evaluations.count(10_001) == 1
+
+
+@pytest.mark.parametrize("case", [
+    (affine_game(2.45, -0.05), SqrtShiftTypes()),
+    # the two games whose close roots the scan misses
+    (affine_game(2.4001, -(0.20005 ** 2)), SqrtShiftTypes()),
+    (affine_game(2.4001, -(0.20005 ** 2) + 1e-9), SqrtShiftTypes()),
+    # three brackets to bisect
+    (linear_coordination_game(0.3), TruncatedLogisticTypes(mu=0.0, s=0.05)),
+], ids=["canonical", "missed-roots", "missed-roots-1e-9", "logistic-coordination"])
+def test_search_evaluates_g_a_few_times(evaluations, case):
+    # the scan, the bracket ends, the speculative rounds and the side probes;
+    # one evaluation per halving took about 28
+    find_aggregate_equilibria(*case)
+    assert len(evaluations) <= 5
 
 
 def test_scan_resolution_spellings_share_one_report(canon_game, canon_dist):
