@@ -2,15 +2,13 @@
 
 An aggregate equilibrium is a fixed point of xbar -> P(F(xbar)), i.e. a zero
 of g(xbar) = P(F(xbar)) - xbar on [0, 1] (with the c.d.f. clamped at the
-support, so corners where F leaves the support qualify).  Roots are located
-by a sign scan of g on a uniform grid, then every sign-change bracket is
-bisected at once in speculative rounds: one array evaluation of g per round
-on the mids toward each bracket's regula-falsi guess, the bisection's
-decisions replayed on the true values (``_bisect_all``).  The roots are bit
-for bit those of a plain bisection, from a few evaluations instead of one
-per halving.  Stability is classified from the sign of g on each side (both
-probes of every root in one evaluation), which treats interior roots and
-clamped corners uniformly:
+support, so corners where F leaves the support qualify).  g is read on a
+uniform grid of levels and at the vertex of the parabola through each
+discrete extremum of that scan (where consecutive differences of g change
+sign) and its two neighbours, so g is monotone between consecutive levels
+wherever the scan resolves its turns (Brent 1973, ch. 4).  Every sign-change
+bracket is bisected at once (``_bisect_all``).  Each root is labelled from g
+at the levels on either side of it, interior roots and clamped corners alike:
 
     stable      g > 0 below and g < 0 above (one-sided at corners)
     unstable    g < 0 below and g > 0 above
@@ -78,13 +76,15 @@ class EquilibriumReport:
 
 
 def _bisect_all(
-    game: AggregateGame, dist: TypeDistribution, lo: np.ndarray, hi: np.ndarray
+    game: AggregateGame, dist: TypeDistribution, lo: np.ndarray, hi: np.ndarray,
+    g_lo: np.ndarray, g_hi: np.ndarray,
 ) -> np.ndarray:
     """Bisect every sign-change bracket [lo[i], hi[i]] of g at once.
 
-    Each bracket takes the decisions of a scalar bisection: return an
-    endpoint where |g| <= _ROOT_TOL, else halve until |g(mid)| <= _ROOT_TOL
-    or the bracket is narrower than 1e-16, for at most _MAX_STEPS steps.
+    Each bracket, with g at its ends from the search's levels (``g_lo``,
+    ``g_hi``), takes the decisions of a scalar bisection: return an end
+    where |g| <= _ROOT_TOL, else halve until |g(mid)| <= _ROOT_TOL or the
+    bracket is narrower than 1e-16, for at most _MAX_STEPS steps.
 
     The halvings run in speculative rounds of one array evaluation of g.  A
     round lists, for every open bracket, the mids that lead toward its
@@ -100,9 +100,6 @@ def _bisect_all(
     up to the cap, so it returns the cap's mid at once.
     """
     roots = np.empty_like(lo)
-    if lo.size == 0:
-        return roots
-    g_lo, g_hi = np.split(_homogenized_velocity(game, dist, np.concatenate((lo, hi))), 2)
     # an open bracket is (index, a, b, g(a), g(b), steps taken)
     brackets = []
     for i, (a, b, g_a, g_b) in enumerate(
@@ -192,41 +189,43 @@ def _search(
     m = int(round(1.0 / scan_resolution))
     xs = np.linspace(0.0, 1.0, m + 1)
     gs = _homogenized_velocity(game, dist, xs)
+    # a vertex level within half a step of each discrete extremum of the scan
+    d = np.diff(gs)
+    turns = np.flatnonzero(d[:-1] * d[1:] < 0.0) + 1
+    vertices = xs[turns] + 0.5 / m * (d[turns - 1] + d[turns]) / (d[turns - 1] - d[turns])
+    vertices = vertices[vertices != xs[turns]]
+    at = np.searchsorted(xs, vertices)
+    xs = np.insert(xs, at, vertices)
+    gs = np.insert(gs, at, _homogenized_velocity(game, dist, vertices))
 
+    def g_at(j: int) -> float | None:  # no level lies beyond [0, 1]
+        return float(gs[j]) if 0 <= j < gs.size else None
+
+    # each candidate root with g at the levels on either side of it; a root
+    # at a level sorts before an equal bisected one
     brackets = np.flatnonzero(gs[:-1] * gs[1:] < 0.0)
-    candidates = [float(xs[i]) for i in np.flatnonzero(np.abs(gs) <= _ROOT_TOL)]
-    candidates += _bisect_all(game, dist, xs[brackets], xs[brackets + 1]).tolist()
-    candidates.sort()
-    roots: list[float] = []
-    for r in candidates:
-        if not roots or r - roots[-1] > 1e-9:
-            roots.append(r)
-
-    # one evaluation of g for both side probes of every root; a probe that
-    # would leave [0, 1] is absent (None)
-    delta = scan_resolution / 2.0
-    levels = np.array(roots)
-    has_below, has_above = levels > delta, levels < 1.0 - delta
-    probes = iter(_homogenized_velocity(game, dist, np.concatenate((
-        np.maximum(levels[has_below] - delta, 0.0),
-        np.minimum(levels[has_above] + delta, 1.0),
-    ))).tolist())
-    below = [next(probes) if ok else None for ok in has_below]
-    above = [next(probes) if ok else None for ok in has_above]
+    ends = (xs[brackets], xs[brackets + 1], gs[brackets], gs[brackets + 1])
+    candidates = [(float(xs[j]), g_at(j - 1), g_at(j + 1))
+                  for j in np.flatnonzero(np.abs(gs) <= _ROOT_TOL)]
+    candidates += [(r, g_at(j), g_at(j + 1))
+                   for j, r in zip(brackets, _bisect_all(game, dist, *ends).tolist())]
+    candidates.sort(key=lambda c: c[0])
+    roots: list[tuple[float, float | None, float | None]] = []
+    for c in candidates:
+        if not roots or c[0] - roots[-1][0] > 1e-9:
+            roots.append(c)
 
     records: list[Equilibrium] = []
-    for idx, (x, g_below, g_above) in enumerate(zip(roots, below, above)):
+    for idx, (x, g_below, g_above) in enumerate(roots):
+        lo = hi = x
         if (g_below is None or g_below > 0.0) and (g_above is None or g_above < 0.0):
             stability = STABLE
+            lo = roots[idx - 1][0] if idx > 0 else 0.0
+            hi = roots[idx + 1][0] if idx + 1 < len(roots) else 1.0
         elif (g_below is None or g_below < 0.0) and (g_above is None or g_above > 0.0):
             stability = UNSTABLE
         else:
             stability = SEMISTABLE
-        if stability == STABLE:
-            lo = roots[idx - 1] if idx > 0 else 0.0
-            hi = roots[idx + 1] if idx + 1 < len(roots) else 1.0
-        else:
-            lo = hi = x
         records.append(Equilibrium(xbar=x, stability=stability, basin_lo=lo, basin_hi=hi))
     return EquilibriumReport(equilibria=tuple(records))
 

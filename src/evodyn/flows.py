@@ -417,10 +417,8 @@ def rate_ratio_escape_bound(
         raise AnalysisError("no positive level satisfies the prefix rate condition")
     max_certified = intervals[0][1]
 
-    if r <= 0.0:
-        bound_value = 0.0
-    else:
-        bound_value = xbar_star * (1.0 - (1.0 - r) * r ** (r / (1.0 - r)))
+    # at r = 0 this is 0, since 0.0 ** 0.0 == 1.0
+    bound_value = xbar_star * (1.0 - (1.0 - r) * r ** (r / (1.0 - r)))
     return RateRatioBound(
         r=r,
         max_certified_decrease=max_certified,

@@ -285,6 +285,13 @@ class TestHomogenized:
         assert homogenized_field(canon_game, canon_dist, 0.21) > 0.0
         assert homogenized_field(canon_game, canon_dist, 0.1) < 0.0
 
+    @pytest.mark.parametrize("xbar", [-1e-9, 1.0 + 1e-9, float("nan")])
+    def test_rejects_level_outside_unit_interval(self, canon_game, canon_dist, xbar):
+        with pytest.raises(InputError, match="outside"):
+            homogenized_field(canon_game, canon_dist, xbar)
+        with pytest.raises(InputError, match="outside"):
+            integrate_homogenized(canon_game, canon_dist, xbar, t_end=1.0, dt=0.01)
+
     def test_stationary_at_equilibrium(self, canon_game, canon_dist):
         traj = integrate_homogenized(canon_game, canon_dist, 0.25, t_end=10.0, dt=0.01)
         assert np.abs(traj.xbars - 0.25).max() <= 1e-12

@@ -151,11 +151,9 @@ def test_random_compositions_settle_toward_stationarity(canon_game, canon_dist, 
 
 # -- the lockstep bisection against the scalar search it replaced -------------
 
-def _bisect(g, lo: float, hi: float) -> float:
-    g_lo = g(lo)
+def _bisect(g, lo: float, hi: float, g_lo: float, g_hi: float) -> float:
     if abs(g_lo) <= 1e-12:
         return lo
-    g_hi = g(hi)
     if abs(g_hi) <= 1e-12:
         return hi
     for _ in range(200):
@@ -171,30 +169,41 @@ def _bisect(g, lo: float, hi: float) -> float:
 
 
 def scalar_search(game, dist, scan_resolution):
-    """Oracle: the array scan, then one scalar field evaluation per bisection
-    step and per stability probe."""
+    """Oracle: the array scan, then one scalar field evaluation per vertex
+    level and per bisection step; every root is labelled from g at the levels
+    on either side of it."""
 
     def g(x):
         return homogenized_field(game, dist, x)
 
     m = int(round(1.0 / scan_resolution))
     xs = np.linspace(0.0, 1.0, m + 1)
-    gs = np.asarray(aggregate_best_response(game, dist, xs)) - xs
-    candidates = [float(xs[i]) for i in np.flatnonzero(np.abs(gs) <= 1e-12)]
-    candidates += [
-        _bisect(g, float(xs[i]), float(xs[i + 1]))
-        for i in np.flatnonzero(gs[:-1] * gs[1:] < 0.0)
-    ]
-    candidates.sort()
+    gs = (np.asarray(aggregate_best_response(game, dist, xs)) - xs).tolist()
+    xs = xs.tolist()
+    # a discrete extremum of the scan gets a level at the vertex of the
+    # parabola through it and its two neighbours
+    levels = list(zip(xs, gs))
+    for i in range(1, m):
+        d0, d1 = gs[i] - gs[i - 1], gs[i + 1] - gs[i]
+        if d0 * d1 < 0.0:
+            vertex = xs[i] + 0.5 / m * (d0 + d1) / (d0 - d1)
+            if vertex != xs[i]:
+                levels.append((vertex, g(vertex)))
+    levels.sort()
+    sides = [None, *(y for _, y in levels), None]
+    at_levels, bisected = [], []
+    for j, (x, y) in enumerate(levels):
+        if abs(y) <= 1e-12:
+            at_levels.append((x, sides[j], sides[j + 2]))
+        if j + 1 < len(levels) and y * levels[j + 1][1] < 0.0:
+            x_next, y_next = levels[j + 1]
+            bisected.append((_bisect(g, x, x_next, y, y_next), y, y_next))
     roots = []
-    for r in candidates:
-        if not roots or r - roots[-1] > 1e-9:
-            roots.append(r)
-    delta = scan_resolution / 2.0
+    for r, below, above in sorted(at_levels + bisected, key=lambda c: c[0]):
+        if not roots or r - roots[-1][0] > 1e-9:
+            roots.append((r, below, above))
     records = []
-    for idx, r in enumerate(roots):
-        below = g(max(r - delta, 0.0)) if r > delta else None
-        above = g(min(r + delta, 1.0)) if r < 1.0 - delta else None
+    for idx, (r, below, above) in enumerate(roots):
         if (below is None or below > 0.0) and (above is None or above < 0.0):
             stability = STABLE
         elif (below is None or below < 0.0) and (above is None or above > 0.0):
@@ -202,8 +211,8 @@ def scalar_search(game, dist, scan_resolution):
         else:
             stability = SEMISTABLE
         if stability == STABLE:
-            lo = roots[idx - 1] if idx > 0 else 0.0
-            hi = roots[idx + 1] if idx + 1 < len(roots) else 1.0
+            lo = roots[idx - 1][0] if idx > 0 else 0.0
+            hi = roots[idx + 1][0] if idx + 1 < len(roots) else 1.0
         else:
             lo = hi = r
         records.append(Equilibrium(xbar=r, stability=stability, basin_lo=lo, basin_hi=hi))
@@ -244,7 +253,8 @@ steep_cases = st.tuples(
 @settings(max_examples=200, deadline=None)
 @given(case=st.one_of(affine_cases, coordination_cases, steep_cases),
        scan_resolution=st.sampled_from([1e-4, 1e-3, 0.0137]))
-# two roots in (0.2, 0.2001) and a near-tangency
+# a near-tangency (one semistable root) and two roots in (0.2, 0.2001), both
+# inside one scan cell, found from the vertex level of the scan's extremum
 @example(case=(affine_game(2.4001, -(0.20005 ** 2)), SqrtShiftTypes()), scan_resolution=1e-4)
 @example(case=(affine_game(2.4001, -(0.20005 ** 2) + 1e-9), SqrtShiftTypes()),
          scan_resolution=1e-4)
@@ -264,6 +274,32 @@ def test_lockstep_search_matches_scalar_search(case, scan_resolution):
     game, dist = case
     report = find_aggregate_equilibria(game, dist, scan_resolution)
     assert report_bits(report) == report_bits(scalar_search(game, dist, scan_resolution))
+
+
+# -- no sign change of g without a reported root -------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(a=st.floats(min_value=2.1, max_value=2.9),
+       log_eps=st.floats(min_value=-12.0, max_value=-5.0),
+       sign=st.sampled_from([-1.0, 1.0]))
+# two roots 6.3e-5 apart, inside one scan cell
+@example(a=2.4001, log_eps=-9.0, sign=1.0)
+def test_every_sign_change_of_g_holds_a_root(a, log_eps, sign):
+    # sqrt-shift types: g = sqrt(1 + a x + b) - 1 - x touches 0 at a/2 - 1
+    # when b = -(a/2 - 1)^2, so b + eps has two roots 2 sqrt(eps) apart or
+    # none, often inside one scan cell
+    tangent = a / 2.0 - 1.0
+    game, dist = affine_game(a, -tangent ** 2 + sign * 10.0 ** log_eps), SqrtShiftTypes()
+    roots = np.array([e.xbar for e in find_aggregate_equilibria(game, dist).equilibria])
+    xs = np.linspace(tangent - 1e-3, tangent + 1e-3, 200_001)
+    gs = np.asarray(aggregate_best_response(game, dist, xs)) - xs
+    # a sign change between consecutive grid levels where |g| exceeds the
+    # root tolerance
+    clear = np.abs(gs) > equilibria._ROOT_TOL
+    xs, gs = xs[clear], gs[clear]
+    for k in np.flatnonzero(gs[:-1] * gs[1:] < 0.0):
+        near = (roots >= xs[k] - 1e-9) & (roots <= xs[k + 1] + 1e-9)
+        assert near.any(), f"g changes sign in [{xs[k]:.10g}, {xs[k + 1]:.10g}], which holds no root"
 
 
 # -- one search per game, a few evaluations per search -------------------------
@@ -302,19 +338,18 @@ def test_cli_escape_searches_once(evaluations, tmp_path):
     assert evaluations.count(10_001) == 1
 
 
-@pytest.mark.parametrize("case", [
-    (affine_game(2.45, -0.05), SqrtShiftTypes()),
-    # the two games whose close roots the scan misses
-    (affine_game(2.4001, -(0.20005 ** 2)), SqrtShiftTypes()),
-    (affine_game(2.4001, -(0.20005 ** 2) + 1e-9), SqrtShiftTypes()),
+@pytest.mark.parametrize("case, most", [
+    ((affine_game(2.45, -0.05), SqrtShiftTypes()), 2),
+    # the two close-root games: the first has its root at a vertex level
+    ((affine_game(2.4001, -(0.20005 ** 2)), SqrtShiftTypes()), 2),
+    ((affine_game(2.4001, -(0.20005 ** 2) + 1e-9), SqrtShiftTypes()), 5),
     # three brackets to bisect
-    (linear_coordination_game(0.3), TruncatedLogisticTypes(mu=0.0, s=0.05)),
+    ((linear_coordination_game(0.3), TruncatedLogisticTypes(mu=0.0, s=0.05)), 4),
 ], ids=["canonical", "missed-roots", "missed-roots-1e-9", "logistic-coordination"])
-def test_search_evaluates_g_a_few_times(evaluations, case):
-    # the scan, the bracket ends, the speculative rounds and the side probes;
-    # one evaluation per halving took about 28
+def test_search_evaluates_g_a_few_times(evaluations, case, most):
+    # the scan, the vertex levels and the speculative rounds
     find_aggregate_equilibria(*case)
-    assert len(evaluations) <= 5
+    assert len(evaluations) <= most
 
 
 def test_scan_resolution_spellings_share_one_report(canon_game, canon_dist):

@@ -366,6 +366,13 @@ class TestEscapeCertificate:
         with pytest.raises(InputError, match="externality"):
             escape_certificate(flat, canon_dist, cubic, flat_eq, 0.03)
 
+    @pytest.mark.parametrize("xbar_dagger", [0.0, -0.01, 0.3, 1.0])
+    def test_rejects_dagger_outside_zero_to_equilibrium(
+        self, canon_game, canon_dist, cubic, reversed25, xbar_dagger
+    ):
+        with pytest.raises(InputError, match="must lie strictly between 0 and the equilibrium"):
+            escape_certificate(canon_game, canon_dist, cubic, reversed25, xbar_dagger)
+
     @pytest.mark.parametrize("t_end", [0.0, 5e-4, -1.0, float("nan")])
     def test_rejects_t_end_not_above_first_sample(
         self, canon_game, canon_dist, cubic, reversed25, t_end
@@ -458,6 +465,17 @@ class TestRateRatioBound:
 
         with pytest.raises(InputError, match="coordination shape"):
             rate_ratio_escape_bound(affine_game(0.0, 0.7), canon_dist, cubic)
+
+    def test_requires_reversed_threshold_above_indifferent_type(self):
+        # a shifted, concentrated type distribution puts the reversed
+        # threshold below the indifferent type at the upper stable level
+        game = linear_coordination_game(0.92)
+        dist = TruncatedLogisticTypes(mu=-0.22, s=0.05)
+        with pytest.raises(
+            InputError,
+            match="reversed threshold type -0.517402 must exceed the indifferent type 0.077402",
+        ):
+            rate_ratio_escape_bound(game, dist, bounded_power_protocol(3, 0.2))
 
 
 CERTIFY_TIMES = np.geomspace(1e-3, 50.0, 2000)  # the samples escape_certificate takes

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evodyn import (
+    AnalysisError,
     InputError,
     SqrtShiftTypes,
     TruncatedLogisticTypes,
@@ -92,6 +93,10 @@ class TestDecreaseCertificates:
     def test_domain_validation(self, canon_game, canon_dist, cubic):
         with pytest.raises(InputError):
             is_critical_mass_decrease(canon_game, canon_dist, cubic, 0.0)
+
+    def test_increase_refuses_level_one(self, canon_game, canon_dist, cubic):
+        with pytest.raises(InputError, match=r"increase level xbar=1.0 must lie in \[0, 1\)"):
+            is_critical_mass_increase(canon_game, canon_dist, cubic, 1.0)
 
     @pytest.mark.parametrize("xbar", [0.01, 0.03, 0.0349, 0.04, 0.1, 0.15, 0.22, 0.3, 0.9, 1.0])
     def test_matches_grid_sup_oracle(self, canon_game, canon_dist, cubic, standard, xbar):
@@ -352,6 +357,13 @@ class TestSelection:
 
         report = select_most_robust(affine_game(0.0, 0.7), UniformTypes(0.0, 1.0))
         assert report.selected == pytest.approx(0.7, abs=1e-9)
+
+    def test_identity_map_has_nothing_to_select(self):
+        from evodyn import UniformTypes
+
+        # g = 0 on all of [0, 1]: every root is semistable
+        with pytest.raises(AnalysisError, match="no stable aggregate equilibrium"):
+            select_most_robust(affine_game(1.0, 0.0), UniformTypes(0.0, 1.0))
 
     def test_coordination_selects_risk_dominant_branch(self):
         game = linear_coordination_game(0.3)
