@@ -123,7 +123,7 @@ def _load_custom_csv(path: Path, grid: comp.TypeGrid) -> comp.BayesianStrategy:
             raise ConfigError(f"theta must be finite in {path}", lineno)
     if not thetas:
         raise ConfigError(f"composition file {path} has no rows")
-    order = np.argsort(thetas)
+    order = np.argsort(thetas, kind="stable")
     thetas = np.asarray(thetas)[order]
     values = np.asarray(values)[order]
     # piecewise-constant: each node takes the value of the last row at or below it

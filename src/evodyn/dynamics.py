@@ -19,11 +19,19 @@ The per-type law of motion at aggregate xbar with common payoff F(xbar):
 
 (the tie contributes nothing since rate(0) = 0).  The state enters only
 through the aggregate and the grid nodes are nondecreasing, so the types with
-theta <= F are a prefix of the nodes: the field is computed on two slices,
-with no masks.  The split is ``bisect.bisect_right`` on the node list, built
-as Python floats once per run: for a finite F it gives the index of
+theta <= F are a prefix of the nodes: the gaps 1 - x and -x are written on two
+slices, with no masks.  The split is ``bisect.bisect_right`` on the node list,
+built as Python floats once per run: for a finite F it gives the index of
 ``np.searchsorted(theta, F, side="right")``, ties and duplicated nodes
 included, at a tenth of the cost of a scalar numpy call.
+
+The rate multiplies the gap only on the band of nodes where it is not
+exactly 1 (1 * gap is gap bit for bit): the ties at F under the standard
+protocol, where (1 - x) * 0 keeps the sign of 1 - x; every node under power;
+the nodes with fl(|F - theta|) < pisharp under bounded_power, since past them
+fl(d / pisharp) >= 1 and so min((.)^k, 1) = 1.  The band is a slice around
+the cut, bisected on the node list and settled on the float deficits, so the
+field's cost scales with it, not with the grid.
 
 Integration is classical fixed-step RK4; the tempered field is continuous in
 the state and the grid, not the step size, governs accuracy at the
@@ -32,10 +40,11 @@ allocated once per run, with the same operations in the same order as the
 textbook formula, so they give its bits.  At the grid sizes run here
 (hundreds to thousands of nodes) a step is bound by the dispatch of its
 numpy calls, not by arithmetic: 13 ufunc calls and two reductions in the
-step, plus per field evaluation a dot product and 2 ufunc calls (standard),
-7 (cubic) or 8 (bounded_power with k = 2), so 27 calls per standard step
-and 47 per cubic one.  The field and the step therefore bind the ufuncs to
-locals and pass ``out`` positionally, which skips the keyword parsing of
+step, plus per field evaluation a dot product and 2 ufunc calls for the gap,
+and on a nonempty band 5 more (cubic), 6 (bounded_power with k = 2) or 4
+(standard, at a tie).  So a step makes 27 calls with every band empty and
+47 under the cubic rate.  The field and the step therefore bind the ufuncs
+to locals and pass ``out`` positionally, which skips the keyword parsing of
 each call.  ``np.minimum`` and ``np.maximum`` keep ``out=``: a positional
 output is deprecated for them as of numpy 2.4.  A state that leaves [0, 1]
 is clamped back after the step and the total clamped magnitude is kept as a
@@ -50,12 +59,6 @@ buffer that each field owns and overwrites at each evaluation.  A ufunc
 turns a Python float operand into exactly such an array on every call, so a
 prebuilt one selects the same loop on the same values and gives the same
 bits without the conversion.
-
-The standard field skips the rate.  Off the tie its rate is exactly 1, and
-(1 - x) * 1 and -x * 1 are 1 - x and -x bit for bit, so it writes those on
-the two slices.  Nodes tied at F have rate(0) = 0 and get (1 - x) * 0 as a
-multiply, not a stored 0.0: the product keeps the sign of 1 - x (-0.0 for a
-stage value above 1), as the rate-times-gap form does.
 
 The aggregate of the standard dynamic follows the homogenized smooth
 best-response dynamic xbardot = P(F(xbar)) - xbar regardless of the
@@ -182,21 +185,24 @@ def _field_function(
     and returns the aggregate it evaluated them at.
 
     The nodes are nondecreasing, so the types with a nonnegative gap
-    F - theta form the prefix ``theta[:m]``; the deficit is F - theta there
-    and theta - F after it (float negation is exact, so both equal |gap|,
-    and both are nonnegative as the rate routine requires).  Each field owns
-    the 0-d buffer that carries F into the two subtractions.
+    F - theta form the prefix ``theta[:m]``, and those whose rate is not 1 a
+    band ``[lo, hi)`` around m; the deficit is F - theta below the cut and
+    theta - F after it (float negation is exact, so both equal |gap|, and
+    both are nonnegative as the rate routine requires).  Each field owns the
+    0-d buffer that carries F into the two subtractions.
     """
     theta = grid.nodes
     cuts = theta.tolist()
+    n = grid.n
     dot = grid.weights.dot
     slope, intercept = game.slope, game.intercept
     dom_lo, dom_hi = DEFAULT_DOMAIN
-    subtract, negative, multiply = np.subtract, np.negative, np.multiply
-    one, zero = _ONE, _ZERO
-    standard = protocol.kind == KIND_STANDARD
-    scratch = np.empty(grid.n)
-    c0 = np.empty(())
+    subtract, negative, multiply, one = np.subtract, np.negative, np.multiply, _ONE
+    # the band: the deficits at most ``width`` (the tie under the standard
+    # protocol, those below pisharp under bounded_power), every node under power
+    whole = protocol.kind == KIND_POWER
+    width = math.nextafter(protocol.pisharp, 0.0) if protocol.kind == KIND_BOUNDED_POWER else 0.0
+    scratch, c0 = np.empty(n), np.empty(())
     rate_into = protocol._rate_into
 
     def field(values: np.ndarray, out: np.ndarray) -> float:
@@ -205,22 +211,31 @@ def _field_function(
             raise InputError(f"aggregate {xbar!r} left the payoff evaluation domain")
         common = slope * xbar + intercept
         m = bisect_right(cuts, common)
-        if standard:
-            # rate 1 off the tie, and (1 - x) * 1 and -x * 1 are 1 - x and -x
-            subtract(one, values[:m], out[:m])
-            negative(values[m:], out[m:])
-            if m and cuts[m - 1] == common:
-                # rate(0) = 0 at the tie: (1 - x) * 0 keeps the sign of 1 - x
-                tied = out[bisect_left(cuts, common, 0, m) : m]
-                multiply(tied, zero, tied)
-            return xbar
-        c0[()] = common
-        subtract(c0, theta[:m], scratch[:m])
-        subtract(theta[m:], c0, scratch[m:])
-        rate_into(scratch, out)
-        subtract(one, values[:m], scratch[:m])
-        negative(values[m:], scratch[m:])
-        multiply(out, scratch, out)
+        if whole:
+            lo, hi = 0, n
+        else:
+            # bisect on the rounded band edges, then settle each end on the
+            # float deficits, which are monotone on either side of the cut
+            lo = bisect_left(cuts, common - width, 0, m)
+            while lo and common - cuts[lo - 1] <= width:
+                lo -= 1
+            while lo < m and common - cuts[lo] > width:
+                lo += 1
+            hi = bisect_right(cuts, common + width, m)
+            while hi > m and cuts[hi - 1] - common > width:
+                hi -= 1
+            while hi < n and cuts[hi] - common <= width:
+                hi += 1
+        if lo < hi:
+            c0[()] = common
+            subtract(c0, theta[lo:m], out[lo:m])
+            subtract(theta[m:hi], c0, out[m:hi])
+            band, rate = out[lo:hi], scratch[lo:hi]
+            rate_into(band, rate)
+        subtract(one, values[:m], out[:m])
+        negative(values[m:], out[m:])
+        if lo < hi:
+            multiply(band, rate, band)
         return xbar
 
     return field

@@ -6,8 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from evodyn import ConfigError
-from evodyn.cli import main
+from evodyn import ConfigError, SqrtShiftTypes, make_grid
+from evodyn.cli import _load_custom_csv, main
 from evodyn.config import parse_config
 
 CANONICAL = """\
@@ -647,6 +647,17 @@ def test_custom_csv_header_may_follow_comments(config_path, tmp_path):
         assert run_custom_csv(config_path, out, comp) == 0
         xbar0.append(json.loads((out / "summary.json").read_text())["xbar0"])
     assert xbar0[0] == xbar0[1]
+
+
+def test_custom_csv_repeated_theta_takes_the_last_row(tmp_path):
+    # rows sharing a theta: the one last in the file applies to the nodes at
+    # or above it, however many rows with that theta come before it
+    comp = tmp_path / "comp.csv"
+    comp.write_text("0.5,0.2\n" * 39 + "0.5,0.9\n" + "0.1,0.3\n" * 40)
+    grid = make_grid(SqrtShiftTypes(), 50)
+    values = _load_custom_csv(comp, grid).values
+    assert np.all(values[grid.nodes >= 0.5] == 0.9)
+    assert np.all(values[grid.nodes < 0.5] == 0.3)
 
 
 def test_balanced_start_simulates(config_path, tmp_path):

@@ -451,6 +451,126 @@ def test_fields_of_different_games_called_alternately(protocol):
             assert same_bits(out, oracle_field(game, protocol, grid, values))
 
 
+def dyadic_states(total, rng):
+    """Two states of sixteen values in steps of 1/16 that sum to total/16, so
+    the aggregate is exactly total/256 under the weights 1/16: one of 0s and
+    1s around a single fractional value (with stage values past either end
+    at times), and one spread evenly."""
+    blocky = np.zeros(16, dtype=int)
+    blocky[: total // 16] = 16
+    blocky[total // 16 : total // 16 + 1] += total % 16
+    if 16 <= total <= 240 and rng.random() < 0.5:
+        blocky[0] += 1  # a stage value above 1, balanced by one below 0
+        blocky[-1] -= 1
+    even = np.full(16, total // 16)
+    even[: total % 16] += 1
+    return rng.permutation(blocky) / 16.0, rng.permutation(even) / 16.0
+
+
+# the cut: to n, down onto a triple node, up onto a pair, to 0, onto the
+# first and the last node, just past them, and to deficits of exactly 3/256
+STATE_TOTALS = [256, 128, 16, 224, 0, 8, 7, 240, 241, 64, 131, 125, 37, 67, 61, 256, 0, 128]
+
+
+@pytest.mark.parametrize(
+    "protocol",
+    [standard_protocol(), power_protocol(3), power_protocol(0.5),
+     bounded_power_protocol(2, 3 / 256), bounded_power_protocol(2, np.nextafter(3 / 256, 0.0)),
+     bounded_power_protocol(2, np.nextafter(3 / 256, 1.0)), bounded_power_protocol(1.5, 1 / 256)],
+    ids=["standard", "cubic", "power0.5", "bounded_at_a_deficit", "bounded_one_ulp_below",
+         "bounded_one_ulp_above", "bounded_power1.5"],
+)
+def test_one_field_over_a_sequence_of_states_matches_oracle(protocol):
+    # one field object is called again and again, so nothing it keeps from
+    # one call to the next may leak into the velocities as the cut and the
+    # band move; the nodes and the aggregates are multiples of 1/256, so
+    # F = xbar lands exactly on nodes (duplicated ones too) and at deficits
+    # of exactly pisharp
+    nodes = np.array([8, 16, 16, 16, 40, 64, 64, 96, 128, 128, 128, 160, 200, 224, 224, 240]) / 256
+    grid = TypeGrid(nodes=nodes)
+    game = affine_game(1.0, 0.0)
+    rng = np.random.default_rng(11)
+    totals = STATE_TOTALS + rng.integers(0, 257, 300).tolist()
+    field = _field_function(game, protocol, grid)
+    for total in totals:
+        for values in dyadic_states(total, rng):
+            out = np.full(grid.n, np.nan)
+            assert field(values, out) == total / 256
+            assert same_bits(out, oracle_field(game, protocol, grid, values)), total
+
+
+@pytest.fixture
+def rate_counts(monkeypatch):
+    """Sizes of the deficit arrays each rate evaluation gets, one per call."""
+    counts = []
+    rate_into = dynamics.RevisionProtocol._rate_into
+
+    def counting(self, d, out):
+        counts.append(d.size)
+        rate_into(self, d, out)
+
+    monkeypatch.setattr(dynamics.RevisionProtocol, "_rate_into", counting)
+    return counts
+
+
+def test_rate_is_evaluated_on_the_band_only(rate_counts):
+    # only deficits below pisharp are priced; past it the bounded rate is 1
+    sc = parse_config(Path(__file__).parents[1] / "configs" / "coordination_logistic.ini")
+    grid = make_grid(sc.dist, 2000)
+    pisharp = sc.protocol.pisharp
+    field = _field_function(sc.game, sc.protocol, grid)
+    out = np.empty(grid.n)
+    high = np.ones(grid.n)  # F = 1 - c, past the last node by more than pisharp
+    assert sc.game.slope * field(high, out) + sc.game.intercept >= grid.nodes[-1] + pisharp
+    assert rate_counts == []
+    for xbar0 in (0.5, 0.3, 0.7):
+        x = sorted_composition(grid, xbar0).values
+        common = sc.game.slope * field(x, out) + sc.game.intercept
+        band = int(np.count_nonzero(np.abs(common - grid.nodes) < pisharp))
+        assert 0 < band < grid.n // 2
+        assert rate_counts.pop() == band and rate_counts == []
+
+
+def floats_around(x, k):
+    """The k floats on either side of x, and x."""
+    below, above = [x], [x]
+    for _ in range(k):
+        below.append(np.nextafter(below[-1], -np.inf))
+        above.append(np.nextafter(above[-1], np.inf))
+    return below[1:] + above
+
+
+def test_band_edges_settle_on_the_float_deficits(rate_counts):
+    # nodes within a few ulps of F -+ pisharp, where the bisection's rounded
+    # edges and the float deficits disagree: the band must hold exactly the
+    # nodes with fl(|F - theta|) < pisharp, on either side of the cut
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        common, pisharp = float(rng.uniform(-0.5, 1.5)), float(rng.uniform(0.001, 0.5))
+        edges = (common - pisharp, common + pisharp, common - np.nextafter(pisharp, 0.0),
+                 common + np.nextafter(pisharp, 0.0))
+        nodes = [common] + [t for edge in edges for t in floats_around(edge, 4)]
+        grid = TypeGrid(nodes=np.sort(np.array(nodes)))
+        game, protocol = affine_game(0.0, common), bounded_power_protocol(2, pisharp)
+        values = rng.uniform(-0.05, 1.05, grid.n)
+        out = np.empty(grid.n)
+        _field_function(game, protocol, grid)(values, out)
+        band = int(np.count_nonzero(np.abs(common - grid.nodes) < pisharp))
+        assert rate_counts == [band]
+        assert same_bits(out, oracle_field(game, protocol, grid, values))
+        rate_counts.clear()
+
+
+def test_standard_rate_is_evaluated_on_tied_nodes_only(rate_counts):
+    grid = TypeGrid(nodes=np.array([0.1, 0.2, 0.2, 0.2, 0.3]))
+    values = np.array([0.5, 0.2, 1.0, 0.0, 0.5])
+    for common, ties in ((0.2, 3), (0.25, 0), (0.1, 1), (-1.0, 0)):
+        out = np.empty(grid.n)
+        _field_function(affine_game(0.0, common), standard_protocol(), grid)(values, out)
+        assert rate_counts == ([ties] if ties else [])
+        rate_counts.clear()
+
+
 def test_module_level_operands_are_read_only():
     # the shared 0-d operands of the hot loop: a write would change every run
     operands = [v for v in vars(dynamics).values() if isinstance(v, np.ndarray) and v.ndim == 0]
