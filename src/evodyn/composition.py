@@ -82,7 +82,8 @@ class BayesianStrategy:
         # negated so that NaN, which fails every comparison, is rejected
         if not (vals.min(initial=0.0) >= -1e-9 and vals.max(initial=0.0) <= 1.0 + 1e-9):
             raise InputError("strategy values must lie in [0, 1]")
-        object.__setattr__(self, "values", _freeze(np.clip(vals, 0.0, 1.0)))
+        # np.clip keeps a zero's sign; + 0.0 stores +0.0, which the integrator needs
+        object.__setattr__(self, "values", _freeze(np.clip(vals, 0.0, 1.0) + 0.0))
 
 
 def aggregate(x: BayesianStrategy) -> float:

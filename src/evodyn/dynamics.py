@@ -30,8 +30,22 @@ exactly 1 (1 * gap is gap bit for bit): the ties at F under the standard
 protocol, where (1 - x) * 0 keeps the sign of 1 - x; every node under power;
 the nodes with fl(|F - theta|) < pisharp under bounded_power, since past them
 fl(d / pisharp) >= 1 and so min((.)^k, 1) = 1.  The band is a slice around
-the cut, bisected on the node list and settled on the float deficits, so the
-field's cost scales with it, not with the grid.
+the cut, bisected on the node list and settled on the float deficits.
+
+Only the nodes that can move are integrated.  A best-responding type keeps
+its bits through every RK4 stage while F stays on its side: below the cut
+x = 1, +0 * rate = +0 and 1 + h * +0 = 1; above it x = +0, -(+0) * rate = -0
+and +0 + h * -0 = +0.  ``integrate`` starts a node window [a, b) between the
+composition's leading run of 1s and its trailing run of zeros (stored as
++0), and each field evaluation widens it to contain its cut.  The field and
+the step touch the window's nodes only; the aggregate stays one dot product
+over all n nodes.  Outside the window the stage keeps x's bits and the
+velocity sums stay zero (the full step's -0 above the cut never reaches x:
++0 + -0 = +0), so a window that grows within a step picks up the full
+step's values and every bit is the same.  A frozen node's rate is not
+evaluated, so an overflowing d^k no longer meets its zero gap (0 * inf).  A
+reversed composition's frozen nodes lie between the cut and its threshold,
+inside the window.
 
 Integration is classical fixed-step RK4; the tempered field is continuous in
 the state and the grid, not the step size, governs accuracy at the
@@ -42,13 +56,14 @@ textbook formula, so they give its bits.  At the grid sizes run here
 numpy calls, not by arithmetic: 13 ufunc calls and two reductions in the
 step, plus per field evaluation a dot product and 2 ufunc calls for the gap,
 and on a nonempty band 5 more (cubic), 6 (bounded_power with k = 2) or 4
-(standard, at a tie).  So a step makes 27 calls with every band empty and
-47 under the cubic rate.  The field and the step therefore bind the ufuncs
-to locals and pass ``out`` positionally, which skips the keyword parsing of
-each call.  ``np.minimum`` and ``np.maximum`` keep ``out=``: a positional
-output is deprecated for them as of numpy 2.4.  A state that leaves [0, 1]
-is clamped back after the step and the total clamped magnitude is kept as a
-diagnostic (the continuous field points inward, so it stays negligible).
+(standard, at a tie), each on the window.  So a step makes 27 calls with
+every band empty and 47 under the cubic rate.  The field and the step
+therefore bind the ufuncs to locals and pass ``out`` positionally, which
+skips the keyword parsing of each call.  ``np.minimum`` and ``np.maximum``
+keep ``out=``: a positional output is deprecated for them as of numpy 2.4.
+A state that leaves [0, 1] is clamped back after the step, on all n nodes,
+and the total clamped magnitude is kept as a diagnostic (the continuous
+field points inward, so it stays negligible).
 The recorded aggregates are the field's own ``composition.aggregate`` values
 (from each step's first stage, and one more evaluation for the final state).
 
@@ -180,9 +195,10 @@ def _field_function(
     game: AggregateGame,
     protocol: RevisionProtocol,
     grid: TypeGrid,
+    window: list[int] | None = None,
 ) -> _Field:
     """In-place per-node field: ``field(values, out)`` writes the velocities
-    and returns the aggregate it evaluated them at.
+    on the node window and returns the aggregate it evaluated them at.
 
     The nodes are nondecreasing, so the types with a nonnegative gap
     F - theta form the prefix ``theta[:m]``, and those whose rate is not 1 a
@@ -190,6 +206,9 @@ def _field_function(
     theta - F after it (float negation is exact, so both equal |gap|, and
     both are nonnegative as the rate routine requires).  Each field owns the
     0-d buffer that carries F into the two subtractions.
+
+    ``window`` is the list ``[a, b]`` of the module docstring (default the
+    whole grid), which the field widens in place to contain each cut.
     """
     theta = grid.nodes
     cuts = theta.tolist()
@@ -204,27 +223,36 @@ def _field_function(
     width = math.nextafter(protocol.pisharp, 0.0) if protocol.kind == KIND_BOUNDED_POWER else 0.0
     scratch, c0 = np.empty(n), np.empty(())
     rate_into = protocol._rate_into
+    if window is None:
+        window = [0, n]
+    a, b = window
 
     def field(values: np.ndarray, out: np.ndarray) -> float:
+        nonlocal a, b
         xbar = float(dot(values))
         if not dom_lo <= xbar <= dom_hi:
             raise InputError(f"aggregate {xbar!r} left the payoff evaluation domain")
         common = slope * xbar + intercept
         m = bisect_right(cuts, common)
+        if m < a:
+            a = window[0] = m
+        elif b < m:
+            b = window[1] = m
         if whole:
-            lo, hi = 0, n
+            lo, hi = a, b
         else:
             # bisect on the rounded band edges, then settle each end on the
-            # float deficits, which are monotone on either side of the cut
-            lo = bisect_left(cuts, common - width, 0, m)
-            while lo and common - cuts[lo - 1] <= width:
+            # float deficits, which are monotone on either side of the cut;
+            # all within the window
+            lo = bisect_left(cuts, common - width, a, m)
+            while lo > a and common - cuts[lo - 1] <= width:
                 lo -= 1
             while lo < m and common - cuts[lo] > width:
                 lo += 1
-            hi = bisect_right(cuts, common + width, m)
+            hi = bisect_right(cuts, common + width, m, b)
             while hi > m and cuts[hi - 1] - common > width:
                 hi -= 1
-            while hi < n and cuts[hi] - common <= width:
+            while hi < b and cuts[hi] - common <= width:
                 hi += 1
         if lo < hi:
             c0[()] = common
@@ -232,8 +260,8 @@ def _field_function(
             subtract(theta[m:hi], c0, out[m:hi])
             band, rate = out[lo:hi], scratch[lo:hi]
             rate_into(band, rate)
-        subtract(one, values[:m], out[:m])
-        negative(values[m:], out[m:])
+        subtract(one, values[a:m], out[a:m])
+        negative(values[m:b], out[m:b])
         if lo < hi:
             multiply(band, rate, band)
         return xbar
@@ -275,6 +303,7 @@ class Trajectory:
 
 def _rk4(
     field: _Field,
+    window: list[int],
     x0: np.ndarray,
     t_end: float,
     dt: float,
@@ -299,8 +328,9 @@ def _rk4(
     snaps: list[tuple[float, np.ndarray]] = []
     clamp_total = 0.0
 
+    # outside the window (module docstring) stage is x and acc, k stay zero
     x = np.array(x0, dtype=float)
-    k, acc, stage = np.empty_like(x), np.empty_like(x), np.empty_like(x)
+    stage, acc, k = x.copy(), np.zeros_like(x), np.zeros_like(x)
     half, sixth, step_dt, two = _constant(0.5 * dt), _constant(dt / 6.0), _constant(dt), _TWO
     t = 0.0
     si = 0
@@ -308,37 +338,51 @@ def _rk4(
         snaps.append((t, x.copy()))
         si += 1
 
+    def views():
+        a, b = window
+        return window.copy(), x[a:b], stage[a:b], acc[a:b], k[a:b]
+
     add, multiply = np.add, np.multiply
     state_min, state_max = np.minimum.reduce, np.maximum.reduce
+    seen = None
     for step in range(1, steps + 1):
         # x + (dt/6) (((k1 + 2 k2) + 2 k3) + k4), accumulated stage by stage
-        # (doubling is exact, so 2 k is k * 2 in place)
+        # (doubling is exact, so 2 k is k * 2 in place) on the window's views,
+        # rebuilt when a field call widened the window or the clamp rebound x
         xbars[step - 1] = field(x, acc)
-        multiply(acc, half, stage)
-        add(x, stage, stage)
+        if window != seen:
+            seen, xw, sw, aw, kw = views()
+        multiply(aw, half, sw)
+        add(xw, sw, sw)
         field(stage, k)
-        multiply(k, half, stage)
-        add(x, stage, stage)
-        multiply(k, two, k)
-        add(acc, k, acc)
+        if window != seen:
+            seen, xw, sw, aw, kw = views()
+        multiply(kw, half, sw)
+        add(xw, sw, sw)
+        multiply(kw, two, kw)
+        add(aw, kw, aw)
         field(stage, k)
-        multiply(k, step_dt, stage)
-        add(x, stage, stage)
-        multiply(k, two, k)
-        add(acc, k, acc)
+        if window != seen:
+            seen, xw, sw, aw, kw = views()
+        multiply(kw, step_dt, sw)
+        add(xw, sw, sw)
+        multiply(kw, two, kw)
+        add(aw, kw, aw)
         field(stage, k)
-        add(acc, k, acc)
-        multiply(acc, sixth, acc)
-        add(x, acc, x)
+        if window != seen:
+            seen, xw, sw, aw, kw = views()
+        add(aw, kw, aw)
+        multiply(aw, sixth, aw)
+        add(xw, aw, xw)
         t = step * dt
-        lo, hi = state_min(x), state_max(x)
+        lo, hi = state_min(xw), state_max(xw)
         if not (lo >= 0.0 and hi <= 1.0):
             # NaN fails both comparisons; +-inf shows in the min or the max
             if not (np.isfinite(lo) and np.isfinite(hi)):
                 raise IntegrationError("state became non-finite", time=t)
             clipped = np.clip(x, 0.0, 1.0)
             clamp_total += float(np.abs(x - clipped).sum())
-            x = clipped
+            x, seen = clipped, None
         while si < len(wanted) and wanted[si] <= t + 1e-12:
             snaps.append((t, x.copy()))
             si += 1
@@ -368,8 +412,14 @@ def integrate(
     snapshot times (snapped to the next step boundary; a negative time to
     t = 0).  A non-finite time, or one after the last step, raises InputError.
     """
-    field = _field_function(game, protocol, x0.grid)
-    return _rk4(field, x0.values, t_end, dt, snapshot_times)
+    # the frozen runs' window (module docstring), two nodes at least: numpy's
+    # in-place ufuncs take a slow path on one-element operands (0.8 us, not 0.3)
+    x, n = x0.values, x0.grid.n
+    a = int((x == 1.0).cumprod().sum())
+    b = max(n - int((x[::-1] == 0.0).cumprod().sum()), min(a + 2, n))
+    window = [max(min(a, b - 2), 0), b]
+    field = _field_function(game, protocol, x0.grid, window)
+    return _rk4(field, window, x, t_end, dt, snapshot_times)
 
 
 def homogenized_field(
@@ -397,4 +447,4 @@ def integrate_homogenized(
         out[0] = _homogenized_velocity(game, dist, x)
         return float(state[0])
 
-    return _rk4(field, np.array([xbar0]), t_end, dt, snapshot_times=())
+    return _rk4(field, [0, 1], np.array([xbar0]), t_end, dt, snapshot_times=())

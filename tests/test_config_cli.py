@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import warnings
@@ -504,17 +505,25 @@ def test_cli_reports_match_golden_files(tmp_path, subcommand, filename):
 
 # SHA-256 of simulate's trajectory.csv on each bundled config, taken before the
 # RK4 step's per-call overhead was trimmed: every recorded aggregate of the run
-# must keep its bits, not only the first and last ones in summary.json
+# must keep its bits, not only the first and last ones in summary.json.  The
+# balanced start (the one CI smoke-runs, mostly runs of exact 1s and 0s) was
+# pinned before the integrator skipped a composition's frozen runs.
 TRAJECTORY_SHA256 = {
     "entry_sqrt": "07e94f147982e2dc71d0d8c8c7bfca9fbed4f078596699d0d85e1894641cb2c4",
     "coordination_logistic": "8eb9b8e74974777c4c3704bf41a801716cf7936c2fab3819abd923ef5ef998c7",
+    "entry_sqrt+balanced": "7637c30330eafe43e4ebe9c1cd1efd334a434ffb42232dc0614ca03532a72932",
 }
+BALANCED_START = ["--override", "initial.composition=balanced",
+                  "--override", "initial.kappa=0.2", "--override", "initial.pimax=0.3"]
 
 
 @pytest.mark.parametrize("name", sorted(TRAJECTORY_SHA256))
 def test_simulated_path_matches_pinned_hash(tmp_path, name):
+    stem, _, start = name.partition("+")
+    overrides = BALANCED_START if start else []
     out = tmp_path / "out"
-    assert main(["simulate", "--config", str(CONFIGS / f"{name}.ini"), "--out", str(out)]) == 0
+    assert main(["simulate", "--config", str(CONFIGS / f"{stem}.ini"), "--out", str(out),
+                 *overrides]) == 0
     digest = hashlib.sha256((out / "trajectory.csv").read_bytes()).hexdigest()
     assert digest == TRAJECTORY_SHA256[name]
 
@@ -658,6 +667,21 @@ def test_custom_csv_repeated_theta_takes_the_last_row(tmp_path):
     values = _load_custom_csv(comp, grid).values
     assert np.all(values[grid.nodes >= 0.5] == 0.9)
     assert np.all(values[grid.nodes < 0.5] == 0.3)
+
+
+def test_negative_zero_is_stored_as_positive_zero(tmp_path):
+    # np.clip keeps the sign of a zero, so a "-0" row once reached the
+    # t = 0 snapshot as 1,551 cells "-0" on the 2000-node entry grid
+    comp = tmp_path / "comp.csv"
+    comp.write_text("theta,x\n0.0,1.0\n0.5,-0\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(ENTRY_CONFIG), "--out", str(out),
+                 "--override", "initial.composition=custom-csv",
+                 "--override", f"initial.path={comp}", "--override", "sim.t_end=0.01",
+                 "--override", "sim.snapshot_times=0"]) == 0
+    rows = list(csv.reader((out / "snapshots.csv").open()))[1:]
+    assert len(rows) == 2000 and sum(x == "0" for _, _, x in rows) == 1551
+    assert not any(x.startswith("-") for _, _, x in rows)
 
 
 def test_balanced_start_simulates(config_path, tmp_path):

@@ -34,7 +34,13 @@ from evodyn import (
     standard_protocol,
     vector_field,
 )
-from evodyn.composition import BayesianStrategy, TypeGrid
+from evodyn.cli import build_initial
+from evodyn.composition import (
+    BayesianStrategy,
+    TypeGrid,
+    balanced_composition,
+    destabilizing_perturbation,
+)
 from evodyn.config import parse_config
 from evodyn.games import DEFAULT_DOMAIN
 from evodyn import dynamics
@@ -531,6 +537,18 @@ def test_rate_is_evaluated_on_the_band_only(rate_counts):
         assert rate_counts.pop() == band and rate_counts == []
 
 
+def test_rate_is_priced_on_the_window_only(rate_counts, window_log):
+    # the balanced start that CI smoke-runs is mostly runs of exact 1s and
+    # 0s; the cubic rate is priced on the window only, not on all 2000 nodes
+    sc = parse_config(Path(__file__).parents[1] / "configs" / "entry_sqrt.ini",
+                      ("initial.composition=balanced", "initial.kappa=0.2", "initial.pimax=0.3"))
+    x0 = build_initial(sc, make_grid(sc.dist, sc.n))
+    integrate(sc.game, sc.dist, sc.protocol, x0, t_end=100 * sc.dt, dt=sc.dt)
+    assert sc.n == 2000 and len(rate_counts) == 401
+    assert rate_counts == [b - a for a, b in window_log]
+    assert window_log[-1] == (247, 729)
+
+
 def floats_around(x, k):
     """The k floats on either side of x, and x."""
     below, above = [x], [x]
@@ -603,6 +621,44 @@ def assert_same_run(game, dist, protocol, x0, t_end, dt, snapshot_times=()):
     return traj
 
 
+@pytest.fixture
+def window_log(monkeypatch):
+    """The node window ``(a, b)`` after each field call of ``integrate``."""
+    log = []
+    make = dynamics._field_function
+
+    def recording(game, protocol, grid, window=None):
+        field = make(game, protocol, grid, window)
+
+        def traced(values, out):
+            xbar = field(values, out)
+            log.append(tuple(window))
+            return xbar
+
+        return traced
+
+    monkeypatch.setattr(dynamics, "_field_function", recording)
+    return log
+
+
+def frozen_runs(grid, a, b, rng):
+    """1 on the first a nodes and 0 from b on, random values between them
+    with some exact 0s and 1s."""
+    values = np.zeros(grid.n)
+    values[:a] = 1.0
+    middle = rng.random(b - a)
+    middle[rng.random(b - a) < 0.2] = 0.0
+    middle[rng.random(b - a) < 0.2] = 1.0
+    values[a:b] = middle
+    return BayesianStrategy(grid=grid, values=values)
+
+
+EVERY_KIND = [standard_protocol(), power_protocol(3), power_protocol(0.5),
+              power_protocol(2.5), bounded_power_protocol(2, 0.3),
+              bounded_power_protocol(1.5, 0.05)]
+KIND_IDS = ["standard", "cubic", "power0.5", "power2.5", "bounded2", "bounded1.5"]
+
+
 class TestIntegratorOracle:
     def test_canonical_escape(self, canon_game, canon_dist, cubic, grid2000):
         rev = reversed_composition(grid2000, canon_dist, 0.25)
@@ -619,12 +675,73 @@ class TestIntegratorOracle:
         x0 = random_composition(make_grid(dist, 300), float(rng.uniform(0.1, 0.9)), rng)
         assert_same_run(game, dist, protocol, x0, 1.0, 0.02, (0.25,))
 
-    def test_large_step_that_clamps(self):
+    def test_large_step_that_clamps(self, window_log):
         dist = UniformTypes(0.0, 1.0)
         game = affine_game(3.0, 0.0)
         x0 = random_composition(make_grid(dist, 200), 0.5, np.random.default_rng(2))
         traj = assert_same_run(game, dist, power_protocol(1), x0, 6.0, 1.0)
         assert traj.clamp_total > 0.0
+        # frozen runs around a narrow middle: the clamp rebinds the state
+        # while the window grows
+        grid = make_grid(dist, 200)
+        x0 = frozen_runs(grid, 90, 110, np.random.default_rng(0))
+        game = affine_game(3.0, float(grid.nodes[100]) - 3.0 * aggregate(x0))
+        for protocol in (standard_protocol(), bounded_power_protocol(1.5, 0.05)):
+            window_log.clear()
+            traj = assert_same_run(game, dist, protocol, x0, 12.0, 3.0, (3.0,))
+            assert traj.clamp_total > 0.0 and window_log[-1] != (90, 110)
+
+    @pytest.mark.parametrize("protocol", EVERY_KIND, ids=KIND_IDS)
+    def test_cutoff_and_balanced_starts(self, canon_game, canon_dist, protocol, window_log):
+        # mostly frozen runs of 1s and 0s; sorted at 0.2 = 100/500 is an
+        # equilibrium made of the two runs alone, so its window never grows
+        grid = make_grid(canon_dist, 500)
+        balanced = balanced_composition(grid, canon_dist, canon_game, 0.25, 0.2, 0.3)
+        starts = [
+            sorted_composition(grid, 0.25), sorted_composition(grid, 0.1), balanced,
+            destabilizing_perturbation(balanced, canon_game, canon_dist, e=0.0, w=0.0,
+                                       eps=0.05, variant="uniform"),
+            sorted_composition(grid, 0.2),
+        ]
+        for x0 in starts:
+            window_log.clear()
+            assert_same_run(canon_game, canon_dist, protocol, x0, 2.0, 0.02, (0.0, 1.0))
+        assert window_log[0] == window_log[-1] == (100, 102)
+
+    @pytest.mark.parametrize("protocol", EVERY_KIND, ids=KIND_IDS)
+    def test_cut_moving_into_the_frozen_runs(self, protocol, window_log):
+        # a steep game moves the cut from the middle into the run of 1s or of
+        # 0s, within a step too; the window must have grown there by then
+        rng = np.random.default_rng(int(protocol.k * 10) + len(protocol.kind))
+        dist = UniformTypes(0.0, 1.0)
+        grown = set()
+        for _ in range(20):
+            n = int(rng.choice([7, 40, 300, 2000]))
+            grid = make_grid(dist, n)
+            a = int(rng.integers(0, n))
+            b = int(rng.integers(a + 1, n + 1))
+            x0 = frozen_runs(grid, a, b, rng)
+            # the cut starts at either end of the middle
+            cut = float(grid.nodes[a if rng.random() < 0.5 else b - 1])
+            slope = float(rng.choice([-1.0, 1.0, 1.0]) * rng.uniform(0.5, 2.0))
+            game = affine_game(slope, cut - slope * aggregate(x0))
+            dt = float(rng.choice([0.05, 0.2, 0.5]))
+            window_log.clear()
+            try:
+                integrate(game, dist, protocol, x0, t_end=8 * dt, dt=dt,
+                          snapshot_times=(0.0, 4 * dt))
+            except InputError:  # a stage aggregate left the payoff domain
+                with pytest.raises(InputError, match="left the payoff evaluation domain"):
+                    oracle_rk4(game, protocol, x0, 8 * dt, dt)
+                continue
+            assert_same_run(game, dist, protocol, x0, 8 * dt, dt, (0.0, 4 * dt))
+            calls = window_log[: len(window_log) // 2]
+            for call in range(1, len(calls)):
+                (a0, b0), (a1, b1) = calls[call - 1], calls[call]
+                if call % 4:  # a later stage of the same step
+                    grown |= {"ones"} if a1 < a0 else set()
+                    grown |= {"zeros"} if b1 > b0 else set()
+        assert grown == {"ones", "zeros"}
 
     def test_stage_leaving_the_domain_is_refused(self):
         dist = UniformTypes(0.0, 50.0)
