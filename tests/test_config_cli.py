@@ -507,23 +507,29 @@ def test_cli_reports_match_golden_files(tmp_path, subcommand, filename):
 # RK4 step's per-call overhead was trimmed: every recorded aggregate of the run
 # must keep its bits, not only the first and last ones in summary.json.  The
 # balanced start (the one CI smoke-runs, mostly runs of exact 1s and 0s) was
-# pinned before the integrator skipped a composition's frozen runs.
+# pinned before the integrator skipped a composition's frozen runs, and the
+# reversed start at n = 8000 (whose frozen middle the integrator skips as a
+# hole in its window) before it skipped that middle.
 TRAJECTORY_SHA256 = {
     "entry_sqrt": "07e94f147982e2dc71d0d8c8c7bfca9fbed4f078596699d0d85e1894641cb2c4",
     "coordination_logistic": "8eb9b8e74974777c4c3704bf41a801716cf7936c2fab3819abd923ef5ef998c7",
     "entry_sqrt+balanced": "7637c30330eafe43e4ebe9c1cd1efd334a434ffb42232dc0614ca03532a72932",
+    "entry_sqrt+n8000": "1b6cce2e60b921f1810115008ede1d2252c9349ea4340bc96c9306cf2fab9ba0",
 }
-BALANCED_START = ["--override", "initial.composition=balanced",
-                  "--override", "initial.kappa=0.2", "--override", "initial.pimax=0.3"]
+VARIANTS = {
+    "": [],
+    "balanced": ["--override", "initial.composition=balanced",
+                 "--override", "initial.kappa=0.2", "--override", "initial.pimax=0.3"],
+    "n8000": ["--override", "grid.n=8000"],
+}
 
 
 @pytest.mark.parametrize("name", sorted(TRAJECTORY_SHA256))
 def test_simulated_path_matches_pinned_hash(tmp_path, name):
-    stem, _, start = name.partition("+")
-    overrides = BALANCED_START if start else []
+    stem, _, variant = name.partition("+")
     out = tmp_path / "out"
     assert main(["simulate", "--config", str(CONFIGS / f"{stem}.ini"), "--out", str(out),
-                 *overrides]) == 0
+                 *VARIANTS[variant]]) == 0
     digest = hashlib.sha256((out / "trajectory.csv").read_bytes()).hexdigest()
     assert digest == TRAJECTORY_SHA256[name]
 

@@ -534,10 +534,11 @@ def test_rate_is_evaluated_on_the_band_only(rate_counts):
         common = sc.game.slope * field(x, out) + sc.game.intercept
         band = int(np.count_nonzero(np.abs(common - grid.nodes) < pisharp))
         assert 0 < band < grid.n // 2
-        assert rate_counts.pop() == band and rate_counts == []
+        # a one-node band is priced with a neighbour whose rate is 1
+        assert rate_counts.pop() == max(band, 2) and rate_counts == []
 
 
-def test_rate_is_priced_on_the_window_only(rate_counts, window_log):
+def test_rate_is_priced_on_the_window_only(rate_counts, window_log, hole_log):
     # the balanced start that CI smoke-runs is mostly runs of exact 1s and
     # 0s; the cubic rate is priced on the window only, not on all 2000 nodes
     sc = parse_config(Path(__file__).parents[1] / "configs" / "entry_sqrt.ini",
@@ -547,6 +548,17 @@ def test_rate_is_priced_on_the_window_only(rate_counts, window_log):
     assert sc.n == 2000 and len(rate_counts) == 401
     assert rate_counts == [b - a for a, b in window_log]
     assert window_log[-1] == (247, 729)
+    # the reversed start at n = 8000 opens a hole: the rate is priced on
+    # either side of it, once per span, and never on its 4000 frozen nodes
+    sc = parse_config(Path(__file__).parents[1] / "configs" / "entry_sqrt.ini", ("grid.n=8000",))
+    x0 = build_initial(sc, make_grid(sc.dist, sc.n))
+    for log in (rate_counts, window_log, hole_log):
+        log.clear()
+    integrate(sc.game, sc.dist, sc.protocol, x0, t_end=100 * sc.dt, dt=sc.dt)
+    assert len(rate_counts) == 2 * 401
+    assert rate_counts == [count for (a, b), (h0, h1) in zip(window_log, hole_log)
+                           for count in (h0 - a, b - h1)]
+    assert window_log[-1] == (0, 8000) and hole_log[-1] == (2000, 6000)
 
 
 def floats_around(x, k):
@@ -585,8 +597,40 @@ def test_standard_rate_is_evaluated_on_tied_nodes_only(rate_counts):
     for common, ties in ((0.2, 3), (0.25, 0), (0.1, 1), (-1.0, 0)):
         out = np.empty(grid.n)
         _field_function(affine_game(0.0, common), standard_protocol(), grid)(values, out)
-        assert rate_counts == ([ties] if ties else [])
+        # a single tie is priced with a neighbour whose rate is 1
+        assert rate_counts == ([max(ties, 2)] if ties else [])
         rate_counts.clear()
+
+
+ONE_NODE_VALUES = np.array([0.5, 0.2, 0.9, 0.0, 0.0, 0.0, 0.7, 1.0])
+
+
+@pytest.mark.parametrize("protocol,common,window,counts", [
+    (standard_protocol(), 0.1, None, [2]),
+    (standard_protocol(), 0.5, None, [2]),
+    (bounded_power_protocol(2, 0.05), 0.52, None, [2]),
+    (bounded_power_protocol(2, 0.05), 0.78, None, [2]),
+    (bounded_power_protocol(2, 0.03), 0.31, [0, 3, 6, 8], [2]),
+    (bounded_power_protocol(2, 0.5), 0.25, [0, 3, 6, 8], [3, 2]),
+], ids=["tie-on-the-first-node", "tie-inside", "below-the-cut", "above-the-cut",
+        "before-the-hole", "past-the-hole"])
+def test_one_node_band_takes_in_a_neighbour(rate_counts, protocol, common, window, counts):
+    # numpy's in-place ufuncs are slow on one element, so a band of one node
+    # is priced with a neighbour in the same span, whose rate is exactly 1:
+    # the node after it on the window's first node and past the hole [3, 6),
+    # the node before it elsewhere; the velocities keep their bits, and the
+    # field writes nothing in the hole
+    grid = TypeGrid(nodes=np.arange(1, 9) / 10)
+    game = affine_game(0.0, common)
+    out = np.full(grid.n, np.nan)
+    _field_function(game, protocol, grid, window)(ONE_NODE_VALUES, out)
+    assert rate_counts == counts
+    oracle = oracle_field(game, protocol, grid, ONE_NODE_VALUES)
+    live = np.ones(grid.n, dtype=bool)
+    if window:
+        live[window[1]:window[2]] = False
+    assert same_bits(out[live], oracle[live])
+    assert np.isnan(out[~live]).all()
 
 
 def test_module_level_operands_are_read_only():
@@ -621,9 +665,8 @@ def assert_same_run(game, dist, protocol, x0, t_end, dt, snapshot_times=()):
     return traj
 
 
-@pytest.fixture
-def window_log(monkeypatch):
-    """The node window ``(a, b)`` after each field call of ``integrate``."""
+def log_windows(monkeypatch, entry):
+    """Wrap ``integrate``'s fields to log ``entry(window)`` after each call."""
     log = []
     make = dynamics._field_function
 
@@ -632,13 +675,26 @@ def window_log(monkeypatch):
 
         def traced(values, out):
             xbar = field(values, out)
-            log.append(tuple(window))
+            log.append(entry(window))
             return xbar
 
         return traced
 
     monkeypatch.setattr(dynamics, "_field_function", recording)
     return log
+
+
+@pytest.fixture
+def window_log(monkeypatch):
+    """The node window ``(a, b)`` after each field call of ``integrate``."""
+    return log_windows(monkeypatch, lambda window: (window[0], window[3]))
+
+
+@pytest.fixture
+def hole_log(monkeypatch):
+    """The window's hole ``(h0, h1)`` after each field call of ``integrate``;
+    a closed hole is empty, ``h0 == h1``."""
+    return log_windows(monkeypatch, lambda window: (window[1], window[2]))
 
 
 def frozen_runs(grid, a, b, rng):
@@ -742,6 +798,94 @@ class TestIntegratorOracle:
                     grown |= {"ones"} if a1 < a0 else set()
                     grown |= {"zeros"} if b1 > b0 else set()
         assert grown == {"ones", "zeros"}
+
+    @pytest.mark.parametrize("protocol", EVERY_KIND, ids=KIND_IDS)
+    def test_reversed_and_mixture_starts_open_the_hole(self, canon_game, canon_dist, protocol,
+                                                        hole_log):
+        # at n = 8000 both starts are 0 from the cut (node 2000) to the
+        # reversed threshold (node 6000): the hole skips those 4000 nodes
+        grid = make_grid(canon_dist, 8000)
+        rev = reversed_composition(grid, canon_dist, 0.25)
+        mixture = BayesianStrategy(
+            grid=grid, values=0.3 * sorted_composition(grid, 0.25).values + 0.7 * rev.values)
+        for x0 in (rev, mixture):
+            hole_log.clear()
+            assert_same_run(canon_game, canon_dist, protocol, x0, 1.0, 0.05, (0.0, 0.5))
+            assert hole_log[0] == (2000, 6000)
+            assert all(h0 < h1 for h0, h1 in hole_log)
+
+    @pytest.mark.parametrize("protocol", EVERY_KIND, ids=KIND_IDS)
+    def test_cut_moving_into_the_hole(self, protocol, hole_log):
+        # the aggregate falls, which raises the payoff of a decreasing game,
+        # so the cut moves up into the hole [1000, 6000), within a step too:
+        # the hole shrinks to stay above it, and closes in the steeper game
+        # once it would skip fewer than _HOLE_MIN nodes
+        dist = UniformTypes(0.0, 1.0)
+        grid = make_grid(dist, 8000)
+        values = np.zeros(grid.n)
+        values[:1000] = np.random.default_rng(0).random(1000)
+        values[6000:] = 1.0
+        x0 = BayesianStrategy(grid=grid, values=values)
+        for slope, dt, closes in ((-2.0, 0.5, False), (-4.0, 1.0, True)):
+            game = affine_game(slope, float(grid.nodes[999]) - slope * aggregate(x0))
+            hole_log.clear()
+            assert_same_run(game, dist, protocol, x0, 4 * dt, dt)
+            assert hole_log[0] == (1000, 6000)
+            assert any(hole_log[call][0] > hole_log[call - 1][0]
+                       for call in range(1, len(hole_log)) if call % 4)
+            h0, h1 = hole_log[-1]
+            assert (h0 == h1) if closes else (1000 < h0 < h1 == 6000)
+
+    def test_hole_below_the_gate_stays_closed(self, canon_game, canon_dist, cubic, hole_log):
+        # the reversed starts' frozen middles at n = 2000 and 4000 hold 1000
+        # and 2000 nodes: too few to pay for a second span.  At n = 4000 the
+        # run of zeros (2998 nodes) opens the hole, and the first cut trims it
+        # to 2000 nodes and so closes it
+        for n in (2000, 4000):
+            x0 = reversed_composition(make_grid(canon_dist, n), canon_dist, 0.25)
+            hole_log.clear()
+            assert_same_run(canon_game, canon_dist, cubic, x0, 0.5, 0.05)
+            assert all(h0 == h1 == n for h0, h1 in hole_log)
+
+    def test_hole_keeps_two_nodes_on_either_side(self, cubic, hole_log):
+        # every node is above the cut and all but the last are 0: the hole
+        # leaves two nodes of the window on either side of it, so neither
+        # span ever has one element (numpy's slow path)
+        dist = UniformTypes(0.0, 1.0)
+        values = np.zeros(8000)
+        values[-1] = 0.5
+        x0 = BayesianStrategy(grid=make_grid(dist, 8000), values=values)
+        assert_same_run(affine_game(0.0, -1.0), dist, cubic, x0, 0.5, 0.05)
+        assert hole_log[0] == hole_log[-1] == (2, 7998)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_state_with_an_open_hole_raises(self, canon_game, canon_dist, cubic,
+                                                       monkeypatch, bad):
+        # a non-finite velocity at the last stage of the third step, on a node
+        # before the hole [2000, 6000) or on one past it: the step's [0, 1]
+        # check on both spans must see the state it leaves
+        x0 = reversed_composition(make_grid(canon_dist, 8000), canon_dist, 0.25)
+        make = dynamics._field_function
+        for node in (1000, 7000):
+            holes = []
+
+            def poisoned(game, protocol, grid, window=None):
+                field = make(game, protocol, grid, window)
+
+                def traced(values, out):
+                    xbar = field(values, out)
+                    holes.append((window[1], window[2]))
+                    if len(holes) == 12:
+                        out[node] = bad
+                    return xbar
+
+                return traced
+
+            monkeypatch.setattr(dynamics, "_field_function", poisoned)
+            with pytest.raises(IntegrationError, match="non-finite") as raised:
+                integrate(canon_game, canon_dist, cubic, x0, t_end=1.0, dt=0.01)
+            assert raised.value.time == 3 * 0.01
+            assert holes == [(2000, 6000)] * 12
 
     def test_stage_leaving_the_domain_is_refused(self):
         dist = UniformTypes(0.0, 50.0)
