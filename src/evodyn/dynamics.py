@@ -30,10 +30,7 @@ exactly 1 (1 * gap is gap bit for bit): the ties at F under the standard
 protocol, where (1 - x) * 0 keeps the sign of 1 - x; every node under power;
 the nodes with fl(|F - theta|) < pisharp under bounded_power, since past them
 fl(d / pisharp) >= 1 and so min((.)^k, 1) = 1.  The band is a slice around
-the cut, bisected on the node list and settled on the float deficits.  A
-band of one node takes in a neighbour whose rate is exactly 1: numpy 2.4
-runs an in-place ufunc on one-element operands through a slow path (0.8 to
-1 us a call, against 0.3 to 0.5 us on two elements).
+the cut, bisected on the node list and settled on the float deficits.
 
 Only the nodes that can move are integrated.  A best-responding type keeps
 its bits through every RK4 stage while F stays on its side: below the cut
@@ -56,10 +53,12 @@ so it only shrinks as the window only grows.  Outside the hole nothing
 changes; inside it the field writes nothing and the step runs on the two
 spans [a, h0) and [h1, b), by the same fixed-point argument.  The second
 span costs the step 13 ufunc calls and two reductions and the field 1 to 6
-calls per evaluation, which a hole pays for once it skips about 2,400 nodes
-(measured on reversed starts under every protocol kind, n = 2000 to 8000);
-so it opens, and stays open, only while it holds ``_HOLE_MIN`` nodes.  A
-closed hole is h0 = h1 = b: one window [a, b).
+calls per evaluation.  Timed on reversed starts under every protocol kind
+(n = 2000 to 12000), every hole of 2,000 nodes or fewer lost and every hole
+of 3,200 or more won or tied; in between, the sign turned with the start and
+the protocol.  So the hole opens, and stays open, only while it holds
+``_HOLE_MIN`` nodes, a value inside that band.  A closed hole is
+h0 = h1 = b: one window [a, b).
 
 Integration is classical fixed-step RK4; the tempered field is continuous in
 the state and the grid, not the step size, governs accuracy at the
@@ -121,8 +120,9 @@ def _constant(value: float) -> np.ndarray:
 
 _ZERO, _ONE, _TWO = _constant(0.0), _constant(1.0), _constant(2.0)
 
-# the fewest nodes a hole in the node window must skip to pay for the second
-# span's calls (module docstring)
+# the fewest nodes a hole in the node window must skip to stay open: the
+# second span's calls pay for themselves somewhere between about 2,000 and
+# 3,200 skipped nodes (module docstring)
 _HOLE_MIN = 2500
 
 
@@ -247,6 +247,16 @@ def _field_function(
         window = [0, n, n, n]
     a, h0, h1, b = window
 
+    def upper_edge(common: float, start: int, end: int) -> int:
+        # the band's end in the nodes [start, end) above the cut: bisect on
+        # the rounded edge, then settle on the float deficits
+        hi = bisect_right(cuts, common + width, start, end)
+        while hi > start and cuts[hi - 1] - common > width:
+            hi -= 1
+        while hi < end and cuts[hi] - common <= width:
+            hi += 1
+        return hi
+
     def field(values: np.ndarray, out: np.ndarray) -> float:
         nonlocal a, h0, h1, b
         xbar = float(dot(values))
@@ -275,17 +285,7 @@ def _field_function(
                 lo -= 1
             while lo < m and common - cuts[lo] > width:
                 lo += 1
-            hi = bisect_right(cuts, common + width, m, h0)
-            while hi > m and cuts[hi - 1] - common > width:
-                hi -= 1
-            while hi < h0 and cuts[hi] - common <= width:
-                hi += 1
-        if hi - lo == 1:
-            # a one-node band takes in a neighbour, whose rate is exactly 1
-            if lo > a:
-                lo -= 1
-            elif hi < h0:
-                hi += 1
+            hi = upper_edge(common, m, h0)
         if lo < hi:
             c0[()] = common
             subtract(c0, theta[lo:m], out[lo:m])
@@ -297,18 +297,9 @@ def _field_function(
         if lo < hi:
             multiply(band, rate, band)
         if h0 < h1:
-            # past the hole every node is above the cut, and the span holds
-            # two nodes at least; the band there starts at h1 if it reaches it
-            if whole:
-                hi = b
-            else:
-                hi = bisect_right(cuts, common + width, h1, b)
-                while hi > h1 and cuts[hi - 1] - common > width:
-                    hi -= 1
-                while hi < b and cuts[hi] - common <= width:
-                    hi += 1
-            if hi - h1 == 1:
-                hi += 1
+            # past the hole every node is above the cut; the band there
+            # starts at h1 if it reaches it
+            hi = b if whole else upper_edge(common, h1, b)
             if h1 < hi:
                 c0[()] = common
                 band, rate = out[h1:hi], scratch[h1:hi]

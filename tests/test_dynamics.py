@@ -534,8 +534,7 @@ def test_rate_is_evaluated_on_the_band_only(rate_counts):
         common = sc.game.slope * field(x, out) + sc.game.intercept
         band = int(np.count_nonzero(np.abs(common - grid.nodes) < pisharp))
         assert 0 < band < grid.n // 2
-        # a one-node band is priced with a neighbour whose rate is 1
-        assert rate_counts.pop() == max(band, 2) and rate_counts == []
+        assert rate_counts.pop() == band and rate_counts == []
 
 
 def test_rate_is_priced_on_the_window_only(rate_counts, window_log, hole_log):
@@ -597,8 +596,7 @@ def test_standard_rate_is_evaluated_on_tied_nodes_only(rate_counts):
     for common, ties in ((0.2, 3), (0.25, 0), (0.1, 1), (-1.0, 0)):
         out = np.empty(grid.n)
         _field_function(affine_game(0.0, common), standard_protocol(), grid)(values, out)
-        # a single tie is priced with a neighbour whose rate is 1
-        assert rate_counts == ([max(ties, 2)] if ties else [])
+        assert rate_counts == ([ties] if ties else [])
         rate_counts.clear()
 
 
@@ -606,20 +604,19 @@ ONE_NODE_VALUES = np.array([0.5, 0.2, 0.9, 0.0, 0.0, 0.0, 0.7, 1.0])
 
 
 @pytest.mark.parametrize("protocol,common,window,counts", [
-    (standard_protocol(), 0.1, None, [2]),
-    (standard_protocol(), 0.5, None, [2]),
-    (bounded_power_protocol(2, 0.05), 0.52, None, [2]),
-    (bounded_power_protocol(2, 0.05), 0.78, None, [2]),
-    (bounded_power_protocol(2, 0.03), 0.31, [0, 3, 6, 8], [2]),
-    (bounded_power_protocol(2, 0.5), 0.25, [0, 3, 6, 8], [3, 2]),
+    (standard_protocol(), 0.1, None, [1]),
+    (standard_protocol(), 0.5, None, [1]),
+    (bounded_power_protocol(2, 0.05), 0.52, None, [1]),
+    (bounded_power_protocol(2, 0.05), 0.78, None, [1]),
+    (bounded_power_protocol(2, 0.03), 0.31, [0, 3, 6, 8], [1]),
+    (bounded_power_protocol(2, 0.5), 0.25, [0, 3, 6, 8], [3, 1]),
 ], ids=["tie-on-the-first-node", "tie-inside", "below-the-cut", "above-the-cut",
         "before-the-hole", "past-the-hole"])
-def test_one_node_band_takes_in_a_neighbour(rate_counts, protocol, common, window, counts):
-    # numpy's in-place ufuncs are slow on one element, so a band of one node
-    # is priced with a neighbour in the same span, whose rate is exactly 1:
-    # the node after it on the window's first node and past the hole [3, 6),
-    # the node before it elsewhere; the velocities keep their bits, and the
-    # field writes nothing in the hole
+def test_one_node_band_keeps_its_bits(rate_counts, protocol, common, window, counts):
+    # a band of one node, at the window's first node, inside it, on either
+    # side of the cut and on either side of the hole [3, 6), is priced on
+    # that node alone; the velocities keep their bits, and the field writes
+    # nothing in the hole
     grid = TypeGrid(nodes=np.arange(1, 9) / 10)
     game = affine_game(0.0, common)
     out = np.full(grid.n, np.nan)
