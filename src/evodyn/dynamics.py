@@ -35,30 +35,28 @@ the cut, bisected on the node list and settled on the float deficits.
 Only the nodes that can move are integrated.  A best-responding type keeps
 its bits through every RK4 stage while F stays on its side: below the cut
 x = 1, +0 * rate = +0 and 1 + h * +0 = 1; above it x = +0, -(+0) * rate = -0
-and +0 + h * -0 = +0.  ``integrate`` starts a node window [a, b) between the
-composition's leading run of 1s and its trailing run of zeros (stored as
-+0), and each field evaluation widens it to contain its cut.  The field and
-the step touch the window's nodes only; the aggregate stays one dot product
-over all n nodes.  Outside the window the stage keeps x's bits and the
-velocity sums stay zero (the full step's -0 above the cut never reaches x:
-+0 + -0 = +0), so a window that grows within a step picks up the full
-step's values and every bit is the same.  A frozen node's rate is not
-evaluated, so an overflowing d^k no longer meets its zero gap (0 * inf).
+and +0 + h * -0 = +0.  So the field and the step run on a list of live
+spans, which ``integrate`` sets up and each field evaluation updates in the
+shared list [a, h0, h1, b]:
 
-A reversed composition's frozen nodes lie in the middle instead, between the
-cut and its threshold, so the window has a hole [h0, h1): ``integrate``
-opens it on the longest run of zeros inside the window, two nodes from
-either end, and each field evaluation trims it to lie at or above its cut,
-so it only shrinks as the window only grows.  Outside the hole nothing
-changes; inside it the field writes nothing and the step runs on the two
-spans [a, h0) and [h1, b), by the same fixed-point argument.  The second
-span costs the step 13 ufunc calls and two reductions and the field 1 to 6
-calls per evaluation.  Timed on reversed starts under every protocol kind
-(n = 2000 to 12000), every hole of 2,000 nodes or fewer lost and every hole
-of 3,200 or more won or tied; in between, the sign turned with the start and
-the protocol.  So the hole opens, and stays open, only while it holds
-``_HOLE_MIN`` nodes, a value inside that band.  A closed hole is
-h0 = h1 = b: one window [a, b).
+* the node window [a, b) lies between the composition's leading run of 1s
+  and its trailing run of zeros (stored as +0); each field evaluation widens
+  it to contain its cut;
+* the hole [h0, h1) skips a reversed composition's frozen middle, the
+  longest run of zeros inside the window, two nodes from either end; each
+  field evaluation trims it to lie at or above its cut, and closes it once
+  it holds fewer than ``_HOLE_MIN`` nodes, so it only shrinks as the window
+  only grows;
+* the live spans are [a, h0) alone while the hole is closed (h0 = h1 = b),
+  and [a, h0) and [h1, b) while it is open.  The step loops over them; the
+  field computes its band once over [a, b) and cuts it at the hole.
+
+The aggregate stays one dot product over all n nodes.  Off the spans the
+stage keeps x's bits and the velocity sums stay zero (the full step's -0
+above the cut never reaches x: +0 + -0 = +0), so a span that grows within a
+step picks up the full step's values and every bit is the same.  A frozen
+node's rate is not evaluated, so a d^k that would overflow there never meets
+its zero gap (0 * inf) and the node keeps its value.
 
 Integration is classical fixed-step RK4; the tempered field is continuous in
 the state and the grid, not the step size, governs accuracy at the
@@ -66,13 +64,15 @@ tolerances used here.  The field and the step work in place on buffers
 allocated once per run, with the same operations in the same order as the
 textbook formula, so they give its bits.  At the grid sizes run here
 (hundreds to thousands of nodes) a step is bound by the dispatch of its
-numpy calls, not by arithmetic: 13 ufunc calls and two reductions in the
-step, plus per field evaluation a dot product and 2 ufunc calls for the gap,
-and on a nonempty band 5 more (cubic), 6 (bounded_power with k = 2) or 4
-(standard, at a tie), each on the window.  So a step makes 27 calls with
-every band empty and 47 under the cubic rate.  The field and the step
-therefore bind the ufuncs to locals and pass ``out`` positionally, which
-skips the keyword parsing of each call.  ``np.minimum`` and ``np.maximum``
+numpy calls, not by arithmetic.  On one span the step makes 13 ufunc calls
+and two reductions; each field evaluation makes a dot product and 2 ufunc
+calls for the gap, and on a nonempty band 5 more (cubic), 6 (bounded_power
+with k = 2) or 4 (standard, at a tie).  So a step makes 27 calls with every
+band empty and 47 under the cubic rate.  An open hole's second span adds
+the step's 13 ufunc calls and two reductions again, and 1 to 6 calls per
+field evaluation.  The field and the step therefore bind the ufuncs to
+locals and pass ``out`` positionally, which skips the keyword parsing of
+each call.  ``np.minimum`` and ``np.maximum``
 keep ``out=``: a positional output is deprecated for them as of numpy 2.4.
 A state that leaves [0, 1] is clamped back after the step, on all n nodes,
 and the total clamped magnitude is kept as a diagnostic (the continuous
@@ -120,9 +120,11 @@ def _constant(value: float) -> np.ndarray:
 
 _ZERO, _ONE, _TWO = _constant(0.0), _constant(1.0), _constant(2.0)
 
-# the fewest nodes a hole in the node window must skip to stay open: the
-# second span's calls pay for themselves somewhere between about 2,000 and
-# 3,200 skipped nodes (module docstring)
+# the fewest nodes a hole in the node window must skip to open or stay open.
+# Timed on reversed starts under every protocol kind (n = 2000 to 12000),
+# every hole of 2,000 nodes or fewer lost to the closed window and every hole
+# of about 3,200 or more won or tied; in between, the sign turned with the
+# start and the protocol.  The gate is one value inside that band.
 _HOLE_MIN = 2500
 
 
@@ -228,7 +230,9 @@ def _field_function(
     ``window`` is the list ``[a, h0, h1, b]`` of the module docstring: the
     nodes [a, b) less the hole [h0, h1), which is closed when h0 = h1 = b
     (default the whole grid, no hole).  The field widens the window in place
-    to contain each cut and trims the hole to lie at or above it.
+    to contain each cut and trims the hole to lie at or above it.  The band
+    is bisected and settled once over [a, b), then cut at the hole:
+    ``[lo, min(hi, h0))`` before it and ``[h1, hi)`` past it.
     """
     theta = grid.nodes
     cuts = theta.tolist()
@@ -246,16 +250,6 @@ def _field_function(
     if window is None:
         window = [0, n, n, n]
     a, h0, h1, b = window
-
-    def upper_edge(common: float, start: int, end: int) -> int:
-        # the band's end in the nodes [start, end) above the cut: bisect on
-        # the rounded edge, then settle on the float deficits
-        hi = bisect_right(cuts, common + width, start, end)
-        while hi > start and cuts[hi - 1] - common > width:
-            hi -= 1
-        while hi < end and cuts[hi] - common <= width:
-            hi += 1
-        return hi
 
     def field(values: np.ndarray, out: np.ndarray) -> float:
         nonlocal a, h0, h1, b
@@ -275,31 +269,36 @@ def _field_function(
                 h0, h1 = (m, h1) if h1 - m >= _HOLE_MIN else (b, b)
                 window[1:3] = h0, h1
         if whole:
-            lo, hi = a, h0
+            lo, hi = a, b
         else:
             # bisect on the rounded band edges, then settle each end on the
             # float deficits, which are monotone on either side of the cut;
-            # all within the window and before its hole
+            # all within the window
             lo = bisect_left(cuts, common - width, a, m)
             while lo > a and common - cuts[lo - 1] <= width:
                 lo -= 1
             while lo < m and common - cuts[lo] > width:
                 lo += 1
-            hi = upper_edge(common, m, h0)
-        if lo < hi:
+            hi = bisect_right(cuts, common + width, m, b)
+            while hi > m and cuts[hi - 1] - common > width:
+                hi -= 1
+            while hi < b and cuts[hi] - common <= width:
+                hi += 1
+        # the band's part before the hole
+        end = hi if hi < h0 else h0
+        if lo < end:
             c0[()] = common
             subtract(c0, theta[lo:m], out[lo:m])
-            subtract(theta[m:hi], c0, out[m:hi])
-            band, rate = out[lo:hi], scratch[lo:hi]
+            subtract(theta[m:end], c0, out[m:end])
+            band, rate = out[lo:end], scratch[lo:end]
             rate_into(band, rate)
         subtract(one, values[a:m], out[a:m])
         negative(values[m:h0], out[m:h0])
-        if lo < hi:
+        if lo < end:
             multiply(band, rate, band)
         if h0 < h1:
-            # past the hole every node is above the cut; the band there
-            # starts at h1 if it reaches it
-            hi = b if whole else upper_edge(common, h1, b)
+            # past the hole every node is above the cut; the band's part
+            # there is [h1, hi), empty unless the band reaches past the hole
             if h1 < hi:
                 c0[()] = common
                 band, rate = out[h1:hi], scratch[h1:hi]
@@ -340,7 +339,10 @@ class Trajectory:
         return float(self.xbars[-1])
 
     def xbar_at(self, t: float) -> float:
-        """Aggregate at the recorded step time nearest to ``t``."""
+        """Aggregate at the recorded step time nearest to ``t``, which must be
+        finite: argmin over NaN distances would pick the first step."""
+        if not math.isfinite(t):
+            raise InputError(f"time {t!r} must be finite")
         idx = int(np.argmin(np.abs(self.times - t)))
         return float(self.xbars[idx])
 
@@ -383,10 +385,10 @@ def _rk4(
         si += 1
 
     def views():
-        # the window's span [a, h0), and the span [h1, b) past an open hole
+        # the window's live spans: [a, h0), and [h1, b) past an open hole
         a, h0, h1, b = window
-        past = (x[h1:b], stage[h1:b], acc[h1:b], k[h1:b]) if h0 < h1 else None
-        return window.copy(), x[a:h0], stage[a:h0], acc[a:h0], k[a:h0], past
+        spans = ((a, h0), (h1, b)) if h0 < h1 else ((a, h0),)
+        return window.copy(), [(x[i:j], stage[i:j], acc[i:j], k[i:j]) for i, j in spans]
 
     add, multiply = np.add, np.multiply
     state_min, state_max = np.minimum.reduce, np.maximum.reduce
@@ -398,53 +400,29 @@ def _rk4(
         # trimmed its hole, or the clamp rebound x
         xbars[step - 1] = field(x, acc)
         if window != seen:
-            seen, xw, sw, aw, kw, past = views()
-        multiply(aw, half, sw)
-        add(xw, sw, sw)
-        if past:
-            xp, sp, ap, kp = past
-            multiply(ap, half, sp)
-            add(xp, sp, sp)
+            seen, spans = views()
+        for xw, sw, aw, kw in spans:
+            multiply(aw, half, sw)
+            add(xw, sw, sw)
+        for coefficient in (half, step_dt):
+            field(stage, k)
+            if window != seen:
+                seen, spans = views()
+            for xw, sw, aw, kw in spans:
+                multiply(kw, coefficient, sw)
+                add(xw, sw, sw)
+                multiply(kw, two, kw)
+                add(aw, kw, aw)
         field(stage, k)
         if window != seen:
-            seen, xw, sw, aw, kw, past = views()
-        multiply(kw, half, sw)
-        add(xw, sw, sw)
-        multiply(kw, two, kw)
-        add(aw, kw, aw)
-        if past:
-            xp, sp, ap, kp = past
-            multiply(kp, half, sp)
-            add(xp, sp, sp)
-            multiply(kp, two, kp)
-            add(ap, kp, ap)
-        field(stage, k)
-        if window != seen:
-            seen, xw, sw, aw, kw, past = views()
-        multiply(kw, step_dt, sw)
-        add(xw, sw, sw)
-        multiply(kw, two, kw)
-        add(aw, kw, aw)
-        if past:
-            xp, sp, ap, kp = past
-            multiply(kp, step_dt, sp)
-            add(xp, sp, sp)
-            multiply(kp, two, kp)
-            add(ap, kp, ap)
-        field(stage, k)
-        if window != seen:
-            seen, xw, sw, aw, kw, past = views()
-        add(aw, kw, aw)
-        multiply(aw, sixth, aw)
-        add(xw, aw, xw)
-        # NaN fails both comparisons; +-inf shows in the min or the max
-        inside = state_min(xw) >= 0.0 and state_max(xw) <= 1.0
-        if past:
-            xp, sp, ap, kp = past
-            add(ap, kp, ap)
-            multiply(ap, sixth, ap)
-            add(xp, ap, xp)
-            inside = inside and state_min(xp) >= 0.0 and state_max(xp) <= 1.0
+            seen, spans = views()
+        inside = True
+        for xw, sw, aw, kw in spans:
+            add(aw, kw, aw)
+            multiply(aw, sixth, aw)
+            add(xw, aw, xw)
+            # NaN fails both comparisons; +-inf shows in the min or the max
+            inside = inside and state_min(xw) >= 0.0 and state_max(xw) <= 1.0
         t = step * dt
         if not inside:
             if not np.isfinite(x).all():

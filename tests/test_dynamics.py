@@ -175,6 +175,11 @@ def test_integrators_reject_non_finite_times(canon_game, canon_dist, grid2000, c
             integrate(canon_game, canon_dist, cubic, x, t_end=t_end, dt=dt)
         with pytest.raises(InputError, match="finite"):
             integrate_homogenized(canon_game, canon_dist, 0.25, t_end=t_end, dt=dt)
+    # no recorded step is nearest to a non-finite time: argmin over NaN
+    # distances would answer with the first aggregate
+    traj = integrate(canon_game, canon_dist, cubic, x, t_end=1.0, dt=0.1)
+    with pytest.raises(InputError, match="finite"):
+        traj.xbar_at(bad)
 
 
 def test_integrator_rejects_unbounded_step_count(canon_game, canon_dist, grid2000, cubic):
@@ -390,51 +395,71 @@ def field_cases(draw):
         game = affine_game(0.0, float(grid.nodes[draw(st.integers(0, n - 1))]))
     else:
         game = affine_game(draw(st.floats(-3.0, 3.0)), draw(st.floats(-2.0, 3.0)))
-    return game, grid, values
+    window = None
+    if draw(st.booleans()):  # a node window [a, b), maybe with a hole [h0, h1)
+        a, b = sorted(draw(st.lists(st.integers(0, n), min_size=2, max_size=2)))
+        window = [a, b, b, b]
+        if a < b and draw(st.booleans()):
+            window[1:3] = sorted(draw(st.lists(st.integers(a, b), min_size=2, max_size=2,
+                                               unique=True)))
+    return game, grid, values, window
 
 
 @settings(max_examples=300, deadline=None)
 @given(case=field_cases(), protocol=protocols())
 @example(  # F on a duplicated node, stage values outside [0, 1]
     case=(affine_game(0.0, 0.2), TypeGrid(nodes=np.array([0.1, 0.2, 0.2, 0.3])),
-          np.array([0.5, 1.5, -0.5, 0.5])),
+          np.array([0.5, 1.5, -0.5, 0.5]), None),
     protocol=standard_protocol(),
 )
 @example(  # F below the first node: the cut is m = 0, every type flows out
     case=(affine_game(0.0, -1.0), TypeGrid(nodes=np.array([0.1, 0.2, 0.3])),
-          np.array([0.2, 0.7, 1.0])),
+          np.array([0.2, 0.7, 1.0]), None),
     protocol=power_protocol(3.0),
 )
 @example(  # F above the last node: the cut is m = n, every type flows in
     case=(affine_game(0.0, 5.0), TypeGrid(nodes=np.array([0.1, 0.2, 0.3])),
-          np.array([0.0, 0.4, 0.9])),
+          np.array([0.0, 0.4, 0.9]), None),
     protocol=bounded_power_protocol(2.0, 0.5),
 )
 @example(  # F exactly on a single node value: that node joins the prefix
     case=(affine_game(0.0, 0.2), TypeGrid(nodes=np.array([0.1, 0.2, 0.3])),
-          np.array([0.3, 0.6, 0.9])),
+          np.array([0.3, 0.6, 0.9]), None),
     protocol=power_protocol(1.5),
 )
 @example(  # standard, F on a single node whose stage value is above 1: -0.0
     case=(affine_game(0.0, 0.2), TypeGrid(nodes=np.array([0.1, 0.2, 0.3])),
-          np.array([0.3, 1.5, 0.9])),
+          np.array([0.3, 1.5, 0.9]), None),
     protocol=standard_protocol(),
 )
 @example(  # standard, F below the first node (m = 0)
     case=(affine_game(0.0, -1.0), TypeGrid(nodes=np.array([0.1, 0.2, 0.3])),
-          np.array([0.2, 0.7, 1.0])),
+          np.array([0.2, 0.7, 1.0]), None),
     protocol=standard_protocol(),
 )
 @example(  # standard, F above the last node (m = n)
     case=(affine_game(0.0, 5.0), TypeGrid(nodes=np.array([0.1, 0.2, 0.3])),
-          np.array([0.0, 0.4, 0.9])),
+          np.array([0.0, 0.4, 0.9]), None),
     protocol=standard_protocol(),
 )
+@example(  # a hole [3, 6) above the cut, the band running past it
+    case=(affine_game(0.0, 0.25), TypeGrid(nodes=np.arange(1, 9) / 10),
+          np.array([0.5, 0.2, 0.9, 0.0, 0.0, 0.0, 0.7, 1.0]), [0, 3, 6, 8]),
+    protocol=bounded_power_protocol(2, 0.5),
+)
 def test_field_matches_masked_oracle_bit_for_bit(case, protocol):
-    game, grid, values = case
+    # with a window, the nodes live after the call (the window as the call
+    # widened it, less its hole as the call trimmed it) get the oracle's
+    # bits, and the field writes nothing anywhere else
+    game, grid, values, window = case
     out = np.full(grid.n, np.nan)
-    _field_function(game, protocol, grid)(values, out)
-    assert same_bits(out, oracle_field(game, protocol, grid, values))
+    _field_function(game, protocol, grid, window)(values, out)
+    live = np.ones(grid.n, dtype=bool)
+    if window:
+        a, h0, h1, b = window
+        live[:a] = live[h0:h1] = live[b:] = False
+    assert same_bits(out[live], oracle_field(game, protocol, grid, values)[live])
+    assert np.isnan(out[~live]).all()
 
 
 @pytest.mark.parametrize(
