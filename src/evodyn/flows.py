@@ -43,6 +43,7 @@ decrease set; this module scans no levels itself.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,10 +59,8 @@ O_DOMINATES = "O_dominates"
 I_DOMINATES = "I_dominates"
 INCOMPARABLE = "incomparable"
 
-# Fixed numerical settings: the resolution of the decrease set the rate-ratio
-# bound reads, the first and the number of log-spaced bound samples, and the
-# slack of strict dominance.
-_PREFIX_RESOLUTION = 1e-4
+# Fixed numerical settings: the first and the number of log-spaced bound
+# samples, and the slack of strict dominance.
 _BOUND_FIRST_TIME = 1e-3
 _BOUND_SAMPLES = 2000
 _STRICT_TOL = 1e-12
@@ -373,8 +372,9 @@ def rate_ratio_escape_bound(
     unstable equilibrium, one interior stable equilibrium xbar*, and a
     reversed-composition threshold type above the indifferent type.
     The largest prefix-certified decrease level is the end of the first
-    decrease interval of ``critical_mass_sets`` at resolution 1e-4, which
-    must start at 1e-4 (AnalysisError otherwise).
+    decrease interval of ``critical_mass_sets``, the same set the CLI and
+    the basins read, which must start at the domain edge, the smallest
+    positive double (AnalysisError otherwise).
     """
     report = find_aggregate_equilibria(game, dist)
     eqs = report.equilibria
@@ -411,9 +411,9 @@ def rate_ratio_escape_bound(
 
     # Largest level such that every level up to it is a certified decrease
     # level: the end of the first decrease interval, if that interval starts
-    # at the first scan level.
-    intervals = critical_mass_sets(game, dist, protocol, _PREFIX_RESOLUTION).decrease_intervals
-    if not intervals or intervals[0][0] != _PREFIX_RESOLUTION:
+    # at the domain edge.
+    intervals = critical_mass_sets(game, dist, protocol).decrease_intervals
+    if not intervals or intervals[0][0] != math.nextafter(0.0, 1.0):
         raise AnalysisError("no positive level satisfies the prefix rate condition")
     max_certified = intervals[0][1]
 

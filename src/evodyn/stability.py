@@ -14,10 +14,13 @@ certificate has two parts:
 The mirror statement certifies increase levels.  For the monotone protocols
 supported here the supremum sits at the extreme type (theta_min below,
 theta_max above); tests cross-check that closed form against a grid scan.
-One array kernel evaluates the certificate, for single levels (the
-auditable ``CriticalMassCertificate``) and for whole scans (the
-critical-mass sets, whose first decrease interval also gives the
-prefix-certified level of the rate-ratio escape bound in ``flows``).
+Since every rate is monotone in the deficit, the comparison is decided on
+the two deficits (``_certify``).  One array kernel evaluates the
+certificate in both directions, for single levels (the auditable
+``CriticalMassCertificate``) and for the critical-mass sets.  Those are
+found by one scan whose member runs have their ends narrowed to 1e-12 of
+the flip; their first decrease interval also gives the prefix-certified
+level of the rate-ratio escape bound in ``flows``.
 
 A stable aggregate equilibrium bracketed by an increase level below and a
 decrease level above (with no other equilibrium between them) is
@@ -35,13 +38,13 @@ threshold is largest survives the longest as pisharp rises.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import RevisionProtocol
-from .equilibria import STABLE, find_aggregate_equilibria
+from .dynamics import KIND_BOUNDED_POWER, KIND_STANDARD, RevisionProtocol
+from .equilibria import _ROOT_TOL, STABLE, find_aggregate_equilibria
 from .errors import AnalysisError, InputError
 from .games import ACTION_IN, ACTION_OUT, AggregateGame, TypeDistribution
 
@@ -54,6 +57,9 @@ BRANCH_RATES = "rate_comparison"
 
 # scan step of the robustness-threshold deficit suprema
 _THRESHOLD_RESOLUTION = 1e-4
+# the certified-set search scans _SECTIONS**2 cells, and each narrowing round
+# splits a bracket into _SECTIONS
+_SECTIONS = 32
 
 
 @dataclass(frozen=True)
@@ -72,26 +78,13 @@ class CriticalMassCertificate:
     reason: str
 
 
-class _CertificateScan(NamedTuple):
-    """Certificate pieces at each level of a scan, for one direction."""
-
-    member: np.ndarray
-    prefers: np.ndarray
-    corner: np.ndarray
-    clamped: np.ndarray
-    common: np.ndarray
-    cutoff: np.ndarray
-    rate_lhs: np.ndarray
-    rate_rhs: np.ndarray
-    extreme_type: float
-
-
-# per direction: sign of the cut-off type's gain from moving, corner level,
-# preferred action, clamped-c.d.f. reason, and the names of the two rates
+# per direction: row of a scan (and end of the support that holds the
+# extreme type), corner level, preferred action, clamped-c.d.f. reason, and
+# the names of the two rates
 _SIDES = {
-    DECREASE: (-1.0, 1.0, "O", "no type has I as best response (clamped c.d.f. is 0)",
+    DECREASE: (0, 1.0, "O", "no type has I as best response (clamped c.d.f. is 0)",
                "exit rate", "entry-rate supremum"),
-    INCREASE: (1.0, 0.0, "I", "every type has I as best response (clamped c.d.f. is 1)",
+    INCREASE: (1, 0.0, "I", "every type has I as best response (clamped c.d.f. is 1)",
                "entry rate", "exit-rate supremum"),
 }
 
@@ -103,54 +96,55 @@ def _cutoff_deficit(game: AggregateGame, dist: TypeDistribution, xs):
     return common, cutoff, common - cutoff
 
 
-def _certify(game, dist, protocol, xs, direction: str) -> _CertificateScan:
-    """Evaluate the certificate at every level in ``xs`` (scalar or array).
+def _certify(game, dist, protocol, xs):
+    """Evaluate both directions' certificates at every level of the array ``xs``.
 
-    Branch precedence: condition (a), then corner, clamped c.d.f., rates.
+    Returns the membership, the gap below, lhs and rhs (each with row 0 for
+    decrease and row 1 for increase), then F and Pinv at the levels, which
+    are evaluated once for both rows.  Branch precedence: condition
+    (a), then corner, clamped c.d.f., rates.  P(F) is clamped to 0 exactly
+    when F <= theta_min, and to 1 when F >= theta_max, so the clamped branch
+    is rhs <= 0.  Every supported rate is nondecreasing in the deficit, and
+    strictly increasing below the deficit ``cap`` from which it is constant
+    (0 for the standard rate, pisharp for bounded_power, none for power).
+    So for a cut-off type that prefers to move (lhs > 0), rate(lhs) >=
+    rate(rhs) holds exactly when lhs >= min(rhs, cap), and the certificate
+    compares deficits alone: it holds where the gap
+    lhs - max(min(rhs, cap), 0) is >= 0, which also covers the clamped
+    branch.  The gap is continuous in the level.
     """
-    xs = np.asarray(xs, dtype=float)
-    sign, corner_level = _SIDES[direction][:2]
-    theta_min, theta_max = dist.support
-    extreme = theta_max if sign > 0.0 else theta_min
     common, cutoff, deficit = _cutoff_deficit(game, dist, xs)
-    prefers = sign * deficit > 0.0
-    corner = xs == corner_level
-    clamped = np.asarray(dist.cdf(common)) == 1.0 - corner_level
-    lhs = protocol.rate(sign * deficit)
-    rhs = protocol.rate(sign * (extreme - common))
-    member = prefers & (corner | clamped | (lhs >= rhs))
-    return _CertificateScan(member, prefers, corner, clamped, common, cutoff, lhs, rhs, extreme)
+    # per row: sign of the cut-off type's gain from moving, extreme type, corner level
+    sign, extreme, corner_level = np.array([[-1.0, 1.0], dist.support, [1.0, 0.0]])[..., None]
+    lhs = sign * deficit
+    rhs = sign * (extreme - common)
+    cap = {KIND_STANDARD: 0.0, KIND_BOUNDED_POWER: protocol.pisharp}.get(protocol.kind, math.inf)
+    gap = lhs - np.maximum(np.minimum(rhs, cap), 0.0)
+    member = (lhs > 0.0) & ((xs == corner_level) | (gap >= 0.0))
+    return member, gap, lhs, rhs, common, cutoff
 
 
 def _certificate_at(game, dist, protocol, xbar: float, direction: str):
-    scan = _certify(game, dist, protocol, xbar, direction)
-    _, corner_level, action, clamped_reason, lhs_name, rhs_name = _SIDES[direction]
-    cutoff, common = float(scan.cutoff), float(scan.common)
-    is_member = bool(scan.member)
-    lhs = rhs = argmax = None
-    if not scan.prefers:
+    row, corner_level, action, clamped_reason, lhs_name, rhs_name = _SIDES[direction]
+    member, _, lhs, rhs, common, cutoff = _certify(game, dist, protocol, np.array([xbar]))
+    lhs, rhs, common, cutoff = (float(v) for v in (lhs[row, 0], rhs[row, 0], common[0], cutoff[0]))
+    is_member = bool(member[row, 0])
+    rates, argmax = (None, None), None
+    if not lhs > 0.0:
         branch = None
         reason = f"cut-off type {cutoff:.6g} does not strictly prefer {action} at F={common:.6g}"
-    elif scan.corner:
+    elif xbar == corner_level:
         branch, reason = BRANCH_CORNER, f"corner level {corner_level:g}"
-    elif scan.clamped:
+    elif rhs <= 0.0:
         branch, reason = BRANCH_CLAMPED, clamped_reason
     else:
-        branch = BRANCH_RATES
-        lhs, rhs, argmax = float(scan.rate_lhs), float(scan.rate_rhs), scan.extreme_type
+        branch, argmax = BRANCH_RATES, dist.support[row]
+        rates = (protocol.rate(lhs), protocol.rate(rhs))
         verdict = "holds" if is_member else "fails"
-        reason = f"{lhs_name} {lhs:.6g} vs {rhs_name} {rhs:.6g} at theta={argmax:.6g}: {verdict}"
+        reason = (f"{lhs_name} {rates[0]:.6g} vs {rhs_name} {rates[1]:.6g} "
+                  f"at theta={argmax:.6g}: {verdict}")
     return is_member, CriticalMassCertificate(
-        xbar=xbar,
-        direction=direction,
-        is_member=is_member,
-        cutoff_type=cutoff,
-        common_payoff=common,
-        branch=branch,
-        rate_lhs=lhs,
-        rate_rhs=rhs,
-        rhs_argmax_type=argmax,
-        reason=reason,
+        xbar, direction, is_member, cutoff, common, branch, *rates, argmax, reason
     )
 
 
@@ -187,74 +181,129 @@ class DistributionalBasin:
 
 @dataclass(frozen=True)
 class CriticalMassReport:
+    """Certified level sets and the distributional basins they bracket.
+
+    Each interval ``(lo, hi)`` is a run of certified levels whose two ends
+    are certified levels.  An end inside the domain lies within 1e-12 of a
+    level that fails the certificate.  Decrease levels lie in (0, 1] and
+    increase levels in [0, 1), so a decrease run that reaches 0 starts at
+    the smallest positive double, ``math.nextafter(0.0, 1.0)``, and an
+    increase run that reaches 1 ends at ``math.nextafter(1.0, 0.0)``.
+    """
+
     decrease_intervals: tuple[tuple[float, float], ...]
     increase_intervals: tuple[tuple[float, float], ...]
     basins: tuple[DistributionalBasin, ...]
-    resolution: float
 
 
-def _merge_runs(xs: np.ndarray, member: np.ndarray) -> tuple[tuple[float, float], ...]:
-    """Maximal runs of member levels as (first level, last level) pairs."""
-    edges = np.flatnonzero(np.diff(np.concatenate(([False], member, [False]))))
-    return tuple(
-        (float(xs[s]), float(xs[e - 1])) for s, e in zip(edges[0::2], edges[1::2])
-    )
+def _narrow(game, dist, protocol, state: np.ndarray) -> np.ndarray:
+    """Member ends of brackets, each narrowed to 1e-12 around a membership flip.
+
+    ``state`` has a column per bracket: a member level and the certificate
+    gap there, the non-member level beyond it and the gap there, the
+    bracket's scan row and its index.  A round evaluates, in every bracket
+    wider than 1e-12, its ends, the inner levels of its split into
+    ``_SECTIONS`` and a ladder at 4**-j of its width on both sides of the
+    regula-falsi guess from the gaps, all in one ``_certify`` call.  It
+    keeps the cell that holds the first non-member level seen from the
+    member end, so each round shrinks a bracket at least ``_SECTIONS``-fold.
+    """
+    ends = state[0].copy()
+    ladder = 4.0 ** -np.arange(1, 16)
+    # fractions of the bracket: its split, with both ends, then the ladder
+    # around the guess
+    offsets = np.concatenate((np.arange(_SECTIONS + 1) / _SECTIONS, ladder, -ladder))
+    around = np.arange(offsets.size) > _SECTIONS
+    while True:
+        state = state[:, np.abs(state[2] - state[0]) > _ROOT_TOL]
+        if not state.size:
+            return ends
+        a, gap_a, b, gap_b, row, index = state
+        pick = (row.astype(int), np.arange(a.size))
+        guess = gap_a / np.where(gap_a != gap_b, gap_a - gap_b, np.inf)
+        t = np.sort(np.minimum(np.maximum(guess[:, None] * around + offsets, 0.0), 1.0))
+        levels = a[:, None] + (b - a)[:, None] * t
+        levels[:, -1] = b
+        member, gaps = (v.reshape(2, a.size, -1)[pick] for v in _certify(
+            game, dist, protocol, levels.ravel())[:2])
+        # levels[lead - 1] is the last member before the first non-member
+        # level, levels[lead]
+        lead, cols = np.logical_and.accumulate(member, axis=1).sum(1), pick[1]
+        state = np.array([levels[cols, lead - 1], gaps[cols, lead - 1],
+                          levels[cols, lead], gaps[cols, lead], row, index])
+        ends[index.astype(int)] = state[0]
 
 
 def critical_mass_sets(
     game: AggregateGame,
     dist: TypeDistribution,
     protocol: RevisionProtocol,
-    resolution: float = 1e-3,
 ) -> CriticalMassReport:
-    """Scan both membership tests and assemble distributional basins.
+    """Find both certified level sets and assemble distributional basins.
+
+    One scan of ``_SECTIONS**2`` cells and the domain's two edge doubles
+    finds the runs of member levels; ``_narrow`` then moves every run end
+    that has a non-member scan level beyond it to within 1e-12 of the flip.
 
     A stable equilibrium gets a basin [lo, hi] when a certified increase
     level below it and a certified decrease level above it bracket it with
     no other equilibrium in between; corners supply their own inward bound.
     """
-    if not 0.0 < resolution < 0.5:
-        raise InputError(f"resolution={resolution} out of range")
-    m = int(round(1.0 / resolution))
-    xs_dec = np.linspace(resolution, 1.0, m)
-    xs_inc = np.linspace(0.0, 1.0 - resolution, m)
-    dec_member = _certify(game, dist, protocol, xs_dec, DECREASE).member
-    inc_member = _certify(game, dist, protocol, xs_inc, INCREASE).member
+    cells = _SECTIONS**2
+    # the levels, between two pads: a copy of 0 first and a copy of 1 last
+    xs = np.concatenate(([0.0, 0.0, math.nextafter(0.0, 1.0)], np.arange(1, cells) / cells,
+                         [math.nextafter(1.0, 0.0), 1.0, 1.0]))
+    scan = _certify(game, dist, protocol, xs)[:2]
+    # a run or a gap narrower than a cell shows as a discrete extremum of its
+    # row's gap that lies within the second difference of 0: the vertex of
+    # the parabola through it and its two neighbours (as in the equilibrium
+    # search) joins the levels
+    d = np.diff(scan[1][:, 2:-2])
+    row, turn = np.nonzero((d[:, :-1] * d[:, 1:] < 0.0) & (
+        np.abs(scan[1][:, 3:-3]) <= np.abs(np.diff(d))))
+    if turn.size:
+        d1, d2 = d[row, turn], d[row, turn + 1]
+        vertices = np.sort(xs[turn + 3] + 0.5 / cells * (d1 + d2) / (d1 - d2))
+        at = np.searchsorted(xs, vertices)
+        xs = np.insert(xs, at, vertices)
+        scan = [np.insert(full, at, part, axis=1) for full, part in zip(
+            scan, _certify(game, dist, protocol, vertices))]
+    member, gap = scan
+    # decrease levels lie in (0, 1] and increase levels in [0, 1); each run
+    # of member levels starts and ends next to a non-member level, which for
+    # a run that reaches a domain end is a pad or the excluded level one
+    # double away, so that end is not narrowed
+    member &= np.array([xs > 0.0, xs < 1.0])
+    member[:, [0, -1]] = False
+    row, cell = np.nonzero(member[:, 1:] != member[:, :-1])
+    inside = cell + member[row, cell + 1]
+    outside = 2 * cell + 1 - inside
+    ends = _narrow(game, dist, protocol, np.array([
+        xs[inside], gap[row, inside], xs[outside], gap[row, outside], row,
+        np.arange(row.size)])).tolist()
+    split = int(np.count_nonzero(row == 0))
+    decrease = list(zip(ends[:split:2], ends[1:split:2]))
+    increase = list(zip(ends[split::2], ends[split + 1::2]))
 
-    report = find_aggregate_equilibria(game, dist)
-    eq_levels = [e.xbar for e in report.equilibria]
+    eqs = find_aggregate_equilibria(game, dist).equilibria
     basins = []
-    for idx, eq in enumerate(report.equilibria):
+    for idx, eq in enumerate(eqs):
         if eq.stability != STABLE:
             continue
-        prev_eq = eq_levels[idx - 1] if idx > 0 else None
-        next_eq = eq_levels[idx + 1] if idx + 1 < len(eq_levels) else None
-
-        if eq.xbar <= resolution / 2.0:
-            lo = 0.0
-        else:
-            lower_ok = inc_member & (xs_inc < eq.xbar)
-            if prev_eq is not None:
-                lower_ok &= xs_inc > prev_eq
-            lo = float(xs_inc[lower_ok][0]) if lower_ok.any() else None
-
-        if eq.xbar >= 1.0 - resolution / 2.0:
-            hi = 1.0
-        else:
-            upper_ok = dec_member & (xs_dec > eq.xbar)
-            if next_eq is not None:
-                upper_ok &= xs_dec < next_eq
-            hi = float(xs_dec[upper_ok][-1]) if upper_ok.any() else None
-
+        below = eqs[idx - 1].xbar if idx > 0 else -math.inf
+        above = eqs[idx + 1].xbar if idx + 1 < len(eqs) else math.inf
+        # the lowest increase level and the highest decrease level strictly
+        # between the neighbouring equilibria and on their side of this one
+        lo = 0.0 if eq.xbar == 0.0 else next(
+            (max(a, math.nextafter(below, 1.0)) for a, b in increase
+             if b > below and a < eq.xbar), None)
+        hi = 1.0 if eq.xbar == 1.0 else next(
+            (min(b, math.nextafter(above, 0.0)) for a, b in reversed(decrease)
+             if a < above and b > eq.xbar), None)
         if lo is not None and hi is not None:
             basins.append(DistributionalBasin(xbar_star=eq.xbar, lo=lo, hi=hi))
 
-    return CriticalMassReport(
-        decrease_intervals=_merge_runs(xs_dec, dec_member),
-        increase_intervals=_merge_runs(xs_inc, inc_member),
-        basins=tuple(basins),
-        resolution=resolution,
-    )
+    return CriticalMassReport(tuple(decrease), tuple(increase), tuple(basins))
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import math
 import warnings
 from pathlib import Path
 
@@ -250,8 +251,8 @@ def test_cli_critical_mass_outputs(config_path, tmp_path):
     assert main(["critical-mass", "--config", str(config_path), "--out", str(out)]) == 0
     report = json.loads((out / "critical_mass.json").read_text())
     lo, hi = report["decrease_intervals"][0]
-    assert lo == pytest.approx(0.001)
-    assert hi == pytest.approx(0.034, abs=1e-9)
+    assert lo == math.nextafter(0.0, 1.0)
+    assert hi == pytest.approx((2.9 - math.sqrt(8.01)) / 2, abs=1e-12)
     assert (out / "deficit_curve.csv").read_text().splitlines()[0] == "xbar,deficit"
 
 
@@ -501,6 +502,17 @@ def test_cli_reports_match_golden_files(tmp_path, subcommand, filename):
     out = tmp_path / "out"
     assert main([subcommand, "--config", str(config), "--out", str(out)]) == 0
     assert (out / golden.name).read_bytes() == golden.read_bytes()
+
+
+def test_escape_reads_one_decrease_set(tmp_path):
+    # the level the frozen-rate certificate targets and the rate-ratio
+    # bound's prefix level are the end of one exact decrease set
+    out = tmp_path / "out"
+    assert main(["escape", "--config", str(ENTRY_CONFIG), "--out", str(out)]) == 0
+    report = json.loads((out / "escape.json").read_text())
+    assert report["xbar_dagger"] == report["rate_ratio"]["max_certified_decrease"]
+    assert report["xbar_dagger"] == pytest.approx((2.9 - math.sqrt(8.01)) / 2, abs=1e-12)
+    assert report["rate_ratio"]["holds"] is False
 
 
 # SHA-256 of simulate's trajectory.csv on each bundled config, taken before the

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -422,7 +423,7 @@ class TestRateRatioBound:
         assert result.bound_value == pytest.approx(expected, abs=1e-15)
         assert result.bound_value == pytest.approx(0.0489655, abs=1e-6)
         assert result.max_certified_decrease == pytest.approx(
-            (2.9 - np.sqrt(8.01)) / 2, abs=1e-3
+            (2.9 - np.sqrt(8.01)) / 2, abs=1e-12
         )
         assert result.holds is False
 
@@ -455,10 +456,12 @@ class TestRateRatioBound:
         assert result.max_certified_decrease == pytest.approx(float(oracle), abs=2e-4)
 
     def test_prefix_level_is_first_certified_decrease_run(self, canon_game, canon_dist, cubic):
-        # both read the same decrease certificate on the same 1e-4 scan
+        # both read the one exact decrease set, which starts at the domain edge
         result = rate_ratio_escape_bound(canon_game, canon_dist, cubic)
-        report = critical_mass_sets(canon_game, canon_dist, cubic, resolution=1e-4)
-        assert report.decrease_intervals[0] == (1e-4, result.max_certified_decrease)
+        report = critical_mass_sets(canon_game, canon_dist, cubic)
+        assert report.decrease_intervals[0] == (
+            math.nextafter(0.0, 1.0), result.max_certified_decrease
+        )
 
     def test_requires_coordination_shape(self, canon_dist, cubic):
         from evodyn import affine_game

@@ -8,9 +8,11 @@ Closed-form oracles for the canonical game:
   equilibrium is (0, (2.9 - sqrt(8.01))/2].
 """
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evodyn import (
@@ -31,9 +33,10 @@ from evodyn import (
     robustness_threshold,
     select_most_robust,
     sorted_composition,
+    standard_protocol,
     vector_field,
 )
-from evodyn.stability import _certify, _merge_runs
+from evodyn.stability import _certify
 from tests.conftest import random_composition
 
 XC = (2.9 - np.sqrt(8.01)) / 2  # ~ 0.0349028
@@ -152,42 +155,13 @@ def test_certificate_scan_matches_grid_sup_oracle(a, b, protocol):
     game, dist = affine_game(a, b), SqrtShiftTypes()
     levels = np.linspace(0.0, 1.0, 101)
     single = {"decrease": is_critical_mass_decrease, "increase": is_critical_mass_increase}
-    for direction, xs in (("decrease", levels[1:]), ("increase", levels[:-1])):
-        scan = _certify(game, dist, protocol, xs, direction)
+    for row, (direction, xs) in enumerate((("decrease", levels[1:]), ("increase", levels[:-1]))):
+        member = _certify(game, dist, protocol, xs)[0][row]
         oracle = [grid_sup_membership(game, dist, protocol, float(x), direction) for x in xs]
-        assert scan.member.tolist() == oracle
-        # a single-level check evaluates the scan's rates to the bit
+        assert member.tolist() == oracle
+        # a single-level check decides as the scan does
         for i, x in enumerate(xs):
-            ok, cert = single[direction](game, dist, protocol, float(x))
-            assert ok == scan.member[i]
-            if cert.branch == "rate_comparison":
-                assert (cert.rate_lhs, cert.rate_rhs) == (scan.rate_lhs[i], scan.rate_rhs[i])
-
-
-def merge_runs_loop(xs, member):
-    """Oracle: maximal member runs found by walking the levels one by one."""
-    intervals = []
-    start = None
-    for x, ok in zip(xs, member):
-        if ok and start is None:
-            start = x
-        elif not ok and start is not None:
-            intervals.append((float(start), float(prev)))
-            start = None
-        prev = x
-    if start is not None:
-        intervals.append((float(start), float(xs[-1])))
-    return tuple(intervals)
-
-
-@settings(max_examples=300, deadline=None)
-@given(member=st.lists(st.booleans(), max_size=60), lo=st.floats(0.0, 0.5))
-def test_merge_runs_matches_level_walk(member, lo):
-    member = np.array(member, dtype=bool)
-    xs = np.linspace(lo, 1.0, member.size)
-    runs = _merge_runs(xs, member)
-    assert runs == merge_runs_loop(xs, member)
-    assert all(type(v) is float for run in runs for v in run)
+            assert single[direction](game, dist, protocol, float(x))[0] == member[i]
 
 
 class TestBoundedTempering:
@@ -202,28 +176,43 @@ class TestBoundedTempering:
 
 class TestCriticalMassSets:
     def test_standard_sets_cover_homogenized_signs(self, canon_game, canon_dist, standard):
-        report = critical_mass_sets(canon_game, canon_dist, standard)
-        (d_lo, d_hi), *rest = report.decrease_intervals
-        res = report.resolution
-        assert d_lo == pytest.approx(0.001, abs=1e-12)
-        # the certified stretch reaches the equilibrium boundary within one
-        # grid step (float dust decides whether the boundary point itself is in)
-        assert 0.2 - res - 1e-12 <= d_hi <= 0.2 + 1e-12
-        (i_lo, i_hi), *_ = report.increase_intervals
-        assert 0.2 - 1e-12 <= i_lo <= 0.2 + res + 1e-12
-        assert 0.25 - res - 1e-12 <= i_hi <= 0.25 + 1e-12
         # constant rates: every level off the fixed-point curve is critical,
-        # matching the homogenized field's composition-independent sign
-        assert rest  # the (0.25, 1] stretch is certified too
+        # matching the homogenized field's composition-independent sign, so
+        # the sets end at the equilibria 0.2 and 0.25 (to 1e-12) and at the
+        # domain ends
+        report = critical_mass_sets(canon_game, canon_dist, standard)
+        (d_lo, d_hi), (e_lo, e_hi) = report.decrease_intervals
+        assert d_lo == math.nextafter(0.0, 1.0) and e_hi == 1.0
+        assert d_hi == pytest.approx(0.2, abs=1e-12)
+        assert e_lo == pytest.approx(0.25, abs=1e-12)
+        ((i_lo, i_hi),) = report.increase_intervals
+        assert i_lo == pytest.approx(0.2, abs=1e-12)
+        assert i_hi == pytest.approx(0.25, abs=1e-12)
 
     def test_cubic_decrease_interval_matches_closed_form(
         self, canon_game, canon_dist, cubic
     ):
         report = critical_mass_sets(canon_game, canon_dist, cubic)
-        (lo, hi), *_ = report.decrease_intervals
-        assert lo == pytest.approx(0.001, abs=1e-12)
-        assert hi == pytest.approx(XC, abs=report.resolution)
+        assert report.decrease_intervals[1:] == ((1.0, 1.0),)
+        (lo, hi), _ = report.decrease_intervals
+        assert lo == math.nextafter(0.0, 1.0)
+        assert hi == pytest.approx(XC, abs=1e-12)
         assert report.increase_intervals == ()
+
+    def test_run_inside_one_scan_cell_is_found(self, canon_dist, standard):
+        # under the standard protocol the increase set is the stretch between
+        # the two interior equilibria, here (0.3, 0.3005): narrower than a
+        # scan cell of 1/1024 and holding no scan level, it shows only as a
+        # discrete extremum of the certificate's gap, and as a hole in the
+        # decrease set
+        game = affine_game(2.6005, -0.3 * 0.3005)
+        disc = math.sqrt((game.slope - 2.0) ** 2 + 4.0 * game.intercept)
+        r1, r2 = (game.slope - 2.0 - disc) / 2.0, (game.slope - 2.0 + disc) / 2.0
+        report = critical_mass_sets(game, canon_dist, standard)
+        ((lo, hi),) = report.increase_intervals
+        assert lo == pytest.approx(r1, abs=1e-12) and hi == pytest.approx(r2, abs=1e-12)
+        (_, d_hi), (e_lo, _) = report.decrease_intervals
+        assert d_hi == pytest.approx(r1, abs=1e-12) and e_lo == pytest.approx(r2, abs=1e-12)
 
     def test_cubic_basin_for_corner(self, canon_game, canon_dist, cubic):
         report = critical_mass_sets(canon_game, canon_dist, cubic)
@@ -231,7 +220,7 @@ class TestCriticalMassSets:
         basin = report.basins[0]
         assert basin.xbar_star == pytest.approx(0.0, abs=1e-9)
         assert basin.lo == 0.0
-        assert basin.hi == pytest.approx(XC, abs=report.resolution)
+        assert basin.hi == pytest.approx(XC, abs=1e-12)
 
     def test_standard_basins_bracket_both_stable_equilibria(
         self, canon_game, canon_dist, standard
@@ -265,20 +254,67 @@ class TestCriticalMassSets:
                 ok, _ = is_critical_mass_increase(canon_game, canon_dist, standard, float(x))
             assert ok
 
-    @pytest.mark.parametrize("resolution", [0.0, -1e-3, float("nan"), 2.0])
-    def test_rejects_resolution_out_of_range(self, canon_game, canon_dist, cubic, resolution):
-        with pytest.raises(InputError, match="out of range"):
-            critical_mass_sets(canon_game, canon_dist, cubic, resolution=resolution)
-
     def test_condition_a_necessary(self, canon_game, canon_dist, cubic, standard):
         # no certified decrease level where the cut-off type weakly prefers I
         for proto in (cubic, standard):
             report = critical_mass_sets(canon_game, canon_dist, proto)
             for lo, hi in report.decrease_intervals:
-                count = int(round((hi - lo) / report.resolution)) + 1
-                xs = np.linspace(lo, hi, count)
+                xs = np.linspace(lo, hi, 1001)
                 cut = np.asarray(canon_dist.inverse_cdf(xs))
                 assert np.all(cut > np.asarray(canon_game.payoff(xs)))
+
+
+coordination_games = st.one_of(
+    st.builds(lambda a, b: (affine_game(a, b), SqrtShiftTypes()),
+              st.floats(2.3, 2.7), st.floats(-0.08, -0.03)),
+    st.builds(lambda c, s: (linear_coordination_game(c), TruncatedLogisticTypes(0.0, s)),
+              st.floats(0.15, 0.85), st.floats(0.03, 0.08)),
+)
+every_protocol = st.one_of(
+    st.just(standard_protocol()),
+    st.builds(power_protocol, st.sampled_from([2, 3, 4]) | st.floats(0.5, 4.5)),
+    st.builds(bounded_power_protocol, st.sampled_from([2, 3]) | st.floats(0.5, 4.5),
+              st.floats(0.01, 0.2)),
+)
+PUBLIC_TEST = {"decrease": is_critical_mass_decrease, "increase": is_critical_mass_increase}
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=coordination_games, protocol=every_protocol)
+@example(case=(affine_game(2.45, -0.05), SqrtShiftTypes()), protocol=power_protocol(2.5))
+@example(case=(linear_coordination_game(0.3), TruncatedLogisticTypes(0.0, 0.05)),
+         protocol=bounded_power_protocol(2.5, 0.1))
+@example(case=(affine_game(2.5, -0.03), SqrtShiftTypes()),
+         protocol=bounded_power_protocol(2, 0.01))
+def test_exact_sets_hold_every_scanned_member(case, protocol):
+    """The scan is the oracle.  Every reported end passes the public test, and
+    every end inside (0, 1) has a level within 1e-12 beyond it that fails the
+    certificate or lies outside the domain, so an end lies at most 1e-12
+    inside the set's boundary.  A 1e-4 scan of each certificate then finds no
+    member outside the reported intervals widened by that 1e-12: a scan level
+    can sit on the boundary itself (with a = 2.5, b = -0.03 and
+    bounded_power(2, 0.01) the increase set is [0.1, 0.4] exactly).  Where
+    the certificate's deficits are rounding noise, members and non-members
+    alternate, so the levels beyond an end are sampled at 1e-15 spacing."""
+    game, dist = case
+    report = critical_mass_sets(game, dist, protocol)
+    xs = np.linspace(0.0, 1.0, 10_001)
+    domain = np.array([xs > 0.0, xs < 1.0])
+    scan = _certify(game, dist, protocol, xs)[0] & domain
+    steps = 1e-12 * np.arange(1, 1001) / 1000
+    for row, (direction, intervals) in enumerate(
+        (("decrease", report.decrease_intervals), ("increase", report.increase_intervals))
+    ):
+        covered = np.zeros(xs.size, bool)
+        for lo, hi in intervals:
+            assert lo <= hi
+            covered |= (xs >= lo - 1e-12) & (xs <= hi + 1e-12)
+            for end, beyond in ((lo, lo - steps), (hi, hi + steps)):
+                assert PUBLIC_TEST[direction](game, dist, protocol, end)[0]
+                if 0.0 < end < 1.0 and ((beyond > 0.0) & (beyond < 1.0)).all():
+                    assert not _certify(game, dist, protocol, beyond)[0][row].all()
+        missed = xs[scan[row] & ~covered]
+        assert missed.size == 0, f"{direction} levels {missed[:5]} lie in no interval"
 
 
 class TestCertificateSoundness:
