@@ -5,11 +5,15 @@ Invocation::
     evodyn <subcommand> --config <path> [--out <dir>] [--override key=value ...]
 
 Subcommands: equilibria, simulate, critical-mass, select, flows, escape.
-Each writes JSON reports and/or CSV files into the output directory.  Floats
-are serialized with 17 significant digits and keys are sorted, so repeated
-runs of the same config produce byte-identical files.  Exit codes: 0 on
-success, 2 for config errors, 3 for analysis errors; errors also emit a
-machine-readable JSON line on stdout.
+Each writes JSON reports and/or CSV files into the output directory.  JSON
+numbers are the shortest decimals that read back to the same doubles, and a
+non-finite number is refused as an analysis error; CSV cells, the
+``thresholds`` keys of ``select.json`` and the ``sweep/<pisharp>/`` directory
+names use 17 significant digits.  Keys are sorted, so repeated runs of the
+same config produce byte-identical files.  Exit codes: 0 on success, 2 for
+config errors and for a file or directory that cannot be read or written, 3
+for analysis errors; every error also emits one machine-readable JSON line on
+stdout.
 """
 
 from __future__ import annotations
@@ -35,38 +39,12 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def _to_json(obj, indent: int = 0) -> str:
-    pad = "  " * indent
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, str):
-        escaped = obj.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{escaped}"'
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _fmt(obj)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        inner = ",\n".join(
-            f'{pad}  "{key}": {_to_json(obj[key], indent + 1)}' for key in sorted(obj)
-        )
-        return "{\n" + inner + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not len(obj):
-            return "[]"
-        inner = ",\n".join(f"{pad}  {_to_json(item, indent + 1)}" for item in obj)
-        return "[\n" + inner + "\n" + pad + "]"
-    raise TypeError(f"cannot serialize {type(obj)!r}")
-
-
 def _write_json(path: Path, obj) -> None:
-    path.write_text(_to_json(obj) + "\n")
+    try:
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:  # a NaN or an infinity, which JSON cannot spell
+        raise AnalysisError(f"cannot write {path}: {exc}") from None
+    path.write_text(text + "\n")
 
 
 def _write_csv(path: Path, header: str, rows) -> None:
@@ -325,8 +303,8 @@ def main(argv=None) -> int:
     try:
         scenario = parse_config(args.config, overrides=tuple(args.override))
         run(scenario, args.subcommand, args.out)
-    except ConfigError as exc:
-        error = {"kind": "config", "message": str(exc), "line": exc.line}
+    except (ConfigError, OSError) as exc:
+        error = {"kind": "config", "message": str(exc), "line": getattr(exc, "line", None)}
         print(json.dumps({"error": error}, sort_keys=True))
         return 2
     except EvodynError as exc:

@@ -7,9 +7,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from evodyn import ConfigError, SqrtShiftTypes, make_grid
-from evodyn.cli import _load_custom_csv, main
+from evodyn import AnalysisError, ConfigError, SqrtShiftTypes, make_grid
+from evodyn.cli import _load_custom_csv, _write_json, main
 from evodyn.config import parse_config
 
 CANONICAL = """\
@@ -736,3 +738,73 @@ def test_escape_writes_a_null_rate_ratio_when_its_preconditions_fail(config_path
     report = json.loads((out / "escape.json").read_text())
     assert report["rate_ratio"] is None
     assert report["xbar_star"] == pytest.approx(0.25, abs=1e-12)
+
+
+def test_out_path_that_is_a_file_exits_2_with_one_json_line(tmp_path, capsys):
+    # the output directory cannot be made where a regular file stands
+    out = tmp_path / "report.txt"
+    out.write_text("kept\n")
+    assert main(["equilibria", "--config", str(ENTRY_CONFIG), "--out", str(out)]) == 2
+    (json_line,) = capsys.readouterr().out.splitlines()  # exactly one line
+    error = json.loads(json_line)["error"]
+    assert (error["kind"], error["line"]) == ("config", None)
+    assert str(out) in error["message"]
+    assert out.read_text() == "kept\n"
+
+
+# doubles at the edges of the format: a signed zero, the smallest subnormal,
+# the double just below 1 and one near the top of the range
+EDGE_DOUBLES = [-0.0, 5e-324, math.nextafter(1.0, 0.0), 1e308]
+JSON_VALUES = st.recursive(
+    st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_DOUBLES)
+    | st.integers() | st.none() | st.booleans() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+def _assert_same_value(read, written):
+    assert type(read) is type(written)
+    if isinstance(written, float):
+        assert read.hex() == written.hex()
+    elif isinstance(written, dict):
+        assert sorted(read) == sorted(written)
+        for key in written:
+            _assert_same_value(read[key], written[key])
+    elif isinstance(written, list):
+        assert len(read) == len(written)
+        for r, w in zip(read, written):
+            _assert_same_value(r, w)
+    else:
+        assert read == written
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(payload=JSON_VALUES)
+def test_written_report_reads_back_bit_for_bit(tmp_path, payload):
+    path = tmp_path / "report.json"
+    _write_json(path, payload)
+    text = path.read_text()
+    assert text.endswith("\n")
+    _assert_same_value(json.loads(text), payload)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_writer_refuses_a_non_finite_number(tmp_path, bad):
+    path = tmp_path / "report.json"
+    with pytest.raises(AnalysisError, match="report.json"):
+        _write_json(path, {"xbar": 0.25, "rate_ratio": {"r": bad}})
+    assert not path.exists()
+
+
+def test_non_finite_report_value_exits_3_and_writes_no_report(config_path, tmp_path, capsys,
+                                                              monkeypatch):
+    monkeypatch.setattr("evodyn.cli.flows.detailed_balance_residual", lambda *_: math.nan)
+    out = tmp_path / "out"
+    assert main(["flows", "--config", str(config_path), "--out", str(out)]) == 3
+    (json_line,) = capsys.readouterr().out.splitlines()  # exactly one line
+    error = json.loads(json_line)["error"]
+    assert error["kind"] == "analysis"
+    assert str(out / "flows.json") in error["message"]
+    assert not (out / "flows.json").exists()
