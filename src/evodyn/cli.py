@@ -29,7 +29,7 @@ import numpy as np
 
 from . import composition as comp
 from . import dynamics, equilibria, flows, stability
-from .config import Scenario, parse_config
+from .config import Scenario, _read_utf8, parse_config
 from .errors import AnalysisError, ConfigError, EvodynError, InputError
 
 SUBCOMMANDS = ("equilibria", "simulate", "critical-mass", "select", "flows", "escape")
@@ -82,9 +82,9 @@ def build_initial(scenario: Scenario, grid: comp.TypeGrid) -> comp.BayesianStrat
 def _load_custom_csv(path: Path, grid: comp.TypeGrid) -> comp.BayesianStrategy:
     if not path.is_file():
         raise ConfigError(f"composition file {path} does not exist")
-    with path.open() as fh:
-        rows = [(lineno, text) for lineno, text in enumerate(map(str.strip, fh), start=1)
-                if text and not text.startswith("#")]
+    lines = map(str.strip, _read_utf8(path, "composition file").splitlines())
+    rows = [(lineno, text) for lineno, text in enumerate(lines, start=1)
+            if text and not text.startswith("#")]
     if rows and rows[0][1].lower().replace(" ", "") == "theta,x":
         del rows[0]  # the optional header
     thetas, values = [], []

@@ -22,6 +22,7 @@ requested level exactly (up to float rounding), not just within 1/n.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -59,11 +60,27 @@ class TypeGrid:
         return self.nodes.size
 
 
+#: Number of grids make_grid keeps (least recently used dropped first).
+_GRID_CACHE_SIZE = 4
+
+
 def make_grid(dist: TypeDistribution, n: int) -> TypeGrid:
-    """Equiprobable grid: node i at the ((i - 1/2)/n)-quantile, weight 1/n."""
+    """Equiprobable grid: node i at the ((i - 1/2)/n)-quantile, weight 1/n.
+
+    The grid is built once per (dist, n) and the same read-only grid is
+    shared by every later call with equal arguments, so ``dist`` must be
+    hashable (every shipped family is a frozen dataclass).  Equal
+    distributions give the same nodes bit for bit, so sharing changes no
+    value.
+    """
     # negated so that NaN, which fails every comparison, is refused
     if not (n >= 2 and float(n).is_integer()):
         raise InputError(f"grid size n={n} must be a whole number of at least 2")
+    return _grid(dist, int(n))
+
+
+@functools.lru_cache(maxsize=_GRID_CACHE_SIZE)
+def _grid(dist: TypeDistribution, n: int) -> TypeGrid:
     u = (np.arange(n) + 0.5) / n
     return TypeGrid(nodes=np.asarray(dist.inverse_cdf(u), dtype=float))
 

@@ -276,13 +276,30 @@ def _build_scenario(entries: _Entries) -> Scenario:
     )
 
 
+def _read_utf8(path: Path, what: str) -> str:
+    """The text of ``path`` decoded as UTF-8.
+
+    A byte sequence that is not UTF-8 is a ConfigError that names the byte
+    and the line it is on, counted as ``str.splitlines`` counts lines.
+    """
+    data = path.read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = data[: exc.start].decode("utf-8")  # valid up to the bad byte
+        line = len((before + "?").splitlines())  # the line a character there would be on
+        raise ConfigError(
+            f"{what} {path} is not valid UTF-8 (byte 0x{data[exc.start]:02x})", line
+        ) from None
+
+
 def parse_config(path, overrides: tuple[str, ...] = ()) -> Scenario:
     """Parse a scenario file, apply ``section.key=value`` overrides, validate."""
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file {p} does not exist")
     entries = _Entries()
-    _parse_lines(p.read_text().splitlines(), entries)
+    _parse_lines(_read_utf8(p, "config file").splitlines(), entries)
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not of the form section.key=value")

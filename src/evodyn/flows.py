@@ -89,7 +89,8 @@ class SwitchingRateDistribution:
         if qs.shape != ms.shape or qs.ndim != 1:
             raise InputError("atom values and masses must be 1-d arrays of equal length")
         for name, arr in (("atom values", qs), ("masses", ms)):
-            if not np.all(np.isfinite(arr) & (arr >= 0.0)):
+            # negated so that NaN, which fails every comparison, is refused
+            if not (arr.min(initial=0.0) >= 0.0 and arr.max(initial=0.0) < math.inf):
                 raise InputError(f"{name} must be finite and nonnegative")
         keep = ms > 0.0
         qs, ms = qs[keep], ms[keep]
@@ -355,6 +356,13 @@ class RateRatioBound:
 
 @dataclass(frozen=True)
 class EscapeReport:
+    """Dominance verdict, frozen-rate bound and crossing time of one start.
+
+    ``times`` is the read-only sample array ``escape_certificate`` shares
+    between every report with the same ``t_end``:
+    ``np.geomspace(1e-3, t_end, 2000)``, bit for bit.
+    """
+
     dominance: str
     times: np.ndarray
     bound: np.ndarray
@@ -427,6 +435,14 @@ def rate_ratio_escape_bound(
     )
 
 
+@functools.lru_cache(maxsize=4)
+def _bound_times(t_end: float) -> np.ndarray:
+    """The log-spaced bound samples up to ``t_end``, built once and read-only."""
+    times = np.geomspace(_BOUND_FIRST_TIME, t_end, _BOUND_SAMPLES)
+    times.flags.writeable = False  # shared by every report with this t_end
+    return times
+
+
 def escape_certificate(
     game: AggregateGame,
     dist: TypeDistribution,
@@ -444,7 +460,9 @@ def escape_certificate(
     bound has stayed below the equilibrium throughout and is below
     ``xbar_dagger``.  A crossing certifies that the true aggregate reaches
     the certified level in finite time and stays below it forever.  The
-    samples run from 1e-3 to ``t_end``, which must be finite and larger.
+    samples run from 1e-3 to ``t_end``, which must be finite and larger;
+    they are built once per ``t_end`` and shared, read-only, by every report
+    with that ``t_end``.
 
     The dominance verdict and the bound read one pair of sources: the
     Gauss-Legendre atoms of ``_cutoff_sources`` (accuracy stated at
@@ -454,6 +472,8 @@ def escape_certificate(
     the quadrature one by the midpoint rule's error: second order in n
     where the composition's cut and P(F) fall on cell boundaries (4.1e-8 on
     the canonical game at n = 2000), first order where either splits a cell.
+    The test against ``make_grid(dist, n)`` compares nodes, not objects; a
+    grid the caller built with ``make_grid`` is read back from its cache.
     """
     if not (np.isfinite(t_end) and t_end > _BOUND_FIRST_TIME):
         raise InputError(f"t_end={t_end} must be finite and above the first bound sample")
@@ -476,7 +496,7 @@ def escape_certificate(
     sources = _cutoff_sources(game, dist, protocol, x0, xbar_star)
     inflow, outflow = sources or flow_distributions(game, dist, protocol, x0, xbar_star)
     dominance = sosd_compare(outflow, inflow, mass_tol=2.0 / x0.grid.n)
-    times = np.geomspace(_BOUND_FIRST_TIME, t_end, _BOUND_SAMPLES)
+    times = _bound_times(float(t_end))
     bound = bound_trajectory(inflow, outflow, xbar_star, times)
 
     below_star = np.maximum.accumulate(bound) < xbar_star

@@ -52,11 +52,15 @@ class AggregateGame:
         return self.slope > 0.0
 
     def payoff(self, xbar: ArrayLike) -> ArrayLike:
-        """F(xbar).  Raises InputError outside DEFAULT_DOMAIN (NaN included)."""
+        """F(xbar).  Raises InputError outside DEFAULT_DOMAIN (NaN included).
+
+        An empty array is inside the domain and gives an empty array.
+        """
         lo, hi = DEFAULT_DOMAIN
         x = np.asarray(xbar, dtype=float)
-        # negated so that NaN, which fails every comparison, is refused
-        if not (np.all(x >= lo) and np.all(x <= hi)):
+        # negated so that NaN, which fails every comparison, is refused;
+        # ``initial`` makes an empty array pass
+        if not (x.min(initial=lo) >= lo and x.max(initial=hi) <= hi):
             raise InputError(f"aggregate {xbar!r} outside evaluation domain [{lo}, {hi}]")
         out = self.slope * x + self.intercept
         return float(out) if np.ndim(xbar) == 0 else out
@@ -78,6 +82,16 @@ def linear_coordination_game(c: float) -> AggregateGame:
     return AggregateGame(slope=1.0, intercept=-c)
 
 
+def _clamp(x, lo: float, hi: float):
+    """``np.clip(x, lo, hi)``, bit for bit, without its Python-level overhead.
+
+    ``np.maximum`` returns its second argument on a tie, so with ``x``
+    second a signed zero keeps its sign against a bound of the other sign,
+    as in ``np.clip``; NaN stays NaN.
+    """
+    return np.minimum(hi, np.maximum(lo, x))
+
+
 class TypeDistribution:
     """Interface shared by the type-distribution families.
 
@@ -87,8 +101,12 @@ class TypeDistribution:
 
     A family gives its ``support`` and its closed forms on it (``_cdf``,
     ``_inverse_cdf``, ``_pdf``); the rules around them live here: P clamps
-    to [0, 1], p is 0 off the support, a quantile outside [0, 1] (NaN
-    included) is refused, and a scalar argument gives a float.
+    the type to the support and its value to [0, 1] (NaN stays NaN), p is 0
+    off the support, a quantile outside [0, 1] (NaN included) is refused, an
+    empty array is accepted, and a scalar argument gives a float.  The
+    clamps (``_clamp``) give ``np.clip``'s bits and the range checks are one
+    ``min``/``max`` pair, each at a fraction of the call cost of ``np.clip``
+    and ``np.all``.
     """
 
     family: ClassVar[str]
@@ -96,13 +114,14 @@ class TypeDistribution:
 
     def cdf(self, theta: ArrayLike) -> ArrayLike:
         lo, hi = self.support
-        out = np.clip(self._cdf(np.clip(np.asarray(theta, dtype=float), lo, hi)), 0.0, 1.0)
+        out = _clamp(self._cdf(_clamp(np.asarray(theta, dtype=float), lo, hi)), 0.0, 1.0)
         return float(out) if np.ndim(theta) == 0 else out
 
     def inverse_cdf(self, u: ArrayLike) -> ArrayLike:
         arr = np.asarray(u, dtype=float)
-        # negated so that NaN, which fails every comparison, is refused
-        if not (np.all(arr >= 0.0) and np.all(arr <= 1.0)):
+        # negated so that NaN, which fails every comparison, is refused;
+        # ``initial`` makes an empty array pass
+        if not (arr.min(initial=0.0) >= 0.0 and arr.max(initial=1.0) <= 1.0):
             raise InputError(f"quantile argument {u!r} outside [0, 1]")
         out = self._inverse_cdf(arr)
         return float(out) if np.ndim(u) == 0 else out
@@ -210,9 +229,9 @@ class TruncatedLogisticTypes(TypeDistribution):
         return (self._base_cdf(t) - self._c_lo) / self._z
 
     def _inverse_cdf(self, u):
-        v = np.clip(self._c_lo + u * self._z, 1e-300, 1.0 - 1e-16)
+        v = _clamp(self._c_lo + u * self._z, 1e-300, 1.0 - 1e-16)
         lo, hi = self.support
-        return np.clip(self.mu + self.s * (np.log(v) - np.log1p(-v)), lo, hi)
+        return _clamp(self.mu + self.s * (np.log(v) - np.log1p(-v)), lo, hi)
 
     def _pdf(self, t):
         sigma = self._base_cdf(t)

@@ -56,6 +56,18 @@ def test_make_grid_rejects_a_size_that_is_not_a_whole_number(n):
         make_grid(SqrtShiftTypes(), n)
 
 
+def test_make_grid_shares_one_read_only_grid_per_distribution_and_size():
+    grid = make_grid(UniformTypes(0.0, 2.0), 64)
+    assert make_grid(UniformTypes(0.0, 2.0), 64) is grid  # an equal distribution
+    assert make_grid(UniformTypes(0.0, 2.0), 64.0) is grid  # the same whole number
+    assert not grid.nodes.flags.writeable and not grid.weights.flags.writeable
+    u = (np.arange(64) + 0.5) / 64
+    assert grid.nodes.tobytes() == UniformTypes(0.0, 2.0).inverse_cdf(u).tobytes()
+    for other in (make_grid(UniformTypes(0.0, 2.0), 65), make_grid(UniformTypes(0.0, 3.0), 64),
+                  make_grid(SqrtShiftTypes(), 64)):
+        assert other is not grid and not np.array_equal(other.nodes, grid.nodes)
+
+
 def test_grid_is_immutable(grid2000):
     with pytest.raises(ValueError):
         grid2000.nodes[0] = -1.0

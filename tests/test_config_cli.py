@@ -665,6 +665,33 @@ def test_custom_csv_refusals_exit_2(config_path, tmp_path, capsys, content, mess
     assert error["line"] == line
 
 
+def test_config_that_is_not_utf8_exits_2_with_its_line(tmp_path, capsys):
+    path = tmp_path / "scenario.ini"
+    path.write_bytes(CANONICAL.replace("a = 2.45\n", "a = 2.45\xff\n").encode("latin-1"))
+    assert main(["equilibria", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    (json_line,) = capsys.readouterr().out.splitlines()  # exactly one line
+    error = json.loads(json_line)["error"]
+    assert error == {"kind": "config", "line": 3,
+                     "message": f"config file {path} is not valid UTF-8 (byte 0xff) (line 3)"}
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("content,line", [
+    (b"theta,x\n0.0,1\n0.5,1\xff\n", 3),
+    (b"\xfe0.0,1\n", 1),
+    (b"0.0,1\r\n0.5,0\r\n\xc3", 3),  # a truncated two-byte sequence at the end
+], ids=["second-row", "first-byte", "truncated-last-line"])
+def test_custom_csv_that_is_not_utf8_exits_2_with_its_line(config_path, tmp_path, capsys,
+                                                            content, line):
+    comp = tmp_path / "comp.csv"
+    comp.write_bytes(content)
+    assert run_custom_csv(config_path, tmp_path / "out", comp) == 2
+    (json_line,) = capsys.readouterr().out.splitlines()  # exactly one line
+    error = json.loads(json_line)["error"]
+    assert (error["kind"], error["line"]) == ("config", line)
+    assert error["message"].startswith(f"composition file {comp} is not valid UTF-8 (byte 0x")
+
+
 def test_custom_csv_header_may_follow_comments(config_path, tmp_path):
     # the header is the first line that is neither blank nor a comment
     rows = "theta,x\n0.0,1.0\n0.5625,0.0\n"

@@ -102,12 +102,22 @@ class TestFlowDistributions:
         ([0.5, 1.0], [float("nan"), 0.1], "masses"),
         ([0.5, 1.0], [float("inf"), 0.1], "masses"),
         ([0.5, 1.0], [-0.1, 0.1], "masses"),
+        ([-np.inf, 1.0], [0.1, 0.1], "atom values"),
+        ([0.5, 1.0], [0.1, -np.inf], "masses"),
+        ([0.5, 1.0], [0.1, -5e-324], "masses"),
     ])
     def test_rejects_non_finite_or_negative_atoms(self, qs, ms, what):
         # a NaN rate would make a NaN bound; a NaN or negative mass would be
         # dropped with the zero masses
         with pytest.raises(InputError, match=f"{what} must be finite and nonnegative"):
             SwitchingRateDistribution(qs=np.array(qs), ms=np.array(ms))
+
+    def test_accepts_signed_zeros_and_no_atoms(self):
+        dist = SwitchingRateDistribution(qs=np.array([-0.0, 0.0, 1e308]),
+                                         ms=np.array([0.1, -0.0, 0.2]))
+        assert dist.qs.tobytes() == np.array([-0.0, 1e308]).tobytes()
+        assert dist.total_mass == pytest.approx(0.3)
+        assert SwitchingRateDistribution(qs=np.empty(0), ms=np.empty(0)).total_mass == 0.0
 
 
 class TestVelocityIdentity:
@@ -380,6 +390,20 @@ class TestEscapeCertificate:
     ):
         with pytest.raises(InputError, match="first bound sample"):
             escape_certificate(canon_game, canon_dist, cubic, reversed25, 0.03, t_end=t_end)
+
+    @pytest.mark.parametrize("t_end", [50, 50.0, 7.5], ids=["int-50", "50.0", "7.5"])
+    def test_sample_times_are_shared_read_only_geomspace(
+        self, canon_game, canon_dist, cubic, reversed25, t_end
+    ):
+        first = escape_certificate(canon_game, canon_dist, cubic, reversed25, 0.03, t_end=t_end)
+        again = escape_certificate(canon_game, canon_dist, cubic, reversed25, 0.03, t_end=t_end)
+        assert first.times.tobytes() == np.geomspace(1e-3, t_end, 2000).tobytes()
+        assert again.times is first.times
+        assert not first.times.flags.writeable
+        with pytest.raises(ValueError):
+            first.times[0] = 0.0
+        default = escape_certificate(canon_game, canon_dist, cubic, reversed25, 0.03)
+        assert (default.times is first.times) == (t_end == 50)
 
     def test_runs_no_equilibrium_search(
         self, canon_game, canon_dist, cubic, reversed25, monkeypatch
@@ -660,6 +684,27 @@ class TestAtomRouting:
         assert report.times.tobytes() == CERTIFY_TIMES.tobytes()
         assert report.bound.tobytes() == bound.tobytes()
         assert (report.dominance, report.crossing_time) == (dominance, crossing)
+
+    def test_grid_test_compares_nodes_not_the_cached_grid(self, canon_game, canon_dist, cubic):
+        # make_grid hands back its cached grid; a hand-built grid with equal
+        # nodes still gets the quadrature atoms, one with a node moved by one
+        # ulp keeps the grid atoms
+        cached = make_grid(canon_dist, 1000)
+        same = TypeGrid(nodes=cached.nodes.copy())
+        nudged_nodes = cached.nodes.copy()
+        nudged_nodes[500] = np.nextafter(nudged_nodes[500], np.inf)
+        nudged = TypeGrid(nodes=nudged_nodes)
+        for grid, quadrature in ((cached, True), (same, True), (nudged, False)):
+            x0 = reversed_composition(grid, canon_dist, 0.25)
+            sources = evodyn.flows._cutoff_sources(canon_game, canon_dist, cubic, x0, 0.25)
+            assert (sources is not None) == quadrature
+            report = escape_certificate(canon_game, canon_dist, cubic, x0, 0.03)
+            if quadrature:
+                want = quadrature_bound(canon_game, canon_dist, cubic, x0)
+            else:
+                want = grid_escape(canon_game, canon_dist, cubic, x0, 0.03)[1]
+            assert report.bound.tobytes() == want.tobytes()
+        assert make_grid(canon_dist, 1000) is cached
 
     @pytest.mark.parametrize("protocol", [power_protocol(2.5), bounded_power_protocol(1.5, 0.3)],
                              ids=["power-2.5", "bounded-power-1.5"])

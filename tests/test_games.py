@@ -17,7 +17,7 @@ from evodyn import (
     make_distribution,
 )
 from evodyn.composition import balanced_composition, make_grid
-from evodyn.games import require_aggregate_equilibrium
+from evodyn.games import DEFAULT_DOMAIN, require_aggregate_equilibrium
 
 DISTRIBUTIONS = [
     UniformTypes(0.0, 1.0),
@@ -324,3 +324,108 @@ def test_logistic_rejects_a_truncation_past_the_range_of_exp():
             TruncatedLogisticTypes(0.0, 1.0, tau=800.0)
         dist = TruncatedLogisticTypes(0.0, 1.0, tau=709.78)  # just inside the range
         assert (dist.cdf(-709.78), dist.cdf(0.0), dist.cdf(709.78)) == (0.0, 0.5, 1.0)
+
+
+# -- domain checks: one min/max pair and a min/max clamp ----------------------
+# payoff and inverse_cdf refused out-of-domain input with two comparisons and
+# two np.all calls, and cdf clamped with two np.clip calls; those forms are
+# kept here, and the shipped checks must accept, refuse and return exactly
+# what they did.
+
+def _old_payoff(game, xbar):
+    lo, hi = DEFAULT_DOMAIN
+    x = np.asarray(xbar, dtype=float)
+    if not (np.all(x >= lo) and np.all(x <= hi)):
+        raise InputError(f"aggregate {xbar!r} outside evaluation domain [{lo}, {hi}]")
+    out = game.slope * x + game.intercept
+    return float(out) if np.ndim(xbar) == 0 else out
+
+
+def _old_cdf(dist, theta):
+    lo, hi = dist.support
+    out = np.clip(dist._cdf(np.clip(np.asarray(theta, dtype=float), lo, hi)), 0.0, 1.0)
+    return float(out) if np.ndim(theta) == 0 else out
+
+
+def _old_inverse_cdf(dist, u):
+    arr = np.asarray(u, dtype=float)
+    if not (np.all(arr >= 0.0) and np.all(arr <= 1.0)):
+        raise InputError(f"quantile argument {u!r} outside [0, 1]")
+    return _oracle_inverse_cdf(dist, u)
+
+
+def _assert_same_outcome(new, old, arg):
+    try:
+        want = old(arg)
+    except InputError as exc:
+        with pytest.raises(InputError) as refused:
+            new(arg)
+        assert str(refused.value) == str(exc)
+    else:
+        _assert_same_bits(new(arg), want)
+
+
+def _domain_inputs(edges):
+    """A float, a 0-d array, or a 1-d array (empty included) of edge values."""
+    value = st.sampled_from(edges) | st.floats()
+    return st.one_of(
+        value,
+        value.map(np.asarray),
+        st.lists(value, max_size=12).map(lambda v: np.array(v, dtype=float)),
+    )
+
+
+def _edges(lo, hi):
+    return [lo, hi, np.nextafter(lo, -np.inf), np.nextafter(lo, np.inf),
+            np.nextafter(hi, -np.inf), np.nextafter(hi, np.inf),
+            0.0, -0.0, 5e-324, -5e-324, np.nan, np.inf, -np.inf]
+
+
+# supports that end at +0.0 or -0.0, where the clamps meet a signed-zero tie
+_SIGNED_ZERO_ENDS = [
+    UniformTypes(-0.0, 1.0),
+    UniformTypes(-1.0, -0.0),
+    TruncatedLogisticTypes(mu=0.6, s=0.05, tau=0.6),  # support [0.0, 1.2]
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    game=st.builds(affine_game, st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)),
+    dist=st.sampled_from(DISTRIBUTIONS + _SIGNED_ZERO_ENDS) | _random_distributions,
+    data=st.data(),
+)
+def test_domain_checks_match_the_np_all_and_np_clip_forms(game, dist, data):
+    xbar = data.draw(_domain_inputs(_edges(*DEFAULT_DOMAIN)))
+    theta = data.draw(_domain_inputs(_edges(*dist.support)))
+    u = data.draw(_domain_inputs(_edges(0.0, 1.0)))
+    with np.errstate(over="ignore"):  # the uniform closed form on huge types
+        _assert_same_outcome(game.payoff, lambda x: _old_payoff(game, x), xbar)
+        _assert_same_outcome(dist.cdf, lambda t: _old_cdf(dist, t), theta)
+        _assert_same_outcome(dist.inverse_cdf, lambda q: _old_inverse_cdf(dist, q), u)
+
+
+@pytest.mark.parametrize("dist", DISTRIBUTIONS + _SIGNED_ZERO_ENDS,
+                         ids=lambda d: d.family + str(d.support))
+def test_domain_checks_match_the_old_forms_on_every_edge_value(canon_game, dist):
+    # every edge value as a float, a 0-d array and inside one 1-d array; the
+    # signed-zero ties (a type of -0.0 against a support that starts at 0.0)
+    # are too rare among random draws to leave to the property above
+    for (lo, hi), new, old in (
+        (DEFAULT_DOMAIN, canon_game.payoff, lambda x: _old_payoff(canon_game, x)),
+        (dist.support, dist.cdf, lambda t: _old_cdf(dist, t)),
+        ((0.0, 1.0), dist.inverse_cdf, lambda q: _old_inverse_cdf(dist, q)),
+    ):
+        edges = _edges(lo, hi)
+        for value in edges:
+            _assert_same_outcome(new, old, value)
+            _assert_same_outcome(new, old, np.asarray(value))
+        _assert_same_outcome(new, old, np.array(edges))
+        _assert_same_outcome(new, old, np.array([v for v in edges if lo <= v <= hi]))
+
+
+@pytest.mark.parametrize("arg", [np.empty(0), np.empty((0, 3))], ids=["1-d", "2-d"])
+def test_empty_arrays_are_inside_every_domain(canon_game, arg):
+    for out in (canon_game.payoff(arg), SqrtShiftTypes().cdf(arg),
+                SqrtShiftTypes().inverse_cdf(arg)):
+        assert isinstance(out, np.ndarray) and out.shape == arg.shape
