@@ -32,9 +32,6 @@ from . import dynamics, equilibria, flows, stability
 from .config import Scenario, _read_utf8, parse_config
 from .errors import AnalysisError, ConfigError, EvodynError, InputError
 
-SUBCOMMANDS = ("equilibria", "simulate", "critical-mass", "select", "flows", "escape")
-
-
 def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
@@ -109,14 +106,6 @@ def _load_custom_csv(path: Path, grid: comp.TypeGrid) -> comp.BayesianStrategy:
     return comp.BayesianStrategy(grid=grid, values=values[idx])
 
 
-def _scenario_meta(scenario: Scenario) -> dict:
-    return {
-        "grid_n": scenario.n,
-        "dt": scenario.dt,
-        "t_end": scenario.t_end,
-    }
-
-
 def _run_equilibria(scenario: Scenario, out: Path) -> None:
     report = equilibria.find_aggregate_equilibria(scenario.game, scenario.dist)
     _write_json(out / "equilibria.json", dataclasses.asdict(report))
@@ -146,7 +135,9 @@ def _run_simulate(scenario: Scenario, out: Path) -> None:
             "xbar0": float(traj.xbars[0]),
             "xbar_final": traj.final_xbar,
             "clamp_total": traj.clamp_total,
-            **_scenario_meta(scenario),
+            "grid_n": scenario.n,
+            "dt": scenario.dt,
+            "t_end": scenario.t_end,
         },
     )
 
@@ -160,21 +151,14 @@ def _run_critical_mass(scenario: Scenario, out: Path) -> None:
 
 
 def _select_payload(report: stability.RobustnessReport) -> dict:
+    entries = [dataclasses.asdict(e) for e in report.entries]
+    for entry in entries:
+        entry["xbar"] = entry.pop("xbar_star")
     return {
         "selected": report.selected,
         "tie": report.tie,
         "thresholds": {_fmt(e.xbar_star): e.overall for e in report.entries},
-        "equilibria": [
-            {
-                "xbar": e.xbar_star,
-                "threshold_left": e.threshold_left,
-                "attained_left": e.attained_left,
-                "threshold_right": e.threshold_right,
-                "attained_right": e.attained_right,
-                "overall": e.overall,
-            }
-            for e in report.entries
-        ],
+        "equilibria": entries,
     }
 
 
@@ -272,6 +256,7 @@ _RUNNERS = {
     "flows": _run_flows,
     "escape": _run_escape,
 }
+SUBCOMMANDS = tuple(_RUNNERS)
 
 
 def run(scenario: Scenario, subcommand: str, out_dir) -> None:

@@ -76,7 +76,10 @@ def make_grid(dist: TypeDistribution, n: int) -> TypeGrid:
     # negated so that NaN, which fails every comparison, is refused
     if not (n >= 2 and float(n).is_integer()):
         raise InputError(f"grid size n={n} must be a whole number of at least 2")
-    return _grid(dist, int(n))
+    try:
+        return _grid(dist, int(n))
+    except (ValueError, MemoryError):  # numpy refuses or fails the node arrays
+        raise InputError(f"grid size n={n:.6g} is too large to allocate") from None
 
 
 @functools.lru_cache(maxsize=_GRID_CACHE_SIZE)
@@ -108,13 +111,18 @@ def aggregate(x: BayesianStrategy) -> float:
     return float(np.dot(x.grid.weights, x.values))
 
 
-def _cutoff_split(grid: TypeGrid, xbar: float) -> tuple[int, float]:
-    """Number of fully filled nodes and the fractional fill of the next one."""
+def _cutoff_values(grid: TypeGrid, xbar: float) -> np.ndarray:
+    """The sorted composition's values: the first floor(xbar n) nodes filled
+    and the fractional fill of the next one."""
     if not 0.0 <= xbar <= 1.0:
         raise InputError(f"xbar={xbar} outside [0, 1]")
     scaled = xbar * grid.n
     k = min(int(np.floor(scaled)), grid.n)
-    return k, scaled - k
+    values = np.zeros(grid.n)
+    values[:k] = 1.0
+    if k < grid.n:
+        values[k] = scaled - k
+    return values
 
 
 def sorted_composition(grid: TypeGrid, xbar: float) -> BayesianStrategy:
@@ -123,12 +131,7 @@ def sorted_composition(grid: TypeGrid, xbar: float) -> BayesianStrategy:
     With an equiprobable grid the cut-off type is the inverse c.d.f. at xbar;
     the boundary node is filled fractionally so the aggregate equals xbar.
     """
-    k, frac = _cutoff_split(grid, xbar)
-    values = np.zeros(grid.n)
-    values[:k] = 1.0
-    if k < grid.n:
-        values[k] = frac
-    return BayesianStrategy(grid=grid, values=values)
+    return BayesianStrategy(grid=grid, values=_cutoff_values(grid, xbar))
 
 
 def reversed_composition(
@@ -138,16 +141,10 @@ def reversed_composition(
 
     The participation threshold type is the inverse c.d.f. at 1 - xbar.
     ``dist`` fixes that interpretation; the values themselves only need the
-    grid ordering.
+    grid ordering: they are the sorted composition's, mirrored.
     """
     del dist  # threshold type is inverse_cdf(1 - xbar); grid nodes already sorted
-    k, frac = _cutoff_split(grid, xbar)
-    values = np.zeros(grid.n)
-    if k > 0:
-        values[grid.n - k:] = 1.0
-    if k < grid.n:
-        values[grid.n - k - 1] = frac
-    return BayesianStrategy(grid=grid, values=values)
+    return BayesianStrategy(grid=grid, values=_cutoff_values(grid, xbar)[::-1])
 
 
 def balanced_composition(
@@ -224,21 +221,21 @@ def min_mass_ratio(protocol, band_width: float) -> float:
     Equals the ratio of the switching-rate integrals over the gain band
     [e, 2e] and the loss band [3e, 4e]; below it the perturbation's
     instantaneous aggregate velocity is not guaranteed positive.  In closed
-    form: 1 for the standard rate; (2^(k+1) - 1) / (4^(k+1) - 3^(k+1)) for
-    d^k, divided through by 4^(k+1) so no power overflows; and for
+    form, read from ``protocol.saturation``: 1 for the standard rate, which
+    saturates at 0; (2^(k+1) - 1) / (4^(k+1) - 3^(k+1)) for d^k, which never
+    saturates, divided through by 4^(k+1) so no power overflows; and for
     min((d/pisharp)^k, 1) the ratio of its piecewise integrals, which is the
     power form while pisharp >= 4e.
     """
-    # dynamics imports this module, so its protocol kinds are imported here
-    from .dynamics import KIND_BOUNDED_POWER, KIND_STANDARD
-
     if not band_width > 0.0:
         raise InputError("band width must be positive")
-    if protocol.kind == KIND_STANDARD:
+    saturation = protocol.saturation
+    if saturation == 0.0:
         return 1.0
     k = protocol.k
-    # the rate in units of the band width: min((s / c)^k, 1) at d = s e
-    c = protocol.pisharp / band_width if protocol.kind == KIND_BOUNDED_POWER else math.inf
+    # the rate in units of the band width: min((s / c)^k, 1) at d = s e; an
+    # infinite saturation stays infinite, also at an infinite band width
+    c = saturation / band_width if saturation < math.inf else math.inf
     if c >= 4.0:
         return (0.5 ** (k + 1.0) - 0.25 ** (k + 1.0)) / (1.0 - 0.75 ** (k + 1.0))
 

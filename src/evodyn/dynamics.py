@@ -130,7 +130,13 @@ _HOLE_MIN = 2500
 
 @dataclass(frozen=True)
 class RevisionProtocol:
-    """Conditional switching rate as a function of the payoff deficit."""
+    """Conditional switching rate as a function of the payoff deficit.
+
+    ``saturation`` is the deficit from which the rate is constant: 0 for the
+    standard rate (1 at every positive deficit), pisharp for bounded_power
+    (1 from there on) and inf for power, which never saturates.  Below it a
+    tempered rate is strictly increasing.
+    """
 
     kind: str
     k: float = 1.0
@@ -156,6 +162,11 @@ class RevisionProtocol:
         object.__setattr__(self, "_k", _constant(k))
         if self.pisharp is not None:
             object.__setattr__(self, "_pisharp", _constant(self.pisharp))
+
+    @property
+    def saturation(self) -> float:
+        """The deficit from which the rate is constant (class docstring)."""
+        return {KIND_STANDARD: 0.0, KIND_BOUNDED_POWER: self.pisharp}.get(self.kind, math.inf)
 
     def _rate_into(self, d: np.ndarray, out: np.ndarray) -> None:
         """Write the switching rate of nonnegative deficits ``d`` into ``out``.
@@ -241,10 +252,12 @@ def _field_function(
     slope, intercept = game.slope, game.intercept
     dom_lo, dom_hi = DEFAULT_DOMAIN
     subtract, negative, multiply, one = np.subtract, np.negative, np.multiply, _ONE
-    # the band: the deficits at most ``width`` (the tie under the standard
-    # protocol, those below pisharp under bounded_power), every node under power
-    whole = protocol.kind == KIND_POWER
-    width = math.nextafter(protocol.pisharp, 0.0) if protocol.kind == KIND_BOUNDED_POWER else 0.0
+    # the band: the deficits at most ``width``, the largest double below the
+    # saturation (the tie alone under the standard protocol, where both are
+    # 0), every node under power
+    saturation = protocol.saturation
+    whole = saturation == math.inf
+    width = math.nextafter(saturation, 0.0)
     scratch, c0 = np.empty(n), np.empty(())
     rate_into = protocol._rate_into
     if window is None:
@@ -369,8 +382,11 @@ def _rk4(
     for s in wanted:
         if not (math.isfinite(s) and s <= steps * dt + 1e-12):
             raise InputError(f"snapshot time {s!r} must be finite and at most {steps * dt!r}")
-    times = np.arange(steps + 1) * dt
-    xbars = np.empty(steps + 1)
+    try:
+        times = np.arange(steps + 1) * dt
+        xbars = np.empty(steps + 1)
+    except (ValueError, MemoryError):  # numpy refuses or fails the step arrays
+        raise InputError(f"{steps:.6g} steps are too many to allocate") from None
     snaps: list[tuple[float, np.ndarray]] = []
     clamp_total = 0.0
 

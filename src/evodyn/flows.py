@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .composition import BayesianStrategy, aggregate, make_grid
-from .dynamics import KIND_BOUNDED_POWER, RevisionProtocol
+from .dynamics import RevisionProtocol
 from .equilibria import STABLE, UNSTABLE, find_aggregate_equilibria
 from .errors import AnalysisError, InputError
 from .games import AggregateGame, TypeDistribution, require_aggregate_equilibrium
@@ -178,12 +178,13 @@ def _cutoff_sources(
     the sorted (nonincreasing) or reversed (nondecreasing) composition whose
     cut in the quantile u is its aggregate, or one minus it.  With
     F = F(xbar_ref), inflow is {u < P(F), x = 0} and outflow
-    {u > P(F), x = 1}; for bounded_power each source is split at
-    P(F -/+ pisharp), where the rate saturates.  Each interval gets ``nodes``
-    Gauss-Legendre atoms: the rate of the type P^-1(u) at each node, with the
-    node weight as mass.  An interval on which the rate is constant (the
-    standard rate, or bounded_power past pisharp) gets one atom of its
-    length, the exact integral.
+    {u > P(F), x = 1}; where the rate saturates at a positive finite
+    deficit s = ``protocol.saturation`` (bounded_power), each source is split
+    at P(F -/+ s), its kink.  Each interval gets ``nodes`` Gauss-Legendre
+    atoms: the rate of the type P^-1(u) at each node, with the node weight
+    as mass.  An interval on which the rate is constant (the standard rate,
+    or bounded_power past pisharp) gets one atom of its length, the exact
+    integral.
 
     A non-integer k gives None: every cut-off source has an end at P(F), where
     the deficit d vanishes and d^k is not smooth, so Gauss-Legendre converges
@@ -209,12 +210,13 @@ def _cutoff_sources(
         return None
 
     z, w = _legendre_rule(nodes)
+    saturation = protocol.saturation
     sources = []
     # side -1 is the inflow (deficit F - theta), side 1 the outflow
     for (lo, hi), side in zip(spans, (-1.0, 1.0)):
         ends = [lo, hi]
-        if protocol.kind == KIND_BOUNDED_POWER:
-            kink = float(dist.cdf(common + side * protocol.pisharp))
+        if 0.0 < saturation < math.inf:
+            kink = float(dist.cdf(common + side * saturation))
             if lo < kink < hi:
                 ends.insert(1, kink)
         qs, ms = [np.empty(0)], [np.empty(0)]

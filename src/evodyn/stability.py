@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import KIND_BOUNDED_POWER, KIND_STANDARD, RevisionProtocol
+from .dynamics import RevisionProtocol
 from .equilibria import _ROOT_TOL, STABLE, find_aggregate_equilibria
 from .errors import AnalysisError, InputError
 from .games import ACTION_IN, ACTION_OUT, AggregateGame, TypeDistribution
@@ -105,21 +105,21 @@ def _certify(game, dist, protocol, xs):
     (a), then corner, clamped c.d.f., rates.  P(F) is clamped to 0 exactly
     when F <= theta_min, and to 1 when F >= theta_max, so the clamped branch
     is rhs <= 0.  Every supported rate is nondecreasing in the deficit, and
-    strictly increasing below the deficit ``cap`` from which it is constant
-    (0 for the standard rate, pisharp for bounded_power, none for power).
-    So for a cut-off type that prefers to move (lhs > 0), rate(lhs) >=
-    rate(rhs) holds exactly when lhs >= min(rhs, cap), and the certificate
-    compares deficits alone: it holds where the gap
-    lhs - max(min(rhs, cap), 0) is >= 0, which also covers the clamped
-    branch.  The gap is continuous in the level.
+    strictly increasing below ``protocol.saturation``, the deficit from
+    which it is constant (0 for the standard rate, pisharp for
+    bounded_power, inf for power).  So for a cut-off type that prefers to
+    move (lhs > 0), rate(lhs) >= rate(rhs) holds exactly when
+    lhs >= min(rhs, saturation), and the certificate compares deficits
+    alone: it holds where the gap lhs - max(min(rhs, saturation), 0) is
+    >= 0, which also covers the clamped branch.  The gap is continuous in
+    the level.
     """
     common, cutoff, deficit = _cutoff_deficit(game, dist, xs)
     # per row: sign of the cut-off type's gain from moving, extreme type, corner level
     sign, extreme, corner_level = np.array([[-1.0, 1.0], dist.support, [1.0, 0.0]])[..., None]
     lhs = sign * deficit
     rhs = sign * (extreme - common)
-    cap = {KIND_STANDARD: 0.0, KIND_BOUNDED_POWER: protocol.pisharp}.get(protocol.kind, math.inf)
-    gap = lhs - np.maximum(np.minimum(rhs, cap), 0.0)
+    gap = lhs - np.maximum(np.minimum(rhs, protocol.saturation), 0.0)
     member = (lhs > 0.0) & ((xs == corner_level) | (gap >= 0.0))
     return member, gap, lhs, rhs, common, cutoff
 

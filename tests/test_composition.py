@@ -56,6 +56,13 @@ def test_make_grid_rejects_a_size_that_is_not_a_whole_number(n):
         make_grid(SqrtShiftTypes(), n)
 
 
+@pytest.mark.parametrize("n", [1e300, 10**300])
+def test_make_grid_refuses_a_size_too_large_to_allocate(n):
+    # numpy refuses 1e300 nodes without allocating; the refusal names the size
+    with pytest.raises(InputError, match=r"n=1e\+300 is too large to allocate"):
+        make_grid(SqrtShiftTypes(), n)
+
+
 def test_make_grid_shares_one_read_only_grid_per_distribution_and_size():
     grid = make_grid(UniformTypes(0.0, 2.0), 64)
     assert make_grid(UniformTypes(0.0, 2.0), 64) is grid  # an equal distribution
@@ -125,6 +132,20 @@ def test_cutoff_constructors_bounds_and_aggregate(xbar):
         assert aggregate(x) == pytest.approx(xbar, abs=1e-12)
     # same aggregate on both (summation order differs by at most a few ulps)
     assert abs(aggregate(srt) - aggregate(rev)) <= 1e-14
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=600),
+    xbar=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0)),
+)
+def test_reversed_composition_is_the_sorted_one_mirrored_bit_for_bit(n, xbar):
+    dist = UniformTypes(0.0, 1.0)
+    grid = make_grid(dist, n)
+    srt = sorted_composition(grid, xbar)
+    rev = reversed_composition(grid, dist, xbar)
+    assert rev.values.tobytes() == srt.values[::-1].tobytes()
+    assert rev.values.flags.c_contiguous and not rev.values.flags.writeable
 
 
 def test_strategy_rejects_out_of_range(grid2000):
@@ -209,6 +230,20 @@ class TestDestabilizingPerturbation:
         # cubic tempering: (2^4 - 1)/(4^4 - 3^4) = 15/175 = 3/35
         assert min_mass_ratio(cubic, 0.05) == pytest.approx(3 / 35, abs=math.ulp(3 / 35))
         assert min_mass_ratio(standard_protocol(), 0.05) == 1.0
+
+    @pytest.mark.parametrize("protocol, ratios", [
+        (power_protocol(3), (0.08571428571428572,) * 3),
+        (power_protocol(0.5), (0.6521135954584314,) * 3),
+        (standard_protocol(), (1.0,) * 3),
+        # the rate saturates on neither band while pisharp >= 4e, on both at
+        # an infinite band width
+        (bounded_power_protocol(2, 0.3), (0.1891891891891892, 0.1891891891891892, 1.0)),
+    ], ids=["cubic", "power0.5", "standard", "bounded2"])
+    def test_min_mass_ratio_at_extreme_band_widths(self, protocol, ratios):
+        # a power rate never saturates, also at an infinite band width, where
+        # the saturation over the width would be inf / inf = NaN
+        for band_width, ratio in zip((5e-324, 0.05, math.inf), ratios):
+            assert min_mass_ratio(protocol, band_width) == ratio
 
     @pytest.mark.parametrize("pisharp", [1e-3, 0.03, 0.1, 0.15, 0.2, 1.0])
     def test_min_mass_ratio_bounded_power(self, pisharp):

@@ -410,6 +410,23 @@ def test_custom_csv_non_finite_theta_is_refused(config_path, tmp_path, capsys, t
     assert error["line"] == 3
 
 
+@pytest.mark.parametrize("override, count", [
+    ("grid.n=1e300", "grid size n=1e+300"),
+    ("sim.t_end=1e300", "1e+302 steps"),
+    ("sim.dt=1e-300", "5e+301 steps"),
+])
+def test_count_too_large_to_allocate_exits_3(config_path, tmp_path, capsys, override, count):
+    # numpy refuses these counts without allocating; the refusal is one JSON
+    # line that names the count, not a traceback
+    code = main(["simulate", "--config", str(config_path), "--out", str(tmp_path / "out"),
+                 "--override", override])
+    assert code == 3
+    (line,) = capsys.readouterr().out.splitlines()  # exactly one line
+    error = json.loads(line)["error"]
+    assert error["kind"] == "analysis"
+    assert f"{count} " in error["message"] and "to allocate" in error["message"]
+
+
 def test_snapshot_time_after_the_run_exits_3(config_path, tmp_path, capsys):
     out = tmp_path / "out"
     code = main(

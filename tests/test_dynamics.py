@@ -9,6 +9,7 @@ which turns each into a polynomial integral:
     velocity = inflow - outflow = -1.9735285...
 """
 
+import math
 from bisect import bisect_right
 from pathlib import Path
 
@@ -100,6 +101,26 @@ def test_rates_monotone_and_zero_below(d1, d2):
             assert proto.rate(d1) <= proto.rate(d2)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    k=st.floats(min_value=0.1, max_value=8.0),
+    pisharp=st.floats(min_value=1e-3, max_value=10.0),
+    beyond=st.lists(st.floats(min_value=0.0, max_value=1e3), min_size=1, max_size=8),
+)
+def test_rate_is_one_from_its_saturation_and_strictly_increasing_below(k, pisharp, beyond):
+    for protocol, saturation in ((standard_protocol(), 0.0), (power_protocol(k), math.inf),
+                                 (bounded_power_protocol(k, pisharp), pisharp)):
+        assert protocol.saturation == saturation
+        if saturation < math.inf:
+            # every positive deficit at or past the saturation, the smallest
+            # positive double included
+            d = np.append(saturation + np.array(beyond), max(saturation, 5e-324))
+            assert np.all(protocol.rate(d[d > 0.0]) == 1.0)
+        if saturation > 0.0:
+            d = min(saturation, 10.0) * np.linspace(0.01, 0.99, 50)
+            assert np.all(np.diff(protocol.rate(d)) > 0.0)
+
+
 def test_protocol_validation():
     with pytest.raises(InputError):
         power_protocol(0.0)
@@ -186,6 +207,19 @@ def test_integrator_rejects_unbounded_step_count(canon_game, canon_dist, grid200
     x = sorted_composition(grid2000, 0.25)
     with pytest.raises(InputError, match="not a finite step count"):
         integrate(canon_game, canon_dist, cubic, x, t_end=1e300, dt=1e-300)
+
+
+@pytest.mark.parametrize("t_end, dt", [(1e300, 0.01), (1.0, 1e-300)])
+def test_integrators_refuse_a_step_count_too_large_to_allocate(
+    canon_game, canon_dist, grid2000, cubic, t_end, dt
+):
+    # numpy refuses 1e302 or 1e300 elements without allocating; the
+    # integrators turn its ValueError into an InputError that names the count
+    x = sorted_composition(grid2000, 0.25)
+    with pytest.raises(InputError, match=r"e\+30[02] steps are too many to allocate"):
+        integrate(canon_game, canon_dist, cubic, x, t_end=t_end, dt=dt)
+    with pytest.raises(InputError, match="too many to allocate"):
+        integrate_homogenized(canon_game, canon_dist, 0.25, t_end=t_end, dt=dt)
 
 
 def test_forward_invariance_and_clamp_budget(canon_game, canon_dist, grid2000, cubic):
