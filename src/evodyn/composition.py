@@ -73,8 +73,12 @@ def make_grid(dist: TypeDistribution, n: int) -> TypeGrid:
     distributions give the same nodes bit for bit, so sharing changes no
     value.
     """
-    # negated so that NaN, which fails every comparison, is refused
-    if not (n >= 2 and float(n).is_integer()):
+    try:
+        # negated so that NaN, which fails every comparison, is refused
+        whole = n >= 2 and float(n).is_integer()
+    except OverflowError:  # an int beyond the largest double
+        raise InputError("grid size n is beyond the doubles, too large to allocate") from None
+    if not whole:
         raise InputError(f"grid size n={n} must be a whole number of at least 2")
     try:
         return _grid(dist, int(n))

@@ -7,8 +7,9 @@ with c.d.f. P, density p, and inverse c.d.f. on a compact support.  All
 supported payoff families are affine, so F is trivially Lipschitz; the game
 has positive externality iff the slope is positive.
 
-Distribution families expose exact closed-form (cdf, inverse_cdf, pdf)
-triples; ``TypeDistribution`` applies the domain rules around them once.  The
+Distribution families expose exact closed forms for the c.d.f., its
+inverse, the density and the levels where the inverse c.d.f. has a given
+slope; ``TypeDistribution`` applies the domain rules around them once.  The
 c.d.f. clamps to 0 below the support and 1 above it, which is what the
 aggregate best response needs at corner states.  The homogenized velocity
 g(xbar) = P(F(xbar)) - xbar, whose zeros are the aggregate equilibria, is
@@ -100,7 +101,8 @@ class TypeDistribution:
     identity cdf(inverse_cdf(u)) = u for u in [0, 1].
 
     A family gives its ``support`` and its closed forms on it (``_cdf``,
-    ``_inverse_cdf``, ``_pdf``); the rules around them live here: P clamps
+    ``_inverse_cdf``, ``_pdf``, ``_quantile_slope_levels``); the rules
+    around them live here: P clamps
     the type to the support and its value to [0, 1] (NaN stays NaN), p is 0
     off the support, a quantile outside [0, 1] (NaN included) is refused, an
     empty array is accepted, and a scalar argument gives a float.  The
@@ -133,6 +135,17 @@ class TypeDistribution:
         out = np.where(inside, self._pdf(np.where(inside, t, lo)), 0.0)
         return float(out) if np.ndim(theta) == 0 else out
 
+    def quantile_slope_levels(self, slope: float) -> np.ndarray:
+        """Ascending levels u in [0, 1] where Pinv'(u) = ``slope``.
+
+        There the density at the quantile is 1/slope.  Pinv is increasing,
+        so a slope of 0 or below has no such level.
+        """
+        if not slope > 0.0:
+            return np.empty(0)
+        u = np.asarray(self._quantile_slope_levels(slope), dtype=float)
+        return u[(u >= 0.0) & (u <= 1.0)]
+
 
 @dataclass(frozen=True)
 class UniformTypes(TypeDistribution):
@@ -159,6 +172,9 @@ class UniformTypes(TypeDistribution):
     def _pdf(self, t):
         return 1.0 / (self.hi - self.lo)
 
+    def _quantile_slope_levels(self, slope):
+        return ()  # Pinv' is constant: no isolated level
+
 
 @dataclass(frozen=True)
 class SqrtShiftTypes(TypeDistribution):
@@ -181,6 +197,9 @@ class SqrtShiftTypes(TypeDistribution):
 
     def _pdf(self, t):
         return 0.5 / np.sqrt(t + 1.0)
+
+    def _quantile_slope_levels(self, slope):
+        return (0.5 * slope - 1.0,)  # Pinv'(u) = 2 (u + 1)
 
 
 @dataclass(frozen=True)
@@ -236,6 +255,16 @@ class TruncatedLogisticTypes(TypeDistribution):
     def _pdf(self, t):
         sigma = self._base_cdf(t)
         return sigma * (1.0 - sigma) / (self.s * self._z)
+
+    def _quantile_slope_levels(self, slope):
+        # Pinv'(u) = s z / (sigma (1 - sigma)) at sigma = c_lo + u z, so
+        # sigma (1 - sigma) = s z / slope; the smaller root is taken from the
+        # product of the two, free of cancellation
+        product = self.s * self._z / slope
+        if not product <= 0.25:
+            return ()
+        upper = 0.5 + math.sqrt(0.25 - product)
+        return tuple((sigma - self._c_lo) / self._z for sigma in (product / upper, upper))
 
 
 _FAMILIES = {cls.family: cls for cls in (UniformTypes, SqrtShiftTypes, TruncatedLogisticTypes)}

@@ -32,19 +32,30 @@ Robustness thresholds turn this into selection: for a bounded tempering
 function with sensitivity bound pisharp, a level is certified exactly when
 the cut-off type's payoff deficit reaches pisharp, so a stable equilibrium
 keeps certified levels on a basin side as long as pisharp does not exceed
-the largest deficit on that side.  The equilibrium whose smallest side
-threshold is largest survives the longest as pisharp rises.
+the largest deficit on that side.  That supremum is exact: the deficit
+F - Pinv is smooth with slope a - Pinv' (a the game's slope), so it peaks
+at an end of the side or at a level where Pinv' = a, which each family
+gives in closed form.  An equilibrium's threshold is the smallest
+supremum over its *inner* sides, those that end at another reported
+equilibrium: they hold the barrier between two basins.  An outer side ends
+at 0 or 1, where the deficit measures how far the type support reaches
+(the truncation of a logistic), so it is reported but does not enter the
+threshold.  A lone stable equilibrium has no inner side and takes the
+smallest supremum over the sides it has.  The equilibrium whose threshold
+is largest survives the longest as pisharp rises; on linear coordination
+games that is the risk-dominant one.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import RevisionProtocol
-from .equilibria import _ROOT_TOL, STABLE, find_aggregate_equilibria
+from .equilibria import _CACHE_SIZE, _ROOT_TOL, STABLE, find_aggregate_equilibria
 from .errors import AnalysisError, InputError
 from .games import ACTION_IN, ACTION_OUT, AggregateGame, TypeDistribution
 
@@ -55,8 +66,6 @@ BRANCH_CORNER = "corner"
 BRANCH_CLAMPED = "clamped_cdf"
 BRANCH_RATES = "rate_comparison"
 
-# scan step of the robustness-threshold deficit suprema
-_THRESHOLD_RESOLUTION = 1e-4
 # the certified-set search scans _SECTIONS**2 cells, and each narrowing round
 # splits a bracket into _SECTIONS
 _SECTIONS = 32
@@ -248,7 +257,17 @@ def critical_mass_sets(
     A stable equilibrium gets a basin [lo, hi] when a certified increase
     level below it and a certified decrease level above it bracket it with
     no other equilibrium in between; corners supply their own inward bound.
+
+    The report is computed once per (game, dist, protocol), all immutable,
+    and shared by every later call with equal arguments for the last few
+    inputs, as the equilibrium report is: the CLI's ``escape`` and the
+    rate-ratio bound read one report.
     """
+    return _sets(game, dist, protocol)
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _sets(game, dist, protocol) -> CriticalMassReport:
     cells = _SECTIONS**2
     # the levels, between two pads: a copy of 0 first and a copy of 1 last
     xs = np.concatenate(([0.0, 0.0, math.nextafter(0.0, 1.0)], np.arange(1, cells) / cells,
@@ -308,7 +327,12 @@ def critical_mass_sets(
 
 @dataclass(frozen=True)
 class ThresholdEntry:
-    """Largest cut-off payoff deficits on each side of one stable equilibrium."""
+    """Largest cut-off payoff deficits on each side of one stable equilibrium.
+
+    A side is None where the basin has no width there (a corner).
+    ``overall`` is the smallest threshold over the sides that end at another
+    reported equilibrium, or over every side if none does.
+    """
 
     xbar_star: float
     threshold_left: float | None
@@ -319,12 +343,13 @@ class ThresholdEntry:
 
 
 def _side_sup(game, dist, lo: float, hi: float, sign: float):
-    if hi - lo < _THRESHOLD_RESOLUTION / 2.0:
+    """Supremum over [lo, hi] of the positive part of sign * (F - Pinv), and
+    the lowest level that attains it: an end or a level where Pinv' = a."""
+    if not hi > lo:
         return None, None
-    count = max(int(round((hi - lo) / _THRESHOLD_RESOLUTION)) + 1, 2)
-    xs = np.linspace(lo, hi, count)
-    deficit = sign * _cutoff_deficit(game, dist, xs)[2]
-    np.maximum(deficit, 0.0, out=deficit)
+    levels = dist.quantile_slope_levels(game.slope)
+    xs = np.concatenate(([lo], levels[(levels > lo) & (levels < hi)], [hi]))
+    deficit = np.maximum(sign * _cutoff_deficit(game, dist, xs)[2], 0.0)
     best = int(np.argmax(deficit))
     return float(deficit[best]), float(xs[best])
 
@@ -338,18 +363,23 @@ def robustness_threshold(
 
     Left of the equilibrium the relevant deficit is F - Pinv (entry pressure
     toward it); right of it Pinv - F (exit pressure back down).  The overall
-    threshold is the smaller of the sides that exist; corner equilibria have
-    a single side.  ``xbar_star`` must be a reported equilibrium of the
-    game's cached equilibrium report.
+    threshold is the smaller of the inner sides, those that end at another
+    reported equilibrium; an equilibrium with no inner side takes the
+    smaller of the sides it has (corner equilibria have a single side).
+    ``xbar_star`` must be a reported equilibrium of the game's cached
+    equilibrium report.
     """
-    eq = find_aggregate_equilibria(game, dist).locate(xbar_star)
+    eqs = find_aggregate_equilibria(game, dist)
+    eq = eqs.locate(xbar_star)
     if eq.stability != STABLE:
         raise InputError(f"equilibrium {xbar_star} is {eq.stability}, not stable")
     left, at_left = _side_sup(game, dist, eq.basin_lo, eq.xbar, +1.0)
     right, at_right = _side_sup(game, dist, eq.xbar, eq.basin_hi, -1.0)
-    sides = [s for s in (left, right) if s is not None]
-    if not sides:
-        raise AnalysisError(f"equilibrium {xbar_star} has an empty basin")
+    # a stable equilibrium's basin ends at its neighbours, or at 0 and 1, so
+    # every side but a corner's has width and at least one side exists
+    inner = (left if eq is not eqs.equilibria[0] else None,
+             right if eq is not eqs.equilibria[-1] else None)
+    sides = [s for s in inner if s is not None] or [s for s in (left, right) if s is not None]
     return ThresholdEntry(
         xbar_star=eq.xbar,
         threshold_left=left,
@@ -367,7 +397,7 @@ class RobustnessReport:
     tie: bool
 
     def surviving(self, pisharp: float) -> tuple[float, ...]:
-        """Stable equilibria still certified on all basin sides at ``pisharp``."""
+        """Stable equilibria whose threshold (``overall``) is at least ``pisharp``."""
         return tuple(e.xbar_star for e in self.entries if e.overall >= pisharp)
 
 

@@ -63,6 +63,12 @@ def test_make_grid_refuses_a_size_too_large_to_allocate(n):
         make_grid(SqrtShiftTypes(), n)
 
 
+def test_make_grid_refuses_an_int_beyond_the_largest_double():
+    # float(10**400) overflows; the refusal is an InputError, not an OverflowError
+    with pytest.raises(InputError, match="too large to allocate"):
+        make_grid(SqrtShiftTypes(), 10**400)
+
+
 def test_make_grid_shares_one_read_only_grid_per_distribution_and_size():
     grid = make_grid(UniformTypes(0.0, 2.0), 64)
     assert make_grid(UniformTypes(0.0, 2.0), 64) is grid  # an equal distribution

@@ -534,6 +534,17 @@ def test_escape_reads_one_decrease_set(tmp_path):
     assert report["rate_ratio"]["holds"] is False
 
 
+def test_escape_computes_one_critical_mass_report(tmp_path):
+    # the CLI's decrease level and the rate-ratio bound read one cached report
+    from evodyn import stability
+
+    stability._sets.cache_clear()
+    out = tmp_path / "out"
+    assert main(["escape", "--config", str(ENTRY_CONFIG), "--out", str(out)]) == 0
+    calls = stability._sets.cache_info()
+    assert (calls.misses, calls.hits) == (1, 1)
+
+
 # SHA-256 of simulate's trajectory.csv on each bundled config, taken before the
 # RK4 step's per-call overhead was trimmed: every recorded aggregate of the run
 # must keep its bits, not only the first and last ones in summary.json.  The

@@ -429,3 +429,23 @@ def test_empty_arrays_are_inside_every_domain(canon_game, arg):
     for out in (canon_game.payoff(arg), SqrtShiftTypes().cdf(arg),
                 SqrtShiftTypes().inverse_cdf(arg)):
         assert isinstance(out, np.ndarray) and out.shape == arg.shape
+
+
+@settings(max_examples=100, deadline=None)
+@given(dist=st.sampled_from(DISTRIBUTIONS), slope=st.floats(-2.0, 0.0) | st.floats(0.01, 60.0))
+def test_quantile_slope_levels_are_every_level_where_the_density_is_one_over_the_slope(
+    dist, slope
+):
+    # Pinv'(u) = 1 / p(Pinv(u)): the levels are ascending, lie in [0, 1], and
+    # a scan of Pinv' - slope changes sign only across one of them
+    levels = dist.quantile_slope_levels(slope)
+    assert np.all(np.diff(levels) > 0.0)
+    assert np.all((levels >= 0.0) & (levels <= 1.0))
+    if slope <= 0.0:
+        assert levels.size == 0
+    for u in levels:
+        assert dist.pdf(dist.inverse_cdf(u)) * slope == pytest.approx(1.0, rel=1e-9)
+    us = np.linspace(0.0, 1.0, 2001)
+    excess = 1.0 / np.asarray(dist.pdf(np.asarray(dist.inverse_cdf(us)))) - slope
+    for i in np.flatnonzero(excess[:-1] * excess[1:] < 0.0):
+        assert np.any((levels >= us[i]) & (levels <= us[i + 1]))

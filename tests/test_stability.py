@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from evodyn import (
@@ -20,6 +20,7 @@ from evodyn import (
     InputError,
     SqrtShiftTypes,
     TruncatedLogisticTypes,
+    UniformTypes,
     affine_game,
     bounded_power_protocol,
     critical_mass_sets,
@@ -36,7 +37,7 @@ from evodyn import (
     standard_protocol,
     vector_field,
 )
-from evodyn.stability import _certify
+from evodyn.stability import _certify, _cutoff_deficit
 from tests.conftest import random_composition
 
 XC = (2.9 - np.sqrt(8.01)) / 2  # ~ 0.0349028
@@ -373,6 +374,35 @@ class TestRobustnessThresholds:
         with pytest.raises(InputError, match="not a reported equilibrium"):
             robustness_threshold(canon_game, canon_dist, 0.1)
 
+    def test_outer_side_is_reported_but_does_not_set_the_threshold(self):
+        # the low equilibrium hugs 0: its outer side [0, 5.4e-5] reads the
+        # truncated logistic's lowest types, a smaller deficit than the
+        # barrier on its inner side
+        game = linear_coordination_game(0.5865849096743062)
+        dist = TruncatedLogisticTypes(0.0, 0.060344189400500736)
+        low, high = select_most_robust(game, dist).entries
+        assert low.threshold_left < low.threshold_right == low.overall
+        assert high.overall == high.threshold_left
+
+    def test_lone_equilibrium_takes_the_smaller_of_its_sides(self):
+        # F = 0.7 on uniform types: one stable equilibrium, 0.7, whose two
+        # sides both end at the domain
+        entry = robustness_threshold(affine_game(0.0, 0.7), UniformTypes(0.0, 1.0), 0.7)
+        assert entry.threshold_left == pytest.approx(0.7)
+        assert entry.threshold_right == pytest.approx(0.3)
+        assert entry.overall == entry.threshold_right
+
+    def test_narrow_side_is_read(self):
+        # a 3.6e-5-wide side is not skipped: it sets the upper equilibrium's
+        # threshold, so the corner 0 is selected
+        dist = SqrtShiftTypes()
+        report = select_most_robust(NARROW_SIDE_GAME, dist)
+        assert report.selected == 0.0 and not report.tie
+        upper = report.entries[1]
+        below = find_aggregate_equilibria(NARROW_SIDE_GAME, dist).equilibria[1]
+        assert upper.xbar_star - below.xbar < 4e-5
+        assert upper.overall == upper.threshold_left == pytest.approx(3.3e-10, rel=1e-6)
+
     def test_flat_game_threshold_positive(self):
         # F constant below the support: O strictly optimal everywhere, and the
         # corner keeps a positive basin-wide deficit
@@ -380,6 +410,68 @@ class TestRobustnessThresholds:
         dist = TruncatedLogisticTypes(mu=0.0, s=0.05, tau=0.3)
         entry = robustness_threshold(game, dist, 0.0)
         assert entry.overall > 0.0
+
+
+# a near-tangent game: the upper equilibrium's left side is 3.6e-5 wide and
+# its deficit peaks at 3.3e-10 there
+NARROW_SIDE_GAME = affine_game(2.5, -0.0625 + 3.3e-10)
+
+
+def scan_side_sup(game, dist, lo, hi, sign):
+    """The deficit's largest value on a 1e-4 scan of [lo, hi], both ends
+    included: the rule the exact suprema replaced, kept as their oracle."""
+    xs = np.linspace(lo, hi, max(int(round((hi - lo) / 1e-4)) + 1, 2))
+    return float(np.maximum(sign * _cutoff_deficit(game, dist, xs)[2], 0.0).max())
+
+
+threshold_cases = coordination_games | st.one_of(
+    st.builds(lambda c, mu, s: (linear_coordination_game(c), TruncatedLogisticTypes(mu, s)),
+              st.floats(0.05, 0.95), st.floats(-0.3, 0.3), st.floats(1e-3, 0.2)),
+    st.builds(lambda a, b, lo, width: (affine_game(a, b), UniformTypes(lo, lo + width)),
+              st.floats(-2.0, 3.0), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0),
+              st.floats(0.1, 3.0)),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=threshold_cases)
+@example(case=(NARROW_SIDE_GAME, SqrtShiftTypes()))
+def test_side_suprema_are_exact_against_the_scan(case):
+    """Every basin side with width gets a supremum, however narrow: it is
+    never below the scan's largest deficit on that side and is the deficit
+    at its ``attained`` level, which lies on the side."""
+    game, dist = case
+    for eq in find_aggregate_equilibria(game, dist).stable:
+        entry = robustness_threshold(game, dist, eq.xbar)
+        for lo, hi, sign, sup, at in (
+            (eq.basin_lo, eq.xbar, 1.0, entry.threshold_left, entry.attained_left),
+            (eq.xbar, eq.basin_hi, -1.0, entry.threshold_right, entry.attained_right),
+        ):
+            if hi == lo:
+                assert sup is None and at is None
+                continue
+            assert sup >= scan_side_sup(game, dist, lo, hi, sign) - 1e-12
+            assert lo <= at <= hi
+            deficit = float(sign * _cutoff_deficit(game, dist, np.array([at]))[2][0])
+            assert sup == pytest.approx(max(deficit, 0.0), rel=1e-12, abs=1e-15)
+
+
+@settings(max_examples=100, deadline=None)
+@given(c=st.floats(0.05, 0.95), mu=st.floats(-0.3, 0.3), s=st.floats(1e-3, 0.2))
+@example(c=0.5865849096743062, mu=0.0, s=0.060344189400500736)
+@example(c=0.4406152290183474, mu=0.0, s=0.06340787205169851)
+def test_selection_is_risk_dominance_on_linear_coordination_games(c, mu, s):
+    """With two stable equilibria of F = x - c under logistic(mu, s) types,
+    the high branch is selected iff c + mu < 1/2: I is risk-dominant for
+    the median type mu.  The game is symmetric under x -> 1 - x exactly when
+    c + mu = 1/2, where the thresholds tie."""
+    assume(abs(c + mu - 0.5) > 1e-6)
+    game, dist = linear_coordination_game(c), TruncatedLogisticTypes(mu, s)
+    stable = find_aggregate_equilibria(game, dist).stable
+    assume(len(stable) == 2)
+    report = select_most_robust(game, dist)
+    assert not report.tie
+    assert (report.selected == stable[1].xbar) == (c + mu < 0.5)
 
 
 class TestSelection:
