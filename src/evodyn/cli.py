@@ -217,7 +217,7 @@ def _pick_decrease_level(scenario: Scenario, xbar_star: float) -> float:
 def _run_escape(scenario: Scenario, out: Path) -> None:
     grid = comp.make_grid(scenario.dist, scenario.n)
     x0 = build_initial(scenario, grid)
-    xbar_star = comp.aggregate(x0)
+    xbar_star = flows.reference_level(scenario.game, scenario.dist, scenario.protocol, x0)
     xbar_dagger = _pick_decrease_level(scenario, xbar_star)
     report = flows.escape_certificate(
         scenario.game,

@@ -93,11 +93,29 @@ def _grid(dist: TypeDistribution, n: int) -> TypeGrid:
 
 
 @dataclass(frozen=True)
+class BalancedRecord:
+    """The arguments past the grid that ``balanced_composition`` built from."""
+
+    game: AggregateGame
+    dist: TypeDistribution
+    xbar_star: float
+    kappa: float
+    pimax: float
+
+
+@dataclass(frozen=True)
 class BayesianStrategy:
-    """Participation rate per grid node, each in [0, 1]."""
+    """Participation rate per grid node, each in [0, 1].
+
+    ``balanced`` records how ``balanced_composition`` built the strategy, so
+    that the escape analysis can read the continuum composition it stands
+    for; every other strategy has None.  It is no constructor argument
+    (``dataclasses.replace`` drops it) and takes no part in equality or repr.
+    """
 
     grid: TypeGrid
     values: np.ndarray = field(repr=False)
+    balanced: BalancedRecord | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -168,7 +186,9 @@ def balanced_composition(
     equilibrium.  The mirrored-density identity then balances the deficit
     distributions on both sides at every deficit level, and the aggregate is
     preserved because the mass moved out below t* equals the mass moved in
-    above it.
+    above it.  The strategy records its arguments past the grid
+    (``BayesianStrategy.balanced``) unless kappa is 0, which gives the sorted
+    composition.
     """
     if not 0.0 < kappa <= 1.0:
         if kappa == 0.0:
@@ -216,6 +236,7 @@ def balanced_composition(
             f"balanced construction drifted from xbar_star by "
             f"{abs(aggregate(out) - xbar_star):.3g} > 2/n"
         )
+    object.__setattr__(out, "balanced", BalancedRecord(game, dist, xbar_star, kappa, pimax))
     return out
 
 

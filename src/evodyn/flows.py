@@ -28,10 +28,15 @@ These distributions carry the aggregate dynamics at the reference point:
 
 The grid atoms are the midpoint rule in the quantile u = P(theta) of the
 continuum sources.  Each escape report reads one pair of sources, for the
-dominance verdict and the bound alike: for a sorted or reversed composition
-the Gauss-Legendre atoms of the continuum sources (``_cutoff_sources``;
-Golub & Welsch, Math. Comp. 23, 1969), which carry no grid discretization
-error, and the grid atoms for every other composition.
+dominance verdict and the bound alike: Gauss-Legendre atoms of the continuum
+sources (Golub & Welsch, Math. Comp. 23, 1969), which carry no grid
+discretization error, for a sorted or reversed composition
+(``_cutoff_sources``) and for a balanced start (``_balanced_sources``, read
+from the construction the start records, at the equilibrium it was built
+at, one set of atoms for both sources); the grid atoms for every other
+composition.  One step turns a quantile span into atoms for both
+(``_gauss_legendre_source``), and one function gives the level a report
+starts from (``reference_level``).
 
 ``escape_certificate`` (this bound for one composition) and
 ``rate_ratio_escape_bound`` (the reversed composition's two extreme rates,
@@ -48,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .composition import BayesianStrategy, aggregate, make_grid
+from .composition import BalancedRecord, BayesianStrategy, aggregate, make_grid
 from .dynamics import RevisionProtocol
 from .equilibria import STABLE, UNSTABLE, find_aggregate_equilibria
 from .errors import AnalysisError, InputError
@@ -68,11 +73,13 @@ _STRICT_TOL = 1e-12
 # block of all 2000 samples would need hundreds of megabytes at the largest
 # grids used.
 _BOUND_BLOCK_ELEMENTS = 65536
-# Gauss-Legendre nodes per quantile interval of a cut-off source.  On the
-# random coordination games of the ``certify`` benchmark, the bound from 128
-# nodes per interval is within 1.3e-15 of a 256-node rule at every sample,
-# and within 4.8e-14 on the hardest logistic intervals found (s = 0.03,
-# pisharp = 0.2, next to the support end), where 112 nodes miss by 6e-13.
+# Gauss-Legendre nodes per quantile interval of a source.  On the random
+# coordination games of the ``certify`` benchmark, the bound of a cut-off
+# composition from 128 nodes per interval is within 1.3e-15 of a 256-node
+# rule at every sample, and within 4.8e-14 on the hardest logistic intervals
+# found (s = 0.03, pisharp = 0.2, next to the support end), where 112 nodes
+# miss by 6e-13.  On 600 random balanced starts of the canonical game, under
+# every protocol kind, the frozen-rate sum of the source is within 3.2e-16.
 _QUADRATURE_NODES = 128
 
 
@@ -163,6 +170,91 @@ def _legendre_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return z, w
 
 
+def reference_level(
+    game: AggregateGame, dist: TypeDistribution, protocol: RevisionProtocol, x: BayesianStrategy
+) -> float:
+    """The aggregate level an escape report starts from.
+
+    A balanced start whose sources are read off the continuum
+    (``_balanced_record``) stands for the continuum composition at the
+    equilibrium it was built at, so it reads its record's ``xbar_star``
+    (its grid aggregate may lie up to 2/n away); every other start reads
+    its own aggregate.
+    """
+    record = _balanced_record(game, dist, protocol, x)
+    return aggregate(x) if record is None else record.xbar_star
+
+
+def _on_the_continuum(
+    dist: TypeDistribution, protocol: RevisionProtocol, x: BayesianStrategy
+) -> bool:
+    """Whether ``x``'s sources may be read off the continuum at all.
+
+    The grid must be ``make_grid(dist, n)``'s, compared node by node, and k
+    an integer: every source has an end where the deficit d vanishes, and a
+    d^k that is not smooth there makes Gauss-Legendre converge only
+    algebraically.
+    """
+    return float(protocol.k).is_integer() and np.array_equal(
+        x.grid.nodes, make_grid(dist, x.grid.n).nodes
+    )
+
+
+def _balanced_record(
+    game: AggregateGame, dist: TypeDistribution, protocol: RevisionProtocol, x: BayesianStrategy
+) -> BalancedRecord | None:
+    """``x``'s balanced-construction record if it was built for ``game`` and
+    ``dist`` and ``_on_the_continuum`` holds, else None."""
+    record = x.balanced
+    if record is None or record.game != game or record.dist != dist:
+        return None
+    return record if _on_the_continuum(dist, protocol, x) else None
+
+
+def _gauss_legendre_source(
+    dist: TypeDistribution,
+    protocol: RevisionProtocol,
+    common: float,
+    side: float,
+    span: tuple[float, float],
+    nodes: int,
+    share: float = 1.0,
+) -> SwitchingRateDistribution:
+    """One flow source from Gauss-Legendre atoms on a quantile span.
+
+    ``side`` is -1 for the inflow (deficit F - theta, F = ``common``) and 1
+    for the outflow; ``share`` is the source's share of each type on the
+    span.  Where the rate saturates at a positive finite deficit
+    s = ``protocol.saturation`` (bounded_power), the span is split at
+    P(F + side s), its kink.  Each piece gets ``nodes`` atoms: the rate of
+    the type P^-1(u) at each node, with ``share`` times the node weight as
+    mass.  A piece on which the rate is constant (the standard rate, or
+    bounded_power past pisharp) gets one atom of ``share`` times its length,
+    the exact integral.
+    """
+    z, w = _legendre_rule(nodes)
+    lo, hi = span
+    ends = [lo, hi]
+    saturation = protocol.saturation
+    if 0.0 < saturation < math.inf:
+        kink = float(dist.cdf(common + side * saturation))
+        if lo < kink < hi:
+            ends.insert(1, kink)
+    qs, ms = [np.empty(0)], [np.empty(0)]
+    for a, b in zip(ends[:-1], ends[1:]):
+        if not a < b:
+            continue
+        half = 0.5 * (b - a)
+        q = protocol.rate(side * (dist.inverse_cdf(a + half * (z + 1.0)) - common))
+        if q.min() == q.max():
+            qs.append(q[:1])
+            ms.append(np.array([share * (b - a)]))
+        else:
+            qs.append(q)
+            ms.append(share * half * w)
+    return SwitchingRateDistribution(qs=np.concatenate(qs), ms=np.concatenate(ms))
+
+
 def _cutoff_sources(
     game: AggregateGame,
     dist: TypeDistribution,
@@ -173,25 +265,14 @@ def _cutoff_sources(
 ) -> tuple[SwitchingRateDistribution, SwitchingRateDistribution] | None:
     """Both flow sources of a cut-off composition on the continuum, or None.
 
-    ``x`` qualifies when it lies on ``make_grid(dist, n)`` and its values are
-    a monotone 0/1 step with at most one fractional node.  It then stands for
+    ``x`` qualifies when its values are a monotone 0/1 step with at most one
+    fractional node (and ``_on_the_continuum`` holds).  It then stands for
     the sorted (nonincreasing) or reversed (nondecreasing) composition whose
     cut in the quantile u is its aggregate, or one minus it.  With
     F = F(xbar_ref), inflow is {u < P(F), x = 0} and outflow
-    {u > P(F), x = 1}; where the rate saturates at a positive finite
-    deficit s = ``protocol.saturation`` (bounded_power), each source is split
-    at P(F -/+ s), its kink.  Each interval gets ``nodes`` Gauss-Legendre
-    atoms: the rate of the type P^-1(u) at each node, with the node weight
-    as mass.  An interval on which the rate is constant (the standard rate,
-    or bounded_power past pisharp) gets one atom of its length, the exact
-    integral.
-
-    A non-integer k gives None: every cut-off source has an end at P(F), where
-    the deficit d vanishes and d^k is not smooth, so Gauss-Legendre converges
-    there only algebraically.
+    {u > P(F), x = 1}, each read by ``_gauss_legendre_source`` with the
+    whole type as source.
     """
-    if not float(protocol.k).is_integer():
-        return None
     values = x.values
     if np.count_nonzero((values > 0.0) & (values < 1.0)) > 1:
         return None
@@ -206,33 +287,39 @@ def _cutoff_sources(
         spans = ((0.0, min(cut, u_f)), (max(cut, u_f), 1.0))
     else:
         return None
-    if not np.array_equal(x.grid.nodes, make_grid(dist, x.grid.n).nodes):
+    if not _on_the_continuum(dist, protocol, x):
         return None
+    return (
+        _gauss_legendre_source(dist, protocol, common, -1.0, spans[0], nodes),
+        _gauss_legendre_source(dist, protocol, common, 1.0, spans[1], nodes),
+    )
 
-    z, w = _legendre_rule(nodes)
-    saturation = protocol.saturation
-    sources = []
-    # side -1 is the inflow (deficit F - theta), side 1 the outflow
-    for (lo, hi), side in zip(spans, (-1.0, 1.0)):
-        ends = [lo, hi]
-        if 0.0 < saturation < math.inf:
-            kink = float(dist.cdf(common + side * saturation))
-            if lo < kink < hi:
-                ends.insert(1, kink)
-        qs, ms = [np.empty(0)], [np.empty(0)]
-        for a, b in zip(ends[:-1], ends[1:]):
-            if not a < b:
-                continue
-            half = 0.5 * (b - a)
-            q = protocol.rate(side * (dist.inverse_cdf(a + half * (z + 1.0)) - common))
-            if q.min() == q.max():
-                qs.append(q[:1])
-                ms.append(np.array([b - a]))
-            else:
-                qs.append(q)
-                ms.append(half * w)
-        sources.append(SwitchingRateDistribution(qs=np.concatenate(qs), ms=np.concatenate(ms)))
-    return sources[0], sources[1]
+
+def _balanced_sources(
+    game: AggregateGame,
+    dist: TypeDistribution,
+    protocol: RevisionProtocol,
+    x: BayesianStrategy,
+    nodes: int = _QUADRATURE_NODES,
+) -> tuple[SwitchingRateDistribution, SwitchingRateDistribution] | None:
+    """Both flow sources of a balanced start on the continuum, or None.
+
+    ``x`` qualifies when ``_balanced_record`` gives its record.  Its sources
+    are then those of the continuum composition at the recorded equilibrium
+    xbar*, with t* = F(xbar*): inflow is the band u in
+    (P(t* - pimax), P(t*)), where a share kappa of each type is out, read by
+    ``_gauss_legendre_source``.  The outflow band (P(t*), P(t* + pimax))
+    holds a share kappa p(2 t* - theta) / p(theta) of each type, so the
+    reflection theta -> 2 t* - theta carries it onto the inflow, deficit for
+    deficit and mass for mass: the outflow is the same atoms.
+    """
+    record = _balanced_record(game, dist, protocol, x)
+    if record is None:
+        return None
+    t_star = game.payoff(record.xbar_star)
+    span = (float(dist.cdf(t_star - record.pimax)), float(dist.cdf(t_star)))
+    inflow = _gauss_legendre_source(dist, protocol, t_star, -1.0, span, nodes, record.kappa)
+    return inflow, inflow
 
 
 def aggregate_velocity_from_flows(
@@ -305,7 +392,10 @@ def bound_trajectory(
 
     One pass covers both sources: the block holds e^(-q t) for the inflow
     atoms and then the outflow atoms, and each source's sums are a BLAS
-    matrix-vector product on its columns.  A block has a multiple of 4 rows:
+    matrix-vector product on its columns.  The exponents t (-q) are
+    einsum's outer product, one rounded product per element like a
+    broadcast multiply, which numpy runs through its slower buffered
+    iterator below a few thousand atoms.  A block has a multiple of 4 rows:
     as many as fit in 65536 exponentials (512 KB), but at least 4 and no
     more than there are samples.  With OpenBLAS on x86-64, a product over a
     multiple of 4 rows sums each row in the order of one dense block over
@@ -330,7 +420,7 @@ def bound_trajectory(
     for start in range(0, ts.size, rows):
         stop = min(start + rows, ts.size)
         e = buf[: stop - start]
-        np.multiply(ts[start:stop, None], neg_q, out=e)
+        np.einsum("i,j->ij", ts[start:stop], neg_q, out=e)
         np.exp(e, out=e)
         np.matmul(e[:, :n_in], inflow.ms, out=s_in[start:stop])
         np.matmul(e[:, n_in:], outflow.ms, out=s_out[start:stop])
@@ -466,20 +556,24 @@ def escape_certificate(
     they are built once per ``t_end`` and shared, read-only, by every report
     with that ``t_end``.
 
-    The dominance verdict and the bound read one pair of sources: the
-    Gauss-Legendre atoms of ``_cutoff_sources`` (accuracy stated at
-    ``_QUADRATURE_NODES``) when ``x0`` is a sorted or reversed cut-off
-    composition on ``make_grid(dist, n)`` under an integer k, the grid
-    atoms of ``flow_distributions`` otherwise.  A grid bound differs from
-    the quadrature one by the midpoint rule's error: second order in n
+    The dominance verdict and the bound read one pair of sources,
+    Gauss-Legendre atoms (accuracy stated at ``_QUADRATURE_NODES``) when
+    ``x0`` lies on ``make_grid(dist, n)`` under an integer k and is either a
+    balanced start built for this game and distribution
+    (``_balanced_sources``) or a sorted or reversed cut-off composition
+    (``_cutoff_sources``), the grid atoms of ``flow_distributions``
+    otherwise.  The equilibrium is ``reference_level``: the ``xbar_star``
+    such a balanced start was built at, every other start's own aggregate.  A grid bound differs
+    from the quadrature one by the midpoint rule's error: second order in n
     where the composition's cut and P(F) fall on cell boundaries (4.1e-8 on
-    the canonical game at n = 2000), first order where either splits a cell.
-    The test against ``make_grid(dist, n)`` compares nodes, not objects; a
-    grid the caller built with ``make_grid`` is read back from its cache.
+    the canonical game at n = 2000), first order where either splits a cell,
+    as a balanced start's band edges do.  The test against
+    ``make_grid(dist, n)`` compares nodes, not objects; a grid the caller
+    built with ``make_grid`` is read back from its cache.
     """
     if not (np.isfinite(t_end) and t_end > _BOUND_FIRST_TIME):
         raise InputError(f"t_end={t_end} must be finite and above the first bound sample")
-    xbar_star = aggregate(x0)
+    xbar_star = reference_level(game, dist, protocol, x0)
     require_aggregate_equilibrium(game, dist, xbar_star)
     if not game.positive_externality:
         raise InputError("escape certification requires positive externality")
@@ -495,7 +589,9 @@ def escape_certificate(
             f"{certificate.reason}"
         )
 
-    sources = _cutoff_sources(game, dist, protocol, x0, xbar_star)
+    sources = _balanced_sources(game, dist, protocol, x0) or _cutoff_sources(
+        game, dist, protocol, x0, xbar_star
+    )
     inflow, outflow = sources or flow_distributions(game, dist, protocol, x0, xbar_star)
     dominance = sosd_compare(outflow, inflow, mass_tol=2.0 / x0.grid.n)
     times = _bound_times(float(t_end))

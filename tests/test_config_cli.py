@@ -770,6 +770,22 @@ def test_balanced_start_simulates(config_path, tmp_path):
     assert summary["xbar0"] == pytest.approx(0.25, abs=2 / 400)
 
 
+def test_balanced_start_escapes_at_the_bundled_grid(tmp_path):
+    # at n = 2000 the balanced start's grid aggregate is 0.249921, 1.58e-6
+    # from a fixed point; the report starts from the equilibrium it was
+    # built at, whose flow sources coincide: the bound stays at 0.25
+    out = tmp_path / "out"
+    code = main(["escape", "--config", str(ENTRY_CONFIG), "--out", str(out),
+                 *VARIANTS["balanced"]])
+    assert code == 0
+    report = json.loads((out / "escape.json").read_text())
+    assert report["xbar_star"] == 0.25
+    assert report["dominance"] == "incomparable"
+    assert report["crossing_time"] is None
+    bound = np.loadtxt(out / "bound.csv", delimiter=",", skiprows=1)[:, 1]
+    assert np.all(bound == 0.25)
+
+
 def test_escape_without_a_certified_level_below_the_start_exits_3(config_path, tmp_path,
                                                                    capsys):
     out = tmp_path / "out"

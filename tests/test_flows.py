@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -37,7 +38,12 @@ from evodyn import (
     standard_protocol,
     vector_field,
 )
-from evodyn.composition import BayesianStrategy, TypeGrid, destabilizing_perturbation
+from evodyn.composition import (
+    BalancedRecord,
+    BayesianStrategy,
+    TypeGrid,
+    destabilizing_perturbation,
+)
 from tests.conftest import random_composition
 
 
@@ -659,7 +665,6 @@ class TestAtomRouting:
         middle_band = np.zeros(grid4000.n)  # 0/1 but neither sorted nor reversed
         middle_band[1000:2000] = 1.0
         return {
-            "balanced": balanced_composition(grid4000, canon_dist, canon_game, 0.25, 0.2, 0.3),
             "perturbed": destabilizing_perturbation(srt, canon_game, canon_dist, 0.05, 0.5, 1e-5),
             "mixture": BayesianStrategy(grid=grid4000, values=0.5 * (srt.values + rev.values)),
             "random": random_composition(grid4000, 0.25, np.random.default_rng(5)),
@@ -670,8 +675,7 @@ class TestAtomRouting:
 
     @pytest.mark.parametrize(
         "name",
-        ["balanced", "perturbed", "mixture", "random", "two-fractional", "other-grid",
-         "middle-band"],
+        ["perturbed", "mixture", "random", "two-fractional", "other-grid", "middle-band"],
     )
     def test_other_compositions_keep_grid_atoms(
         self, canon_game, canon_dist, cubic, grid_compositions, name
@@ -733,3 +737,145 @@ class TestAtomRouting:
         assert (inflow.qs == 1.0).sum() == 1 and inflow.qs.size == nodes + 1
         assert outflow.qs.tolist() == [1.0]  # every leaver is past pisharp
         assert inflow.total_mass == pytest.approx(0.25, abs=1e-15)
+
+
+def balanced_decay(game, dist, protocol, x0, nodes=evodyn.flows._QUADRATURE_NODES):
+    """The frozen-rate mass left of one balanced source at the certificate
+    samples, less its total mass: the sum the bound takes of each source."""
+    sources = evodyn.flows._balanced_sources(game, dist, protocol, x0, nodes)
+    assert sources is not None
+    empty = SwitchingRateDistribution(qs=np.empty(0), ms=np.empty(0))
+    return bound_trajectory(sources[0], empty, 0.0, CERTIFY_TIMES)
+
+
+class TestBalancedQuadrature:
+    """A balanced start's sources read off the continuum composition it was
+    built from, at the equilibrium it was built at."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kappa=st.floats(0.01, 0.65),
+        pimax=st.floats(0.01, 0.56),
+        kind=st.sampled_from(["standard", "power", "bounded_power"]),
+        k=st.integers(1, 4),
+        pisharp=st.floats(0.01, 0.6),
+    )
+    def test_shipped_rule_matches_a_256_node_rule(
+        self, canon_game, canon_dist, kappa, pimax, kind, k, pisharp
+    ):
+        # every pimax up to the distance from t* = 0.5625 to the support end
+        # 0; kappa at most 1 / 1.46, the largest density ratio there
+        protocol = {
+            "standard": standard_protocol(),
+            "power": power_protocol(k),
+            "bounded_power": bounded_power_protocol(k, pisharp),
+        }[kind]
+        grid = make_grid(canon_dist, 1000)
+        x0 = balanced_composition(grid, canon_dist, canon_game, 0.25, kappa, pimax)
+        shipped = balanced_decay(canon_game, canon_dist, protocol, x0)
+        reference = balanced_decay(canon_game, canon_dist, protocol, x0, nodes=256)
+        assert np.abs(shipped - reference).max() <= 1e-13
+
+    @pytest.mark.parametrize("kappa, pimax", [(0.2, 0.3), (0.5, 0.3), (0.3, 0.5), (0.7, 0.2)])
+    def test_grid_bound_approaches_it_at_first_order(
+        self, canon_game, canon_dist, cubic, kappa, pimax
+    ):
+        # the band edges split grid cells, so the grid error is first order
+        # and not monotone in n: n times it stays within 1.1 over n = 1000
+        # to 64000 on these starts
+        errors = []
+        for n in (2000, 8000, 32000):
+            x0 = balanced_composition(make_grid(canon_dist, n), canon_dist, canon_game,
+                                      0.25, kappa, pimax)
+            grid = grid_escape(canon_game, canon_dist, cubic, x0, 0.03)[1]
+            report = escape_certificate(canon_game, canon_dist, cubic, x0, 0.03)
+            errors.append(n * np.abs(grid - report.bound).max())
+        assert 0.0 < max(errors) <= 1.5
+
+    @pytest.mark.parametrize("protocol", [power_protocol(3), standard_protocol(),
+                                          bounded_power_protocol(2, 0.1)],
+                             ids=["cubic", "standard", "bounded-power"])
+    def test_sources_balance_and_the_bound_stays_at_the_equilibrium(
+        self, canon_game, canon_dist, grid2000, protocol
+    ):
+        # n = 2000 puts the grid aggregate 7.9e-5 from 0.25: a fixed-point
+        # residual of 1.6e-6, which a start reading its own aggregate fails
+        x0 = balanced_composition(grid2000, canon_dist, canon_game, 0.25, 0.2, 0.3)
+        assert abs(aggregate(x0) - 0.25) > 7e-5
+        assert evodyn.flows.reference_level(canon_game, canon_dist, protocol, x0) == 0.25
+        report = escape_certificate(canon_game, canon_dist, protocol, x0, 0.03)
+        inflow, outflow = evodyn.flows._balanced_sources(canon_game, canon_dist, protocol, x0)
+        # the reflection about t* maps the outflow band onto the inflow band
+        assert outflow is inflow
+        assert detailed_balance_residual(inflow, outflow) == 0.0
+        assert np.all(report.bound == 0.25)
+        assert (report.dominance, report.crossing_time) == ("incomparable", None)
+
+    def test_constant_rate_piece_gets_the_integral_of_its_share(
+        self, canon_game, canon_dist, grid2000
+    ):
+        # under the standard rate the band is one atom; its mass is kappa
+        # times the band's length in the quantile, not the length itself
+        x0 = balanced_composition(grid2000, canon_dist, canon_game, 0.25, 0.2, 0.3)
+        inflow, _ = evodyn.flows._balanced_sources(
+            canon_game, canon_dist, standard_protocol(), x0
+        )
+        t_star = canon_game.payoff(0.25)
+        u_lo, u_star = canon_dist.cdf(t_star - 0.3), canon_dist.cdf(t_star)
+        assert inflow.qs.tolist() == [1.0]
+        assert inflow.ms.tolist() == [0.2 * (u_star - u_lo)]
+        # bounded_power saturates past pisharp = 0.1: one more piece, one atom
+        inflow, _ = evodyn.flows._balanced_sources(
+            canon_game, canon_dist, bounded_power_protocol(2, 0.1), x0
+        )
+        assert inflow.qs.size == evodyn.flows._QUADRATURE_NODES + 1
+        assert (inflow.qs == 1.0).sum() == 1
+        assert inflow.total_mass == pytest.approx(0.2 * (u_star - u_lo), abs=1e-16)
+
+    def test_other_starts_keep_grid_atoms(self, canon_game, canon_dist, cubic, grid4000):
+        balanced = balanced_composition(grid4000, canon_dist, canon_game, 0.25, 0.2, 0.3)
+        # the same t* = 0.5625, so the same values, but another game's record
+        other_game = balanced_composition(grid4000, canon_dist, affine_game(2.25, 0.0),
+                                          0.25, 0.2, 0.3)
+        shifted = TypeGrid(nodes=np.nextafter(grid4000.nodes, np.inf))
+        starts = {
+            "record-mismatch": (other_game, cubic),
+            "non-integer-k": (balanced, power_protocol(2.5)),
+            "shifted-grid": (balanced_composition(shifted, canon_dist, canon_game, 0.25, 0.2,
+                                                  0.3), cubic),
+            "perturbed": (destabilizing_perturbation(balanced, canon_game, canon_dist, e=0.0,
+                                                     w=0.0, eps=1e-6, variant="uniform"), cubic),
+        }
+        assert other_game.balanced is not None
+        # an equal distribution built apart is the same record's
+        assert evodyn.flows._balanced_record(canon_game, SqrtShiftTypes(), cubic,
+                                             balanced) is not None
+        for name, (x0, protocol) in starts.items():
+            assert evodyn.flows._balanced_sources(canon_game, canon_dist, protocol, x0) is None
+            assert evodyn.flows._cutoff_sources(canon_game, canon_dist, protocol, x0,
+                                                aggregate(x0)) is None
+            # the grid atoms describe the grid aggregate, so the report
+            # starts from it, as for any other composition
+            xbar_star = aggregate(x0)
+            assert evodyn.flows.reference_level(canon_game, canon_dist, protocol,
+                                                x0) == xbar_star, name
+            report = escape_certificate(canon_game, canon_dist, protocol, x0, 0.03)
+            inflow, outflow = flow_distributions(canon_game, canon_dist, protocol, x0, xbar_star)
+            bound = bound_trajectory(inflow, outflow, xbar_star, CERTIFY_TIMES)
+            assert report.bound.tobytes() == bound.tobytes(), name
+            assert report.dominance == sosd_compare(outflow, inflow, mass_tol=2.0 / 4000), name
+
+    def test_record_is_kept_out_of_equality_and_repr(self, canon_game, canon_dist, grid4000):
+        balanced = balanced_composition(grid4000, canon_dist, canon_game, 0.25, 0.2, 0.3)
+        assert balanced.balanced == BalancedRecord(
+            canon_game, canon_dist, 0.25, 0.2, 0.3
+        )
+        assert "balanced" not in repr(balanced)
+        plain = BayesianStrategy(grid=grid4000, values=balanced.values)
+        assert plain.balanced is None
+        assert dataclasses.replace(balanced, values=balanced.values).balanced is None
+        assert sorted_composition(grid4000, 0.25).balanced is None
+        # kappa = 0 is the sorted composition, which the cut-off route reads
+        zero = balanced_composition(grid4000, canon_dist, canon_game, 0.25, 0.0, 0.3)
+        assert zero.balanced is None
+
