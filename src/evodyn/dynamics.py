@@ -51,12 +51,25 @@ shared list [a, h0, h1, b]:
   and [a, h0) and [h1, b) while it is open.  The step loops over them; the
   field computes its band once over [a, b) and cuts it at the hole.
 
-The aggregate stays one dot product over all n nodes.  Off the spans the
-stage keeps x's bits and the velocity sums stay zero (the full step's -0
-above the cut never reaches x: +0 + -0 = +0), so a span that grows within a
-step picks up the full step's values and every bit is the same.  A frozen
-node's rate is not evaluated, so a d^k that would overflow there never meets
-its zero gap (0 * inf) and the node keeps its value.
+The aggregate is ``composition.blocked_dot`` over all n nodes: a left
+fold, from 0.0, of the dots of consecutive blocks of 8,192 nodes.  Each
+block's dot runs on one OpenBLAS thread (a ddot of more than 10,000 elements
+is split across threads, whose partial sums land in another order), so the
+bits do not depend on the BLAS thread count.  A grid of one block, every
+bundled and tested one, makes the one dot of all its nodes, with no slice
+and no loop.  On a larger grid the field reads the frozen blocks from a
+plan, rebuilt only where the window or its hole changes: the blocks wholly
+in [0, a) hold 1s, and their fold is computed once from their dots on
+blocks of ones; the blocks wholly in the hole or in [b, n) hold +0, so their
+dots are +-0 and are dropped (the fold's partial sums are never -0, and
+S + +-0 = S for any other S); only the others are dotted.  The sum keeps
+the fold's bits.
+
+Off the spans the stage keeps x's bits and the velocity sums stay zero (the
+full step's -0 above the cut never reaches x: +0 + -0 = +0), so a span that
+grows within a step picks up the full step's values and every bit is the
+same.  A frozen node's rate is not evaluated, so a d^k that would overflow
+there never meets its zero gap (0 * inf) and the node keeps its value.
 
 Integration is classical fixed-step RK4; the tempered field is continuous in
 the state and the grid, not the step size, governs accuracy at the
@@ -65,12 +78,12 @@ allocated once per run, with the same operations in the same order as the
 textbook formula, so they give its bits.  At the grid sizes run here
 (hundreds to thousands of nodes) a step is bound by the dispatch of its
 numpy calls, not by arithmetic.  On one span the step makes 13 ufunc calls
-and two reductions; each field evaluation makes a dot product and 2 ufunc
-calls for the gap, and on a nonempty band 5 more (cubic), 6 (bounded_power
-with k = 2) or 4 (standard, at a tie).  So a step makes 27 calls with every
-band empty and 47 under the cubic rate.  An open hole's second span adds
-the step's 13 ufunc calls and two reductions again, and 1 to 6 calls per
-field evaluation.  The field and the step therefore bind the ufuncs to
+and two reductions; each field evaluation makes a dot product (one per live
+block past 8,192 nodes) and 2 ufunc calls for the gap, and on a nonempty
+band 5 more (cubic), 6 (bounded_power with k = 2) or 4 (standard, at a
+tie).  So a step makes 27 calls with every band empty and 47 under the
+cubic rate.  An open hole's second span adds the step's 13 ufunc calls and
+two reductions again, and 1 to 6 calls per field evaluation.  The field and the step therefore bind the ufuncs to
 locals and pass ``out`` positionally, which skips the keyword parsing of
 each call.  ``np.minimum`` and ``np.maximum``
 keep ``out=``: a positional output is deprecated for them as of numpy 2.4.
@@ -102,7 +115,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .composition import BayesianStrategy, TypeGrid
+from .composition import _BLOCK, BayesianStrategy, TypeGrid
 from .errors import InputError, IntegrationError
 from .games import DEFAULT_DOMAIN, AggregateGame, TypeDistribution, _homogenized_velocity
 
@@ -248,7 +261,8 @@ def _field_function(
     theta = grid.nodes
     cuts = theta.tolist()
     n = grid.n
-    dot = grid.weights.dot
+    weights = grid.weights
+    dot = weights.dot
     slope, intercept = game.slope, game.intercept
     dom_lo, dom_hi = DEFAULT_DOMAIN
     subtract, negative, multiply, one = np.subtract, np.negative, np.multiply, _ONE
@@ -263,16 +277,41 @@ def _field_function(
     if window is None:
         window = [0, n, n, n]
     a, h0, h1, b = window
+    # a grid of more than one block sums its aggregate block by block, as
+    # composition.blocked_dot does, from a plan (module docstring); a block
+    # of 1s sums to the dot of its weights on ones
+    blocks = [(i, min(i + _BLOCK, n)) for i in range(0, n, _BLOCK)] if n > _BLOCK else []
+    ones = [float(weights[i:j].dot(np.ones(j - i))) for i, j in blocks]
+
+    def plan() -> tuple[float, list]:
+        """The fold over the blocks in [0, a), and the dot method and span of
+        each later block that lies neither in the hole nor in [b, n)."""
+        prefix, live = 0.0, []
+        for (i, j), one_dot in zip(blocks, ones):
+            if j <= a:
+                prefix += one_dot
+            elif i < b and not h0 <= i < j <= h1:
+                live.append((weights[i:j].dot, i, j))
+        return prefix, live
+
+    prefix, live = plan()
 
     def field(values: np.ndarray, out: np.ndarray) -> float:
-        nonlocal a, h0, h1, b
-        xbar = float(dot(values))
+        nonlocal a, h0, h1, b, prefix, live
+        if blocks:
+            xbar = prefix
+            for block_dot, i, j in live:
+                xbar += float(block_dot(values[i:j]))
+        else:
+            xbar = float(dot(values))
         if not dom_lo <= xbar <= dom_hi:
             raise InputError(f"aggregate {xbar!r} left the payoff evaluation domain")
         common = slope * xbar + intercept
         m = bisect_right(cuts, common)
         if m < a:
             a = window[0] = m
+            if blocks:
+                prefix, live = plan()
         elif h0 < m:
             if b < m:
                 window[1:] = h0, h1, b = m, m, m
@@ -281,6 +320,8 @@ def _field_function(
                 # close the hole once what is left would not pay
                 h0, h1 = (m, h1) if h1 - m >= _HOLE_MIN else (b, b)
                 window[1:3] = h0, h1
+            if blocks:
+                prefix, live = plan()
         if whole:
             lo, hi = a, b
         else:

@@ -53,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .composition import BalancedRecord, BayesianStrategy, aggregate, make_grid
+from .composition import BalancedRecord, BayesianStrategy, aggregate, blocked_dot, make_grid
 from .dynamics import RevisionProtocol
 from .equilibria import STABLE, UNSTABLE, find_aggregate_equilibria
 from .errors import AnalysisError, InputError
@@ -325,8 +325,13 @@ def _balanced_sources(
 def aggregate_velocity_from_flows(
     inflow: SwitchingRateDistribution, outflow: SwitchingRateDistribution
 ) -> float:
-    """Aggregate velocity identified from the two rate distributions alone."""
-    return float(np.dot(inflow.qs, inflow.ms)) - float(np.dot(outflow.qs, outflow.ms))
+    """Aggregate velocity identified from the two rate distributions alone.
+
+    Each sum is ``composition.blocked_dot``, the aggregate's own sum, so a
+    grid source of more than 8,192 atoms gives the same bits at any BLAS
+    thread count.
+    """
+    return blocked_dot(inflow.qs, inflow.ms) - blocked_dot(outflow.qs, outflow.ms)
 
 
 def detailed_balance_residual(

@@ -24,7 +24,7 @@ from evodyn import (
     standard_protocol,
     vector_field,
 )
-from evodyn.composition import BayesianStrategy, TypeGrid
+from evodyn.composition import _BLOCK, BayesianStrategy, TypeGrid
 
 
 def test_make_grid_sqrt_shift_two_nodes():
@@ -92,6 +92,32 @@ def test_aggregate_examples(grid4000, canon_dist):
     assert aggregate(sorted_composition(grid4000, 0.3)) == pytest.approx(0.3, abs=1e-12)
     rev = reversed_composition(grid4000, canon_dist, 0.25)
     assert aggregate(rev) == pytest.approx(0.25, abs=1e-12)
+
+
+def random_strategy(n, seed):
+    rng = np.random.default_rng(seed)
+    values = rng.random(n)
+    values[rng.random(n) < 0.3] = 0.0
+    values[rng.random(n) < 0.3] = 1.0
+    return BayesianStrategy(grid=TypeGrid(nodes=np.sort(rng.normal(size=n))), values=values)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 500, 2000, 4000, 8000, 8191, _BLOCK])
+def test_aggregate_of_one_block_is_one_dot(n):
+    # every bundled and tested grid is one block: the aggregate keeps the
+    # bits of a single dot over all its nodes
+    x = random_strategy(n, n)
+    assert np.float64(aggregate(x)).tobytes() == np.dot(x.grid.weights, x.values).tobytes()
+
+
+@pytest.mark.parametrize("n", [_BLOCK + 1, 20000, 32000])
+def test_aggregate_of_more_blocks_folds_their_dots(n):
+    x = random_strategy(n, n)
+    w, v = x.grid.weights, x.values
+    total = 0.0
+    for i in range(0, n, _BLOCK):
+        total += float(np.dot(w[i : i + _BLOCK], v[i : i + _BLOCK]))
+    assert np.float64(aggregate(x)).tobytes() == np.float64(total).tobytes()
 
 
 def test_sorted_composition_corners(grid2000):

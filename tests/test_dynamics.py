@@ -10,6 +10,9 @@ which turns each into a polynomial integral:
 """
 
 import math
+import os
+import subprocess
+import sys
 from bisect import bisect_right
 from pathlib import Path
 
@@ -40,6 +43,7 @@ from evodyn.composition import (
     BayesianStrategy,
     TypeGrid,
     balanced_composition,
+    blocked_dot,
     destabilizing_perturbation,
 )
 from evodyn.config import parse_config
@@ -357,8 +361,9 @@ class TestHomogenized:
 
 
 def oracle_field(game, protocol, grid, values):
-    """The per-node law of motion written with masks and fresh arrays."""
-    xbar = float(np.dot(grid.weights, values))
+    """The per-node law of motion written with masks and fresh arrays, at
+    the aggregate's blocked sum over all n nodes."""
+    xbar = blocked_dot(grid.weights, values)
     lo, hi = DEFAULT_DOMAIN
     if not lo <= xbar <= hi:
         raise InputError(f"aggregate {xbar!r} left the payoff evaluation domain")
@@ -372,7 +377,7 @@ def oracle_rk4(game, protocol, x0, t_end, dt, snapshot_times=()):
     steps = max(int(round(t_end / dt)), 1)
     wanted = sorted(snapshot_times)
     x = np.array(x0.values, dtype=float)
-    xbars, snaps, clamp_total = [np.dot(x0.grid.weights, x)], [], 0.0
+    xbars, snaps, clamp_total = [blocked_dot(x0.grid.weights, x)], [], 0.0
     si = 0
     while si < len(wanted) and wanted[si] <= 0.0:
         snaps.append((0.0, x.copy()))
@@ -393,7 +398,7 @@ def oracle_rk4(game, protocol, x0, t_end, dt, snapshot_times=()):
         clipped = np.clip(x, 0.0, 1.0)
         clamp_total += float(np.abs(x - clipped).sum())
         x = clipped
-        xbars.append(np.dot(x0.grid.weights, x))
+        xbars.append(blocked_dot(x0.grid.weights, x))
         while si < len(wanted) and wanted[si] <= t + 1e-12:
             snaps.append((t, x.copy()))
             si += 1
@@ -709,6 +714,30 @@ def test_bisected_cut_matches_searchsorted(nodes, data):
     assert bisect_right(theta.tolist(), common) == np.searchsorted(theta, common, side="right")
 
 
+def test_bits_do_not_depend_on_the_blas_thread_count():
+    # OpenBLAS splits a dot of more than 10,000 elements across its threads
+    # and adds their partial sums in another order; the aggregate's blocks
+    # of 8,192 nodes each run on one thread
+    script = (
+        "import hashlib\n"
+        "from evodyn import integrate, make_grid, power_protocol, reversed_composition\n"
+        "from evodyn.games import SqrtShiftTypes, affine_game\n"
+        "dist = SqrtShiftTypes()\n"
+        "x0 = reversed_composition(make_grid(dist, 20000), dist, 0.25)\n"
+        "traj = integrate(affine_game(2.45, -0.05), dist, power_protocol(3), x0, 1.5, 0.05)\n"
+        "for values in (traj.xbars, traj.final_values):\n"
+        "    print(hashlib.sha256(values.tobytes()).hexdigest())\n"
+    )
+    src = str(Path(dynamics.__file__).parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, check=True)
+        digests.append(run.stdout.split())
+    assert len(digests[0]) == 2 and digests[0] == digests[1]
+
+
 def assert_same_run(game, dist, protocol, x0, t_end, dt, snapshot_times=()):
     traj = integrate(game, dist, protocol, x0, t_end=t_end, dt=dt, snapshot_times=snapshot_times)
     xbars, final, clamp_total, snaps = oracle_rk4(game, protocol, x0, t_end, dt, snapshot_times)
@@ -891,6 +920,32 @@ class TestIntegratorOracle:
                        for call in range(1, len(hole_log)) if call % 4)
             h0, h1 = hole_log[-1]
             assert (h0 == h1) if closes else (1000 < h0 < h1 == 6000)
+
+    def test_aggregate_of_three_blocks(self, monkeypatch):
+        # at n = 20000 the field sums the aggregate over three blocks
+        # (composition._BLOCK = 8192) and skips the frozen ones.  The
+        # reversed start's hole [3000, 17000) holds the middle block until
+        # the cut rises past node 8192; the sorted start's run of 1s holds
+        # the first block until the cut falls below it, and its run of
+        # zeros holds the last one throughout
+        windows = log_windows(monkeypatch, tuple)
+        dist = UniformTypes(0.0, 1.0)
+        grid = make_grid(dist, 20000)
+        block = dynamics._BLOCK
+        seen = set()
+        for protocol in EVERY_KIND:
+            for x0, slope, node in ((reversed_composition(grid, dist, 0.15), -5.0, 3000),
+                                    (sorted_composition(grid, 0.6), 2.0, 9000)):
+                game = affine_game(slope, float(grid.nodes[node]) - slope * aggregate(x0))
+                windows.clear()
+                assert_same_run(game, dist, protocol, x0, 3.0, 0.1, (1.5,))
+                for a, h0, h1, b in windows:
+                    seen |= {"hole holds a block"} if h0 <= block and 2 * block <= h1 else set()
+                    seen |= {"hole lost it"} if block < h0 < h1 else set()
+                    seen |= {"1s hold a block"} if a >= block else set()
+                    seen |= {"1s lost it"} if a < block < h0 == h1 else set()
+                    seen |= {"0s hold a block"} if b <= 2 * block else set()
+        assert len(seen) == 5
 
     def test_hole_below_the_gate_stays_closed(self, canon_game, canon_dist, cubic, hole_log):
         # the reversed starts' frozen middles at n = 2000 and 4000 hold 1000

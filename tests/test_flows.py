@@ -42,6 +42,7 @@ from evodyn.composition import (
     BalancedRecord,
     BayesianStrategy,
     TypeGrid,
+    blocked_dot,
     destabilizing_perturbation,
 )
 from tests.conftest import random_composition
@@ -152,6 +153,19 @@ class TestVelocityIdentity:
                     np.dot(grid2000.weights, vector_field(canon_game, canon_dist, proto, x))
                 )
                 assert abs(from_flows - direct) <= 1e-12
+
+    @pytest.mark.parametrize("size", [1, 300, 8192, 8193, 20000])
+    def test_sums_are_the_aggregates_blocked_sums(self, size):
+        # up to 8,192 atoms each side is one dot, as before; past that the
+        # sums fold 8,192-atom blocks, the same at any BLAS thread count
+        rng = np.random.default_rng(size)
+        inflow, outflow = (atoms(zip(rng.random(size), rng.random(size) / size)) for _ in "io")
+        velocity = aggregate_velocity_from_flows(inflow, outflow)
+        if size <= 8192:
+            single = float(np.dot(inflow.qs, inflow.ms)) - float(np.dot(outflow.qs, outflow.ms))
+            assert np.float64(velocity).tobytes() == np.float64(single).tobytes()
+        blocked = blocked_dot(inflow.qs, inflow.ms) - blocked_dot(outflow.qs, outflow.ms)
+        assert np.float64(velocity).tobytes() == np.float64(blocked).tobytes()
 
 
 class TestDetailedBalance:
