@@ -57,13 +57,10 @@ block's dot runs on one OpenBLAS thread (a ddot of more than 10,000 elements
 is split across threads, whose partial sums land in another order), so the
 bits do not depend on the BLAS thread count.  A grid of one block, every
 bundled and tested one, makes the one dot of all its nodes, with no slice
-and no loop.  On a larger grid the field reads the frozen blocks from a
-plan, rebuilt only where the window or its hole changes: the blocks wholly
-in [0, a) hold 1s, and their fold is computed once from their dots on
-blocks of ones; the blocks wholly in the hole or in [b, n) hold +0, so their
-dots are +-0 and are dropped (the fold's partial sums are never -0, and
-S + +-0 = S for any other S); only the others are dotted.  The sum keeps
-the fold's bits.
+and no loop.  A larger grid dots only the blocks that reach into the live
+spans: the blocks of 1s below a fold to a prefix computed once, and the
+blocks of zeros in the hole and past b are dropped (``_window_dot``).  The
+sum keeps the fold's bits.
 
 Off the spans the stage keeps x's bits and the velocity sums stay zero (the
 full step's -0 above the cut never reaches x: +0 + -0 = +0), so a span that
@@ -78,12 +75,12 @@ allocated once per run, with the same operations in the same order as the
 textbook formula, so they give its bits.  At the grid sizes run here
 (hundreds to thousands of nodes) a step is bound by the dispatch of its
 numpy calls, not by arithmetic.  On one span the step makes 13 ufunc calls
-and two reductions; each field evaluation makes a dot product (one per live
-block past 8,192 nodes) and 2 ufunc calls for the gap, and on a nonempty
-band 5 more (cubic), 6 (bounded_power with k = 2) or 4 (standard, at a
-tie).  So a step makes 27 calls with every band empty and 47 under the
-cubic rate.  An open hole's second span adds the step's 13 ufunc calls and
-two reductions again, and 1 to 6 calls per field evaluation.  The field and the step therefore bind the ufuncs to
+and two reductions; each field evaluation makes a dot product and 2 ufunc
+calls for the gap, and on a nonempty band 5 more (cubic), 6 (bounded_power
+with k = 2) or 4 (standard, at a tie).  So a step makes 27 calls with every
+band empty and 47 under the cubic rate.  An open hole's second span adds
+the step's 13 ufunc calls and two reductions again, and 1 to 6 calls per
+field evaluation.  The field and the step therefore bind the ufuncs to
 locals and pass ``out`` positionally, which skips the keyword parsing of
 each call.  ``np.minimum`` and ``np.maximum``
 keep ``out=``: a positional output is deprecated for them as of numpy 2.4.
@@ -235,6 +232,40 @@ def bounded_power_protocol(k: float, pisharp: float) -> RevisionProtocol:
 _Field = Callable[[np.ndarray, np.ndarray], float]
 
 
+def _window_dot(weights: np.ndarray, window: list[int]) -> Callable[[np.ndarray], float]:
+    """``dot(values)``: ``composition.blocked_dot(weights, values)`` for a
+    state that holds 1s on [0, a) and +0 on the hole [h0, h1) and on [b, n),
+    with ``window = [a, h0, h1, b]`` read at each call.
+
+    The blocks wholly in [0, a) fold to a prefix taken from their dots on
+    blocks of ones; the blocks wholly in the hole or in [b, n) dot to +-0 and
+    are dropped (the fold's partial sums are never -0, and S + +-0 = S for
+    any other S); only the others are dotted.  The prefix and the blocks to
+    dot are worked out again when the window has changed since the last call.
+    """
+    n = weights.size
+    blocks = [(i, min(i + _BLOCK, n)) for i in range(0, n, _BLOCK)]
+    ones = [float(weights[i:j].dot(np.ones(j - i))) for i, j in blocks]
+    seen, prefix, live = None, 0.0, []
+
+    def dot(values: np.ndarray) -> float:
+        nonlocal seen, prefix, live
+        if window != seen:
+            seen, (a, h0, h1, b) = window.copy(), window
+            prefix, live = 0.0, []
+            for (i, j), one_dot in zip(blocks, ones):
+                if j <= a:
+                    prefix += one_dot
+                elif i < b and not h0 <= i < j <= h1:
+                    live.append((weights[i:j].dot, i, j))
+        xbar = prefix
+        for block_dot, i, j in live:
+            xbar += float(block_dot(values[i:j]))
+        return xbar
+
+    return dot
+
+
 def _field_function(
     game: AggregateGame,
     protocol: RevisionProtocol,
@@ -261,8 +292,6 @@ def _field_function(
     theta = grid.nodes
     cuts = theta.tolist()
     n = grid.n
-    weights = grid.weights
-    dot = weights.dot
     slope, intercept = game.slope, game.intercept
     dom_lo, dom_hi = DEFAULT_DOMAIN
     subtract, negative, multiply, one = np.subtract, np.negative, np.multiply, _ONE
@@ -277,41 +306,20 @@ def _field_function(
     if window is None:
         window = [0, n, n, n]
     a, h0, h1, b = window
-    # a grid of more than one block sums its aggregate block by block, as
-    # composition.blocked_dot does, from a plan (module docstring); a block
-    # of 1s sums to the dot of its weights on ones
-    blocks = [(i, min(i + _BLOCK, n)) for i in range(0, n, _BLOCK)] if n > _BLOCK else []
-    ones = [float(weights[i:j].dot(np.ones(j - i))) for i, j in blocks]
-
-    def plan() -> tuple[float, list]:
-        """The fold over the blocks in [0, a), and the dot method and span of
-        each later block that lies neither in the hole nor in [b, n)."""
-        prefix, live = 0.0, []
-        for (i, j), one_dot in zip(blocks, ones):
-            if j <= a:
-                prefix += one_dot
-            elif i < b and not h0 <= i < j <= h1:
-                live.append((weights[i:j].dot, i, j))
-        return prefix, live
-
-    prefix, live = plan()
+    # a grid of one block makes blocked_dot's one dot without its call,
+    # which cost ensemble (n = 500) about 5%; a larger one skips the blocks
+    # the window has frozen, which the balanced escape-large starts need
+    dot = grid.weights.dot if n <= _BLOCK else _window_dot(grid.weights, window)
 
     def field(values: np.ndarray, out: np.ndarray) -> float:
-        nonlocal a, h0, h1, b, prefix, live
-        if blocks:
-            xbar = prefix
-            for block_dot, i, j in live:
-                xbar += float(block_dot(values[i:j]))
-        else:
-            xbar = float(dot(values))
+        nonlocal a, h0, h1, b
+        xbar = float(dot(values))
         if not dom_lo <= xbar <= dom_hi:
             raise InputError(f"aggregate {xbar!r} left the payoff evaluation domain")
         common = slope * xbar + intercept
         m = bisect_right(cuts, common)
         if m < a:
             a = window[0] = m
-            if blocks:
-                prefix, live = plan()
         elif h0 < m:
             if b < m:
                 window[1:] = h0, h1, b = m, m, m
@@ -320,8 +328,6 @@ def _field_function(
                 # close the hole once what is left would not pay
                 h0, h1 = (m, h1) if h1 - m >= _HOLE_MIN else (b, b)
                 window[1:3] = h0, h1
-            if blocks:
-                prefix, live = plan()
         if whole:
             lo, hi = a, b
         else:

@@ -714,6 +714,50 @@ def test_bisected_cut_matches_searchsorted(nodes, data):
     assert bisect_right(theta.tolist(), common) == np.searchsorted(theta, common, side="right")
 
 
+@pytest.mark.parametrize("window", [
+    [0, 40000, 40000, 40000],     # no frozen block
+    [8200, 9000, 24600, 32768],   # 1s hold block 0, the hole block 2, the zeros block 4
+    [16384, 20000, 20000, 20000],  # a closed hole: 1s hold blocks 0 and 1, zeros 3 and 4
+    [3, 5, 39990, 39995],         # the hole holds blocks 1 to 3
+])
+def test_window_dot_reads_only_the_blocks_that_can_move(window):
+    # on a state frozen as the window says, the field's aggregate has
+    # blocked_dot's bits and reads no block wholly in the frozen parts;
+    # moving the window makes its dot read them again
+    n, block = 40000, dynamics._BLOCK
+    grid = make_grid(UniformTypes(0.0, 1.0), n)
+    weights = grid.weights
+    a, h0, h1, b = window
+    values = np.random.default_rng(a).random(n)
+    values[:a], values[h0:h1], values[b:] = 1.0, 0.0, 0.0
+    poisoned = values.copy()
+    for i in range(0, n, block):
+        j = min(i + block, n)
+        if j <= a or h0 <= i < j <= h1 or b <= i:
+            poisoned[i:j] = np.nan
+    expected = np.float64(blocked_dot(weights, values)).tobytes()
+    # F is a node's type inside [a, h0), so the call leaves the window as it is
+    game = affine_game(0.0, float(grid.nodes[(a + h0) // 2]))
+    field = _field_function(game, standard_protocol(), grid, window)
+    assert np.float64(field(poisoned, np.zeros(n))).tobytes() == expected
+    assert window == [a, h0, h1, b]
+    dot = dynamics._window_dot(weights, window)
+    assert np.float64(dot(values)).tobytes() == expected
+    assert np.float64(dot(poisoned)).tobytes() == expected
+    window[:] = 0, n, n, n
+    assert np.float64(dot(values)).tobytes() == expected
+    assert math.isnan(dot(poisoned)) == bool(np.isnan(poisoned).any())
+
+
+def blas_is_openblas() -> bool:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return "openblas" in blas.get("name", "").lower()
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2,
+                    reason="OpenBLAS runs one thread on one CPU, so no second thread would run")
+@pytest.mark.skipif(not blas_is_openblas(),
+                    reason="numpy's BLAS is not OpenBLAS, which OPENBLAS_NUM_THREADS sets")
 def test_bits_do_not_depend_on_the_blas_thread_count():
     # OpenBLAS splits a dot of more than 10,000 elements across its threads
     # and adds their partial sums in another order; the aggregate's blocks
