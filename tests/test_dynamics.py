@@ -13,6 +13,7 @@ import math
 import os
 import subprocess
 import sys
+import weakref
 from bisect import bisect_right
 from pathlib import Path
 
@@ -542,7 +543,13 @@ def dyadic_states(total, rng):
 STATE_TOTALS = [256, 128, 16, 224, 0, 8, 7, 240, 241, 64, 131, 125, 37, 67, 61, 256, 0, 128]
 
 
-@pytest.mark.parametrize(
+# the nodes of the state sequences, multiples of 1/256 with a pair and two
+# triples, so that F = xbar lands exactly on nodes and at deficits of exactly
+# pisharp
+DYADIC_NODES = np.array([8, 16, 16, 16, 40, 64, 64, 96, 128, 128, 128, 160, 200, 224, 224,
+                         240]) / 256
+
+SEQUENCE_PROTOCOLS = pytest.mark.parametrize(
     "protocol",
     [standard_protocol(), power_protocol(3), power_protocol(0.5),
      bounded_power_protocol(2, 3 / 256), bounded_power_protocol(2, np.nextafter(3 / 256, 0.0)),
@@ -550,14 +557,16 @@ STATE_TOTALS = [256, 128, 16, 224, 0, 8, 7, 240, 241, 64, 131, 125, 37, 67, 61, 
     ids=["standard", "cubic", "power0.5", "bounded_at_a_deficit", "bounded_one_ulp_below",
          "bounded_one_ulp_above", "bounded_power1.5"],
 )
+
+
+@SEQUENCE_PROTOCOLS
 def test_one_field_over_a_sequence_of_states_matches_oracle(protocol):
     # one field object is called again and again, so nothing it keeps from
     # one call to the next may leak into the velocities as the cut and the
     # band move; the nodes and the aggregates are multiples of 1/256, so
     # F = xbar lands exactly on nodes (duplicated ones too) and at deficits
     # of exactly pisharp
-    nodes = np.array([8, 16, 16, 16, 40, 64, 64, 96, 128, 128, 128, 160, 200, 224, 224, 240]) / 256
-    grid = TypeGrid(nodes=nodes)
+    grid = TypeGrid(nodes=DYADIC_NODES)
     game = affine_game(1.0, 0.0)
     rng = np.random.default_rng(11)
     totals = STATE_TOTALS + rng.integers(0, 257, 300).tolist()
@@ -567,6 +576,60 @@ def test_one_field_over_a_sequence_of_states_matches_oracle(protocol):
             out = np.full(grid.n, np.nan)
             assert field(values, out) == total / 256
             assert same_bits(out, oracle_field(game, protocol, grid, values)), total
+
+
+@SEQUENCE_PROTOCOLS
+@pytest.mark.parametrize("window", [None, (3, 6, 10, 13)], ids=["whole", "window"])
+def test_one_field_on_two_buffer_pairs_keeps_no_stale_slices(protocol, window):
+    # the integrator calls its field on two fixed (values, out) pairs whose
+    # contents it overwrites in place, and the field keeps its slices per
+    # pair: every call must read and write the slices of its own state as
+    # the cut, the band and the window move, when a pair comes back to a
+    # state it had before the band moved, and when the values array is
+    # rebound at an unchanged state (the integrator's clamp); nothing is
+    # written outside the live window, which only grows
+    grid = TypeGrid(nodes=DYADIC_NODES)
+    game = affine_game(1.0, 0.0)
+    window = list(window) if window else None
+    field = _field_function(game, protocol, grid, window)
+    rng = np.random.default_rng(13)
+    pairs = [(np.empty(16), np.full(16, np.nan)) for _ in range(2)]
+
+    def check(values, out, total):
+        assert field(values, out) == total / 256
+        live = np.ones(16, dtype=bool)
+        if window:
+            a, h0, h1, b = window
+            live[:a] = live[h0:h1] = live[b:] = False
+        assert same_bits(out[live], oracle_field(game, protocol, grid, values)[live]), total
+        assert np.isnan(out[~live]).all(), total
+
+    # the first pair at one state, the second at the next one, so that each
+    # call moves the cut and the band from where the other pair left them;
+    # the first totals keep the cut at m = 5, below the window's hole
+    # [6, 10), while the band moves up to the hole's first node
+    totals = [40, 45, 63, 50, 61] + STATE_TOTALS + rng.integers(0, 257, 60).tolist()
+    for now, later in zip(totals, totals[1:]):
+        for (values, out), total in zip(pairs, (now, later)):
+            values[:] = dyadic_states(total, rng)[0]
+            check(values, out, total)
+    # back to the first pair's state after the second pair moved the band,
+    # with new contents in the same arrays
+    (x, acc), (stage, k) = pairs
+    for total in (37, 131, 37, 240, 37):
+        stage[:] = dyadic_states(total, rng)[1]
+        check(stage, k, total)
+        x[:] = dyadic_states(37, rng)[0]
+        check(x, acc, 37)
+    # the clamp's rebinding: a new array at the same state, the old one
+    # poisoned so that a kept slice of it would show
+    for values in (x, stage):
+        fresh = values[::-1].copy()
+        values[:] = np.nan
+        check(fresh, acc, 37)
+        values[:] = fresh
+    check(x, acc, 37)
+    check(stage, k, 37)
 
 
 @pytest.fixture
@@ -652,6 +715,54 @@ def test_band_edges_settle_on_the_float_deficits(rate_counts):
         assert rate_counts == [band]
         assert same_bits(out, oracle_field(game, protocol, grid, values))
         rate_counts.clear()
+    # one field object while F steps, one edge ulp at a time, up across the
+    # nodes within a few ulps of F0 -+ pisharp and back, then at random: the
+    # band kept from the last call must pass its re-check only where it is
+    # still the band.  Every node holds the value c = F - F0, a few edge
+    # ulps, and the 64 weights are 1/64, so the aggregate sums 64 equal,
+    # exactly representable terms to c exactly and F = 1 * c + F0
+    for _ in range(60):
+        base, pisharp = float(rng.uniform(-0.5, 1.5)), float(rng.uniform(0.001, 0.5))
+        edges = (base - pisharp, base + pisharp, base - np.nextafter(pisharp, 0.0),
+                 base + np.nextafter(pisharp, 0.0))
+        near = [base] + [t for edge in edges for t in floats_around(edge, 4)]
+        far = [base - 3.0] * 13 + [base + 3.0] * 14
+        grid = TypeGrid(nodes=np.sort(np.array(near + far)))
+        step = max(np.spacing(abs(edge)) for edge in edges)
+        game, protocol = affine_game(1.0, base), bounded_power_protocol(2, pisharp)
+        field = _field_function(game, protocol, grid)
+        ks = list(range(-12, 13)) + list(range(11, -13, -1)) + rng.integers(-12, 13, 20).tolist()
+        for k in ks:
+            values = np.full(grid.n, k * step)
+            out = np.empty(grid.n)
+            assert field(values, out) == k * step
+            common = 1.0 * (k * step) + base
+            band = int(np.count_nonzero(np.abs(common - grid.nodes) < pisharp))
+            assert rate_counts == [band], k
+            assert same_bits(out, oracle_field(game, protocol, grid, values)), k
+            rate_counts.clear()
+
+
+def test_field_keeps_slices_for_a_fixed_number_of_buffers():
+    # a field called on fresh arrays each time keeps the slices of at most
+    # _VIEW_SETS out buffers, and so holds on to no more arrays than that;
+    # an array freed after its set was dropped may hand its address to a
+    # later one, which must not find the dropped slices
+    grid = make_grid(UniformTypes(0.0, 1.0), 40)
+    game, protocol = affine_game(1.5, -0.2), bounded_power_protocol(2, 0.3)
+    field = _field_function(game, protocol, grid)
+    rng = np.random.default_rng(8)
+    refs = []
+    for call in range(5000):
+        values, out = rng.uniform(-0.05, 1.05, grid.n), np.empty(grid.n)
+        refs.append(weakref.ref(out))
+        field(values, out)
+        if call % 50 == 0:
+            assert same_bits(out, oracle_field(game, protocol, grid, values))
+        del values, out
+        assert sum(ref() is not None for ref in refs[-5:]) <= dynamics._VIEW_SETS
+    assert refs[0]() is None
+    assert sum(ref() is not None for ref in refs) == dynamics._VIEW_SETS
 
 
 def test_standard_rate_is_evaluated_on_tied_nodes_only(rate_counts):
