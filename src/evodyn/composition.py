@@ -16,6 +16,8 @@ Constructors provided here are the canonical compositions used throughout:
 * ``destabilizing_perturbation`` -- a small composition change that pushes
   the aggregate strictly up while staying close to the original.
 
+The first three record what they built (``BayesianStrategy.construction``).
+
 Boundary nodes take fractional values so constructed aggregates hit the
 requested level exactly (up to float rounding), not just within 1/n.
 """
@@ -93,6 +95,13 @@ def _grid(dist: TypeDistribution, n: int) -> TypeGrid:
 
 
 @dataclass(frozen=True)
+class Cutoff:
+    """How ``sorted_composition`` or ``reversed_composition`` built a strategy."""
+
+    reversed: bool
+
+
+@dataclass(frozen=True)
 class BalancedRecord:
     """The arguments past the grid that ``balanced_composition`` built from."""
 
@@ -107,15 +116,18 @@ class BalancedRecord:
 class BayesianStrategy:
     """Participation rate per grid node, each in [0, 1].
 
-    ``balanced`` records how ``balanced_composition`` built the strategy, so
-    that the escape analysis can read the continuum composition it stands
-    for; every other strategy has None.  It is no constructor argument
+    ``construction`` records how a constructor of a continuum composition
+    built the strategy (``Cutoff`` or ``BalancedRecord``), so that the
+    escape analysis can read that composition; every other strategy has
+    None, whatever its values.  It is no constructor argument
     (``dataclasses.replace`` drops it) and takes no part in equality or repr.
     """
 
     grid: TypeGrid
     values: np.ndarray = field(repr=False)
-    balanced: BalancedRecord | None = field(default=None, init=False, repr=False, compare=False)
+    construction: Cutoff | BalancedRecord | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -165,9 +177,10 @@ def aggregate(x: BayesianStrategy) -> float:
     return blocked_dot(x.grid.weights, x.values)
 
 
-def _cutoff_values(grid: TypeGrid, xbar: float) -> np.ndarray:
-    """The sorted composition's values: the first floor(xbar n) nodes filled
-    and the fractional fill of the next one."""
+def _cutoff(grid: TypeGrid, xbar: float, reversed_: bool) -> BayesianStrategy:
+    """The sorted composition, the first floor(xbar n) nodes filled and the
+    fractional fill of the next one, mirrored if ``reversed_``; it records
+    ``Cutoff(reversed_)``."""
     if not 0.0 <= xbar <= 1.0:
         raise InputError(f"xbar={xbar} outside [0, 1]")
     scaled = xbar * grid.n
@@ -176,7 +189,9 @@ def _cutoff_values(grid: TypeGrid, xbar: float) -> np.ndarray:
     values[:k] = 1.0
     if k < grid.n:
         values[k] = scaled - k
-    return values
+    out = BayesianStrategy(grid=grid, values=values[::-1] if reversed_ else values)
+    object.__setattr__(out, "construction", Cutoff(reversed_))
+    return out
 
 
 def sorted_composition(grid: TypeGrid, xbar: float) -> BayesianStrategy:
@@ -185,7 +200,7 @@ def sorted_composition(grid: TypeGrid, xbar: float) -> BayesianStrategy:
     With an equiprobable grid the cut-off type is the inverse c.d.f. at xbar;
     the boundary node is filled fractionally so the aggregate equals xbar.
     """
-    return BayesianStrategy(grid=grid, values=_cutoff_values(grid, xbar))
+    return _cutoff(grid, xbar, False)
 
 
 def reversed_composition(
@@ -198,7 +213,7 @@ def reversed_composition(
     grid ordering: they are the sorted composition's, mirrored.
     """
     del dist  # threshold type is inverse_cdf(1 - xbar); grid nodes already sorted
-    return BayesianStrategy(grid=grid, values=_cutoff_values(grid, xbar)[::-1])
+    return _cutoff(grid, xbar, True)
 
 
 def balanced_composition(
@@ -219,8 +234,8 @@ def balanced_composition(
     distributions on both sides at every deficit level, and the aggregate is
     preserved because the mass moved out below t* equals the mass moved in
     above it.  The strategy records its arguments past the grid
-    (``BayesianStrategy.balanced``) unless kappa is 0, which gives the sorted
-    composition.
+    (``BayesianStrategy.construction``) unless kappa is 0, which gives the
+    sorted composition.
     """
     if not 0.0 < kappa <= 1.0:
         if kappa == 0.0:
@@ -242,11 +257,13 @@ def balanced_composition(
         )
 
     # Participation above t* must stay <= 1: kappa * max density ratio <= 1.
-    probe = np.linspace(0.0, pimax, 4097)[1:]
-    ratio = np.asarray(dist.pdf(theta_star - probe)) / np.asarray(
-        dist.pdf(theta_star + probe)
-    )
-    worst = float(ratio.max())
+    # For every family here p(t* - d) / p(t* + d) is monotone in d: constant
+    # (uniform), increasing (sqrt-shift), increasing for t* above the
+    # logistic's mu and decreasing below it.  So the ratio peaks at the band's
+    # end d = pimax, or stays at most 1, where kappa <= 1 cannot trip the check.
+    # The ends are clamped into the support, which the band may pass by 1e-12.
+    low, high = dist.pdf(np.clip([theta_star - pimax, theta_star + pimax], lo, hi))
+    worst = float(low / high)
     if kappa * worst > 1.0 + 1e-12:
         raise ConstructionError(
             f"kappa * max density ratio = {kappa * worst:.6g} exceeds 1; "
@@ -268,7 +285,7 @@ def balanced_composition(
             f"balanced construction drifted from xbar_star by "
             f"{abs(aggregate(out) - xbar_star):.3g} > 2/n"
         )
-    object.__setattr__(out, "balanced", BalancedRecord(game, dist, xbar_star, kappa, pimax))
+    object.__setattr__(out, "construction", BalancedRecord(game, dist, xbar_star, kappa, pimax))
     return out
 
 

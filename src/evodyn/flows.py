@@ -30,11 +30,11 @@ The grid atoms are the midpoint rule in the quantile u = P(theta) of the
 continuum sources.  Each escape report reads one pair of sources, for the
 dominance verdict and the bound alike: Gauss-Legendre atoms of the continuum
 sources (Golub & Welsch, Math. Comp. 23, 1969), which carry no grid
-discretization error, for a sorted or reversed composition
-(``_cutoff_sources``) and for a balanced start (``_balanced_sources``, read
-from the construction the start records, at the equilibrium it was built
-at, one set of atoms for both sources); the grid atoms for every other
-composition.  One step turns a quantile span into atoms for both
+discretization error, for a start whose constructor recorded the continuum
+composition it stands for (``BayesianStrategy.construction``: a sorted or
+reversed cut-off, or a balanced start at the equilibrium it was built at;
+``_continuum_sources``); the grid atoms for every other composition,
+whatever its values.  One step turns a quantile span into atoms
 (``_gauss_legendre_source``), and one function gives the level a report
 starts from (``reference_level``).
 
@@ -53,7 +53,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .composition import BalancedRecord, BayesianStrategy, aggregate, blocked_dot, make_grid
+from .composition import (
+    BalancedRecord,
+    BayesianStrategy,
+    Cutoff,
+    aggregate,
+    blocked_dot,
+    make_grid,
+)
 from .dynamics import RevisionProtocol
 from .equilibria import STABLE, UNSTABLE, find_aggregate_equilibria
 from .errors import AnalysisError, InputError
@@ -176,39 +183,32 @@ def reference_level(
     """The aggregate level an escape report starts from.
 
     A balanced start whose sources are read off the continuum
-    (``_balanced_record``) stands for the continuum composition at the
+    (``_continuum_record``) stands for the continuum composition at the
     equilibrium it was built at, so it reads its record's ``xbar_star``
     (its grid aggregate may lie up to 2/n away); every other start reads
     its own aggregate.
     """
-    record = _balanced_record(game, dist, protocol, x)
-    return aggregate(x) if record is None else record.xbar_star
+    record = _continuum_record(game, dist, protocol, x)
+    return record.xbar_star if isinstance(record, BalancedRecord) else aggregate(x)
 
 
-def _on_the_continuum(
-    dist: TypeDistribution, protocol: RevisionProtocol, x: BayesianStrategy
-) -> bool:
-    """Whether ``x``'s sources may be read off the continuum at all.
-
-    The grid must be ``make_grid(dist, n)``'s, compared node by node, and k
-    an integer: every source has an end where the deficit d vanishes, and a
-    d^k that is not smooth there makes Gauss-Legendre converge only
-    algebraically.
-    """
-    return float(protocol.k).is_integer() and np.array_equal(
-        x.grid.nodes, make_grid(dist, x.grid.n).nodes
-    )
-
-
-def _balanced_record(
+def _continuum_record(
     game: AggregateGame, dist: TypeDistribution, protocol: RevisionProtocol, x: BayesianStrategy
-) -> BalancedRecord | None:
-    """``x``'s balanced-construction record if it was built for ``game`` and
-    ``dist`` and ``_on_the_continuum`` holds, else None."""
-    record = x.balanced
-    if record is None or record.game != game or record.dist != dist:
+) -> Cutoff | BalancedRecord | None:
+    """``x``'s construction record if its sources may be read off the
+    continuum composition it stands for, else None.
+
+    k must be an integer (every source has an end where the deficit d
+    vanishes, and a d^k not smooth there makes Gauss-Legendre converge only
+    algebraically), the grid ``make_grid(dist, n)``'s, compared node by
+    node, and a balanced record built for ``game`` and ``dist``.
+    """
+    record = x.construction
+    if record is None or not float(protocol.k).is_integer():
         return None
-    return record if _on_the_continuum(dist, protocol, x) else None
+    if isinstance(record, BalancedRecord) and (record.game != game or record.dist != dist):
+        return None
+    return record if np.array_equal(x.grid.nodes, make_grid(dist, x.grid.n).nodes) else None
 
 
 def _gauss_legendre_source(
@@ -255,7 +255,7 @@ def _gauss_legendre_source(
     return SwitchingRateDistribution(qs=np.concatenate(qs), ms=np.concatenate(ms))
 
 
-def _cutoff_sources(
+def _continuum_sources(
     game: AggregateGame,
     dist: TypeDistribution,
     protocol: RevisionProtocol,
@@ -263,63 +263,42 @@ def _cutoff_sources(
     xbar_ref: float,
     nodes: int = _QUADRATURE_NODES,
 ) -> tuple[SwitchingRateDistribution, SwitchingRateDistribution] | None:
-    """Both flow sources of a cut-off composition on the continuum, or None.
+    """Both flow sources of the continuum composition ``x`` stands for, or
+    None where ``_continuum_record`` gives no record.
 
-    ``x`` qualifies when its values are a monotone 0/1 step with at most one
-    fractional node (and ``_on_the_continuum`` holds).  It then stands for
-    the sorted (nonincreasing) or reversed (nondecreasing) composition whose
-    cut in the quantile u is its aggregate, or one minus it.  With
-    F = F(xbar_ref), inflow is {u < P(F), x = 0} and outflow
-    {u > P(F), x = 1}, each read by ``_gauss_legendre_source`` with the
-    whole type as source.
-    """
-    values = x.values
-    if np.count_nonzero((values > 0.0) & (values < 1.0)) > 1:
-        return None
-    steps = np.diff(values)
-    common = game.payoff(xbar_ref)
-    u_f = float(dist.cdf(common))
-    if steps.max(initial=0.0) <= 0.0:  # sorted: x = 1 below the cut
-        cut = aggregate(x)
-        spans = ((cut, u_f), (u_f, cut))
-    elif steps.min(initial=0.0) >= 0.0:  # reversed: x = 1 above the cut
-        cut = 1.0 - aggregate(x)
-        spans = ((0.0, min(cut, u_f)), (max(cut, u_f), 1.0))
-    else:
-        return None
-    if not _on_the_continuum(dist, protocol, x):
-        return None
-    return (
-        _gauss_legendre_source(dist, protocol, common, -1.0, spans[0], nodes),
-        _gauss_legendre_source(dist, protocol, common, 1.0, spans[1], nodes),
-    )
+    A cut-off record stands for the sorted (x = 1 below the cut) or the
+    reversed (x = 1 above it) composition whose cut in the quantile u is
+    ``x``'s aggregate, or one minus it, clamped into [0, 1] (a full grid
+    composition sums to 1 + a few ulps).  With F = F(xbar_ref), inflow is
+    {u < P(F), x = 0} and outflow {u > P(F), x = 1}, the whole type each.
 
-
-def _balanced_sources(
-    game: AggregateGame,
-    dist: TypeDistribution,
-    protocol: RevisionProtocol,
-    x: BayesianStrategy,
-    nodes: int = _QUADRATURE_NODES,
-) -> tuple[SwitchingRateDistribution, SwitchingRateDistribution] | None:
-    """Both flow sources of a balanced start on the continuum, or None.
-
-    ``x`` qualifies when ``_balanced_record`` gives its record.  Its sources
-    are then those of the continuum composition at the recorded equilibrium
-    xbar*, with t* = F(xbar*): inflow is the band u in
-    (P(t* - pimax), P(t*)), where a share kappa of each type is out, read by
-    ``_gauss_legendre_source``.  The outflow band (P(t*), P(t* + pimax))
+    A balanced record is read at its own xbar* (``reference_level``), with
+    t* = F(xbar*): inflow is the band u in (P(t* - pimax), P(t*)), where a
+    share kappa of each type is out.  The outflow band (P(t*), P(t* + pimax))
     holds a share kappa p(2 t* - theta) / p(theta) of each type, so the
     reflection theta -> 2 t* - theta carries it onto the inflow, deficit for
     deficit and mass for mass: the outflow is the same atoms.
     """
-    record = _balanced_record(game, dist, protocol, x)
+    record = _continuum_record(game, dist, protocol, x)
     if record is None:
         return None
-    t_star = game.payoff(record.xbar_star)
-    span = (float(dist.cdf(t_star - record.pimax)), float(dist.cdf(t_star)))
-    inflow = _gauss_legendre_source(dist, protocol, t_star, -1.0, span, nodes, record.kappa)
-    return inflow, inflow
+    if isinstance(record, BalancedRecord):
+        t_star = game.payoff(record.xbar_star)
+        span = (float(dist.cdf(t_star - record.pimax)), float(dist.cdf(t_star)))
+        inflow = _gauss_legendre_source(dist, protocol, t_star, -1.0, span, nodes, record.kappa)
+        return inflow, inflow
+    common = game.payoff(xbar_ref)
+    u_f = float(dist.cdf(common))
+    if record.reversed:
+        cut = max(1.0 - aggregate(x), 0.0)
+        spans = ((0.0, min(cut, u_f)), (max(cut, u_f), 1.0))
+    else:
+        cut = min(aggregate(x), 1.0)
+        spans = ((cut, u_f), (u_f, cut))
+    return (
+        _gauss_legendre_source(dist, protocol, common, -1.0, spans[0], nodes),
+        _gauss_legendre_source(dist, protocol, common, 1.0, spans[1], nodes),
+    )
 
 
 def aggregate_velocity_from_flows(
@@ -561,20 +540,21 @@ def escape_certificate(
     they are built once per ``t_end`` and shared, read-only, by every report
     with that ``t_end``.
 
-    The dominance verdict and the bound read one pair of sources,
-    Gauss-Legendre atoms (accuracy stated at ``_QUADRATURE_NODES``) when
-    ``x0`` lies on ``make_grid(dist, n)`` under an integer k and is either a
-    balanced start built for this game and distribution
-    (``_balanced_sources``) or a sorted or reversed cut-off composition
-    (``_cutoff_sources``), the grid atoms of ``flow_distributions``
-    otherwise.  The equilibrium is ``reference_level``: the ``xbar_star``
-    such a balanced start was built at, every other start's own aggregate.  A grid bound differs
-    from the quadrature one by the midpoint rule's error: second order in n
-    where the composition's cut and P(F) fall on cell boundaries (4.1e-8 on
-    the canonical game at n = 2000), first order where either splits a cell,
-    as a balanced start's band edges do.  The test against
-    ``make_grid(dist, n)`` compares nodes, not objects; a grid the caller
-    built with ``make_grid`` is read back from its cache.
+    The dominance verdict and the bound read one pair of sources:
+    Gauss-Legendre atoms (accuracy stated at ``_QUADRATURE_NODES``) of the
+    continuum composition ``x0``'s constructor recorded
+    (``_continuum_sources``) when ``x0`` lies on ``make_grid(dist, n)``
+    under an integer k, and for a balanced start was built for this game
+    and distribution; the grid atoms of ``flow_distributions`` otherwise,
+    whatever the values.  The equilibrium is ``reference_level``: the
+    ``xbar_star`` such a balanced start was built at, every other start's
+    own aggregate.  A grid bound differs from the quadrature one by the
+    midpoint rule's error: second order in n where the composition's cut
+    and P(F) fall on cell boundaries (4.1e-8 on the canonical game at
+    n = 2000), first order where either splits a cell, as a balanced
+    start's band edges do.  The test against ``make_grid(dist, n)``
+    compares nodes, not objects; a grid the caller built with ``make_grid``
+    is read back from its cache.
     """
     if not (np.isfinite(t_end) and t_end > _BOUND_FIRST_TIME):
         raise InputError(f"t_end={t_end} must be finite and above the first bound sample")
@@ -594,9 +574,7 @@ def escape_certificate(
             f"{certificate.reason}"
         )
 
-    sources = _balanced_sources(game, dist, protocol, x0) or _cutoff_sources(
-        game, dist, protocol, x0, xbar_star
-    )
+    sources = _continuum_sources(game, dist, protocol, x0, xbar_star)
     inflow, outflow = sources or flow_distributions(game, dist, protocol, x0, xbar_star)
     dominance = sosd_compare(outflow, inflow, mass_tol=2.0 / x0.grid.n)
     times = _bound_times(float(t_end))

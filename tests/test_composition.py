@@ -9,7 +9,9 @@ from evodyn import (
     ConstructionError,
     InputError,
     SqrtShiftTypes,
+    TruncatedLogisticTypes,
     UniformTypes,
+    affine_game,
     aggregate,
     balanced_composition,
     bounded_power_protocol,
@@ -246,10 +248,55 @@ class TestBalancedComposition:
         with pytest.raises(InputError, match=r"is not an aggregate equilibrium \(fixed-point residual"):
             balanced_composition(grid4000, canon_dist, canon_game, 0.22, 0.2, 0.1)
 
+    def test_band_top_within_the_support_tolerance(self):
+        # the band may pass the support end by up to 1e-12; the kappa check
+        # reads the density there clamped into the support, not as p = 0
+        dist = SqrtShiftTypes()
+        level = float(dist.cdf(2.0))
+        t_star = float(dist.inverse_cdf(level))
+        game = affine_game(1.0, t_star - level)
+        pimax = 3.0 - t_star + 5e-13
+        bal = balanced_composition(make_grid(dist, 200), dist, game, level, 0.5, pimax)
+        assert bal.values.max() <= 1.0
+
     @pytest.mark.parametrize("pimax", [float("nan"), 0.0, -0.1])
     def test_band_width_must_be_positive(self, grid4000, canon_dist, canon_game, pimax):
         with pytest.raises(InputError, match="pimax"):
             balanced_composition(grid4000, canon_dist, canon_game, 0.25, 0.2, pimax)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    family=st.sampled_from(["uniform", "sqrt-shift", "logistic"]),
+    level=st.floats(0.02, 0.98),
+    room=st.floats(1e-3, 1.0),
+    factor=st.floats(0.9, 1.1),
+)
+def test_kappa_check_matches_the_sampled_density_ratio(family, level, room, factor):
+    # the check reads the density ratio at the band's end; a scan of 4,096
+    # deficits in (0, pimax], its former form, is the oracle.  The level
+    # puts t* on either side of the logistic's mu
+    dist = {
+        "uniform": UniformTypes(-0.5, 1.5),
+        "sqrt-shift": SqrtShiftTypes(),
+        "logistic": TruncatedLogisticTypes(0.2, 0.1),
+    }[family]
+    t_star = float(dist.inverse_cdf(level))
+    lo, hi = dist.support
+    pimax = room * min(t_star - lo, hi - t_star)
+    probe = np.linspace(0.0, pimax, 4097)[1:]
+    worst = float((dist.pdf(t_star - probe) / dist.pdf(t_star + probe)).max())
+    kappa = min(factor / worst, 1.0)
+    game = affine_game(1.0, t_star - level)  # F(level) = t*: an equilibrium
+    grid = make_grid(dist, 200)
+    if kappa * worst > 1.0 + 1e-12:
+        with pytest.raises(ConstructionError, match="kappa"):
+            balanced_composition(grid, dist, game, level, kappa, pimax)
+    else:
+        try:
+            balanced_composition(grid, dist, game, level, kappa, pimax)
+        except ConstructionError as err:  # the band may drift more than 2/n
+            assert "kappa" not in str(err)
 
 
 class TestDestabilizingPerturbation:

@@ -786,6 +786,18 @@ def test_balanced_start_escapes_at_the_bundled_grid(tmp_path):
     assert np.all(bound == 0.25)
 
 
+def test_escape_from_the_all_ones_start_at_the_corner_equilibrium(tmp_path):
+    # the grid aggregate of the all-ones start is 1.0000000000000007; the
+    # cut-off sources clamp their cut into [0, 1], so the report is written
+    out = tmp_path / "out"
+    assert main(["escape", "--config", str(LOGISTIC_CONFIG), "--out", str(out),
+                 "--override", "initial.xbar0=1"]) == 0
+    report = json.loads((out / "escape.json").read_text())
+    assert (report["dominance"], report["crossing_time"]) == ("incomparable", None)
+    bound = np.loadtxt(out / "bound.csv", delimiter=",", skiprows=1)[:, 1]
+    assert np.all(bound == report["xbar_star"])
+
+
 def test_escape_without_a_certified_level_below_the_start_exits_3(config_path, tmp_path,
                                                                    capsys):
     out = tmp_path / "out"

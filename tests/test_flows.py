@@ -41,6 +41,7 @@ from evodyn import (
 from evodyn.composition import (
     BalancedRecord,
     BayesianStrategy,
+    Cutoff,
     TypeGrid,
     blocked_dot,
     destabilizing_perturbation,
@@ -543,7 +544,7 @@ def grid_escape(game, dist, protocol, x0, xbar_dagger):
 
 def quadrature_bound(game, dist, protocol, x0, nodes=evodyn.flows._QUADRATURE_NODES):
     xbar_star = aggregate(x0)
-    sources = evodyn.flows._cutoff_sources(game, dist, protocol, x0, xbar_star, nodes)
+    sources = evodyn.flows._continuum_sources(game, dist, protocol, x0, xbar_star, nodes)
     assert sources is not None
     return bound_trajectory(*sources, xbar_star, CERTIFY_TIMES)
 
@@ -660,7 +661,8 @@ class TestAtomRouting:
         xbar_star = max(e.xbar for e in find_aggregate_equilibria(game, dist).stable)
         x0 = reversed_composition(make_grid(dist, 2000), dist, xbar_star)
         report = escape_certificate(game, dist, protocol, x0, 0.335)
-        inflow, outflow = evodyn.flows._cutoff_sources(game, dist, protocol, x0, aggregate(x0))
+        inflow, outflow = evodyn.flows._continuum_sources(game, dist, protocol, x0,
+                                                          aggregate(x0))
         assert report.bound.tobytes() == quadrature_bound(game, dist, protocol, x0).tobytes()
         assert outflow.total_mass == pytest.approx(7.67e-5, rel=1e-3)
         assert report.dominance == sosd_compare(outflow, inflow, mass_tol=1e-3) == "I_dominates"
@@ -668,6 +670,34 @@ class TestAtomRouting:
         _, grid_out = flow_distributions(game, dist, protocol, x0, aggregate(x0))
         assert grid_out.total_mass == 0.0
         assert grid_escape(game, dist, protocol, x0, 0.335)[0] == "incomparable"
+
+    @pytest.mark.parametrize("n", [2000, 2001, 4000])
+    @pytest.mark.parametrize("protocol", [standard_protocol(), bounded_power_protocol(2, 0.02)],
+                             ids=["standard", "bounded-power"])
+    @pytest.mark.parametrize("shape", ["sorted", "reversed"])
+    def test_all_ones_start_at_the_corner_equilibrium(self, shape, protocol, n):
+        # the grid aggregate of the all-ones start is 1 + a few ulps
+        # (1.0000000000000007 at n = 2000), which the cut is clamped from:
+        # read unclamped, the Gauss-Legendre nodes land past u = 1.  The
+        # indifferent type F(1) = 0.7 lies above the support, so both
+        # sources are empty and the bound stays at the equilibrium
+        game = linear_coordination_game(0.3)
+        dist = TruncatedLogisticTypes(0.0, 0.05)
+        grid = make_grid(dist, n)
+        x0 = (
+            sorted_composition(grid, 1.0)
+            if shape == "sorted"
+            else reversed_composition(grid, dist, 1.0)
+        )
+        xbar_star = aggregate(x0)
+        assert xbar_star > 1.0
+        levels = critical_mass_sets(game, dist, protocol).decrease_intervals
+        xbar_dagger = max(hi for _, hi in levels if hi < 1.0)
+        report = escape_certificate(game, dist, protocol, x0, xbar_dagger)
+        inflow, outflow = evodyn.flows._continuum_sources(game, dist, protocol, x0, xbar_star)
+        assert inflow.qs.size == outflow.qs.size == 0
+        assert np.all(report.bound == xbar_star)
+        assert (report.dominance, report.crossing_time) == ("incomparable", None)
 
     @pytest.fixture(scope="class")
     def grid_compositions(self, canon_game, canon_dist, grid4000):
@@ -685,18 +715,22 @@ class TestAtomRouting:
             "two-fractional": BayesianStrategy(grid=grid4000, values=two_fractional),
             "other-grid": reversed_composition(shifted, canon_dist, 0.25),
             "middle-band": BayesianStrategy(grid=grid4000, values=middle_band),
+            # a reversed step by its values, but built by hand: no record
+            "hand-built-reversed": BayesianStrategy(grid=grid4000, values=rev.values),
         }
 
     @pytest.mark.parametrize(
         "name",
-        ["perturbed", "mixture", "random", "two-fractional", "other-grid", "middle-band"],
+        ["perturbed", "mixture", "random", "two-fractional", "other-grid", "middle-band",
+         "hand-built-reversed"],
     )
     def test_other_compositions_keep_grid_atoms(
         self, canon_game, canon_dist, cubic, grid_compositions, name
     ):
         x0 = grid_compositions[name]
         xbar_star = aggregate(x0)
-        assert evodyn.flows._cutoff_sources(canon_game, canon_dist, cubic, x0, xbar_star) is None
+        assert evodyn.flows._continuum_sources(canon_game, canon_dist, cubic, x0,
+                                               xbar_star) is None
         report = escape_certificate(canon_game, canon_dist, cubic, x0, 0.03)
         dominance, bound, crossing = grid_escape(canon_game, canon_dist, cubic, x0, 0.03)
         assert report.times.tobytes() == CERTIFY_TIMES.tobytes()
@@ -714,7 +748,7 @@ class TestAtomRouting:
         nudged = TypeGrid(nodes=nudged_nodes)
         for grid, quadrature in ((cached, True), (same, True), (nudged, False)):
             x0 = reversed_composition(grid, canon_dist, 0.25)
-            sources = evodyn.flows._cutoff_sources(canon_game, canon_dist, cubic, x0, 0.25)
+            sources = evodyn.flows._continuum_sources(canon_game, canon_dist, cubic, x0, 0.25)
             assert (sources is not None) == quadrature
             report = escape_certificate(canon_game, canon_dist, cubic, x0, 0.03)
             if quadrature:
@@ -738,13 +772,13 @@ class TestAtomRouting:
     def test_constant_rate_intervals_get_one_atom(self, canon_game, canon_dist, reversed25):
         # the standard rate is 1 on both sources; bounded_power saturates
         # past pisharp, on the far interval of each source
-        sources = evodyn.flows._cutoff_sources(
+        sources = evodyn.flows._continuum_sources(
             canon_game, canon_dist, standard_protocol(), reversed25, 0.25
         )
         for src in sources:
             assert src.qs.tolist() == [1.0]
             assert src.ms.tolist() == [pytest.approx(0.25, abs=1e-15)]
-        inflow, outflow = evodyn.flows._cutoff_sources(
+        inflow, outflow = evodyn.flows._continuum_sources(
             canon_game, canon_dist, bounded_power_protocol(2, 0.3), reversed25, 0.25
         )
         nodes = evodyn.flows._QUADRATURE_NODES
@@ -756,7 +790,8 @@ class TestAtomRouting:
 def balanced_decay(game, dist, protocol, x0, nodes=evodyn.flows._QUADRATURE_NODES):
     """The frozen-rate mass left of one balanced source at the certificate
     samples, less its total mass: the sum the bound takes of each source."""
-    sources = evodyn.flows._balanced_sources(game, dist, protocol, x0, nodes)
+    xbar_star = evodyn.flows.reference_level(game, dist, protocol, x0)
+    sources = evodyn.flows._continuum_sources(game, dist, protocol, x0, xbar_star, nodes)
     assert sources is not None
     empty = SwitchingRateDistribution(qs=np.empty(0), ms=np.empty(0))
     return bound_trajectory(sources[0], empty, 0.0, CERTIFY_TIMES)
@@ -818,7 +853,8 @@ class TestBalancedQuadrature:
         assert abs(aggregate(x0) - 0.25) > 7e-5
         assert evodyn.flows.reference_level(canon_game, canon_dist, protocol, x0) == 0.25
         report = escape_certificate(canon_game, canon_dist, protocol, x0, 0.03)
-        inflow, outflow = evodyn.flows._balanced_sources(canon_game, canon_dist, protocol, x0)
+        inflow, outflow = evodyn.flows._continuum_sources(canon_game, canon_dist, protocol,
+                                                          x0, 0.25)
         # the reflection about t* maps the outflow band onto the inflow band
         assert outflow is inflow
         assert detailed_balance_residual(inflow, outflow) == 0.0
@@ -831,16 +867,16 @@ class TestBalancedQuadrature:
         # under the standard rate the band is one atom; its mass is kappa
         # times the band's length in the quantile, not the length itself
         x0 = balanced_composition(grid2000, canon_dist, canon_game, 0.25, 0.2, 0.3)
-        inflow, _ = evodyn.flows._balanced_sources(
-            canon_game, canon_dist, standard_protocol(), x0
+        inflow, _ = evodyn.flows._continuum_sources(
+            canon_game, canon_dist, standard_protocol(), x0, 0.25
         )
         t_star = canon_game.payoff(0.25)
         u_lo, u_star = canon_dist.cdf(t_star - 0.3), canon_dist.cdf(t_star)
         assert inflow.qs.tolist() == [1.0]
         assert inflow.ms.tolist() == [0.2 * (u_star - u_lo)]
         # bounded_power saturates past pisharp = 0.1: one more piece, one atom
-        inflow, _ = evodyn.flows._balanced_sources(
-            canon_game, canon_dist, bounded_power_protocol(2, 0.1), x0
+        inflow, _ = evodyn.flows._continuum_sources(
+            canon_game, canon_dist, bounded_power_protocol(2, 0.1), x0, 0.25
         )
         assert inflow.qs.size == evodyn.flows._QUADRATURE_NODES + 1
         assert (inflow.qs == 1.0).sum() == 1
@@ -860,14 +896,13 @@ class TestBalancedQuadrature:
             "perturbed": (destabilizing_perturbation(balanced, canon_game, canon_dist, e=0.0,
                                                      w=0.0, eps=1e-6, variant="uniform"), cubic),
         }
-        assert other_game.balanced is not None
+        assert other_game.construction is not None
         # an equal distribution built apart is the same record's
-        assert evodyn.flows._balanced_record(canon_game, SqrtShiftTypes(), cubic,
-                                             balanced) is not None
+        assert evodyn.flows._continuum_record(canon_game, SqrtShiftTypes(), cubic,
+                                              balanced) is not None
         for name, (x0, protocol) in starts.items():
-            assert evodyn.flows._balanced_sources(canon_game, canon_dist, protocol, x0) is None
-            assert evodyn.flows._cutoff_sources(canon_game, canon_dist, protocol, x0,
-                                                aggregate(x0)) is None
+            assert evodyn.flows._continuum_sources(canon_game, canon_dist, protocol, x0,
+                                                   aggregate(x0)) is None
             # the grid atoms describe the grid aggregate, so the report
             # starts from it, as for any other composition
             xbar_star = aggregate(x0)
@@ -881,15 +916,19 @@ class TestBalancedQuadrature:
 
     def test_record_is_kept_out_of_equality_and_repr(self, canon_game, canon_dist, grid4000):
         balanced = balanced_composition(grid4000, canon_dist, canon_game, 0.25, 0.2, 0.3)
-        assert balanced.balanced == BalancedRecord(
+        assert balanced.construction == BalancedRecord(
             canon_game, canon_dist, 0.25, 0.2, 0.3
         )
-        assert "balanced" not in repr(balanced)
+        assert "construction" not in repr(balanced)
         plain = BayesianStrategy(grid=grid4000, values=balanced.values)
-        assert plain.balanced is None
-        assert dataclasses.replace(balanced, values=balanced.values).balanced is None
-        assert sorted_composition(grid4000, 0.25).balanced is None
+        assert plain.construction is None
+        assert dataclasses.replace(balanced, values=balanced.values).construction is None
+        srt = sorted_composition(grid4000, 0.25)
+        assert srt.construction == Cutoff(False)
+        assert reversed_composition(grid4000, canon_dist, 0.25).construction == Cutoff(True)
+        assert BayesianStrategy(grid=grid4000, values=srt.values).construction is None
+        assert dataclasses.replace(srt, values=srt.values).construction is None
         # kappa = 0 is the sorted composition, which the cut-off route reads
         zero = balanced_composition(grid4000, canon_dist, canon_game, 0.25, 0.0, 0.3)
-        assert zero.balanced is None
+        assert zero.construction == Cutoff(False)
 
