@@ -6,9 +6,14 @@ support, so corners where F leaves the support qualify).  g is read on a
 uniform grid of levels and at the vertex of the parabola through each
 discrete extremum of that scan (where consecutive differences of g change
 sign) and its two neighbours, so g is monotone between consecutive levels
-wherever the scan resolves its turns (Brent 1973, ch. 4).  Every sign-change
-bracket is bisected at once (``_bisect_all``).  Each root is labelled from g
-at the levels on either side of it, interior roots and clamped corners alike:
+wherever the scan resolves its turns (Brent 1973, ch. 4).  A level where
+|g| <= 1e-12 is a root.  Every other sign change of g between two levels is
+narrowed, all at once, by ``_narrow``, the bracket kernel that also narrows
+the certified sets in ``stability``, until the bracket is at most 1e-16 wide
+or its ends are adjacent doubles; the root is its end where g is exactly 0,
+else its mid, so it lies within 1e-16 of a sign change of g (about an ulp).
+Each root is labelled from g at the levels on either side of it, interior
+roots and clamped corners alike:
 
     stable      g > 0 below and g < 0 above (one-sided at corners)
     unstable    g < 0 below and g > 0 above
@@ -43,8 +48,9 @@ UNSTABLE = "unstable"
 SEMISTABLE = "semistable"
 
 _ROOT_TOL = 1e-12
-# halvings a bracket may take before its mid is returned as the root
-_MAX_STEPS = 200
+# each narrowing round splits a bracket into _SECTIONS cells (and the
+# certified-set search scans _SECTIONS**2 of them)
+_SECTIONS = 32
 # distance within which EquilibriumReport.locate matches a reported level
 _LOCATE_TOL = 1e-9
 #: Number of equilibrium reports find_aggregate_equilibria keeps (least
@@ -75,96 +81,43 @@ class EquilibriumReport:
         raise InputError(f"{xbar} is not a reported equilibrium (tol {_LOCATE_TOL})")
 
 
-def _bisect_all(
-    game: AggregateGame, dist: TypeDistribution, lo: np.ndarray, hi: np.ndarray,
-    g_lo: np.ndarray, g_hi: np.ndarray,
-) -> np.ndarray:
-    """Bisect every sign-change bracket [lo[i], hi[i]] of g at once.
+def _narrow(evaluate, a, gap_a, b, gap_b, tol: float):
+    """Narrow every bracket [a[i], b[i]] (either order) around the level
+    where membership flips, all brackets at once.
 
-    Each bracket, with g at its ends from the search's levels (``g_lo``,
-    ``g_hi``), takes the decisions of a scalar bisection: return an end
-    where |g| <= _ROOT_TOL, else halve until |g(mid)| <= _ROOT_TOL or the
-    bracket is narrower than 1e-16, for at most _MAX_STEPS steps.
-
-    The halvings run in speculative rounds of one array evaluation of g.  A
-    round lists, for every open bracket, the mids that lead toward its
-    regula-falsi guess (``_predicted_mids``), evaluates g on all of them at
-    once and then replays the scalar decisions in Python floats.  A stored
-    value is used only while the actual mid equals the predicted one, so
-    every decision reads the true g at the true mid and the roots keep the
-    bits of one evaluation per step; the next round starts where a bracket
-    left its predicted path.  Each round advances every open bracket by at
-    least one level.  From a scan cell the first guess is good to about the
-    cell width squared, so most brackets close in the second round.  A
-    bracket whose mid rounds to the end it replaces would repeat that step
-    up to the cap, so it returns the cap's mid at once.
+    ``a`` is a member level and ``b`` a non-member one, with the gaps
+    there; ``evaluate(levels, live)`` returns the membership and the gap at
+    ``levels``, whose row k belongs to bracket ``live[k]``.  A round
+    evaluates, in every open bracket, its ends, the inner levels of its
+    split into ``_SECTIONS`` and a ladder at 4**-j of its width on both
+    sides of the regula-falsi guess from the gaps, all in one call.  It
+    keeps the cell that holds the first non-member level seen from the
+    member end, so each round shrinks a bracket at least ``_SECTIONS``-fold,
+    until it is narrower than ``tol`` or its ends are adjacent doubles.
+    Returns the final a, gap_a, b and gap_b.
     """
-    roots = np.empty_like(lo)
-    # an open bracket is (index, a, b, g(a), g(b), steps taken)
-    brackets = []
-    for i, (a, b, g_a, g_b) in enumerate(
-        zip(lo.tolist(), hi.tolist(), g_lo.tolist(), g_hi.tolist())
-    ):
-        if abs(g_a) <= _ROOT_TOL:
-            roots[i] = a
-        elif abs(g_b) <= _ROOT_TOL:
-            roots[i] = b
-        else:
-            brackets.append((i, a, b, g_a, g_b, 0))
-    while brackets:
-        paths = [_predicted_mids(a, b, g_a, g_b, _MAX_STEPS - steps)
-                 for _, a, b, g_a, g_b, steps in brackets]
-        values = _homogenized_velocity(
-            game, dist, np.array([mid for path in paths for mid in path])
-        ).tolist()
-        still_open, start = [], 0
-        for (i, a, b, g_a, g_b, steps), path in zip(brackets, paths):
-            root = None
-            for predicted, g_mid in zip(path, values[start:start + len(path)]):
-                mid = 0.5 * (a + b)
-                if mid != predicted:
-                    break
-                steps += 1
-                if abs(g_mid) <= _ROOT_TOL or b - a < 1e-16:
-                    root = mid
-                    break
-                # a mid that rounds to the end it replaces leaves the
-                # bracket as it was, so every later step repeats this one
-                if (g_a < 0.0) == (g_mid < 0.0):
-                    stalled, a, g_a = mid == a, mid, g_mid
-                else:
-                    stalled, b, g_b = mid == b, mid, g_mid
-                if stalled or steps == _MAX_STEPS:
-                    root = 0.5 * (a + b)
-                    break
-            start += len(path)
-            if root is None:
-                still_open.append((i, a, b, g_a, g_b, steps))
-            else:
-                roots[i] = root
-        brackets = still_open
-    return roots
-
-
-def _predicted_mids(a: float, b: float, g_a: float, g_b: float, budget: int) -> list[float]:
-    """The bisection mids of [a, b] that lead toward its regula-falsi guess.
-
-    The list ends at the mid of the first bracket narrower than 1e-16 (where
-    the bisection stops), at a mid that rounds to an end of its bracket
-    (where it stalls) or after ``budget`` mids.
-    """
-    guess = a - g_a * (b - a) / (g_b - g_a)
-    mids = []
-    while len(mids) < budget:
-        mid = 0.5 * (a + b)
-        mids.append(mid)
-        if b - a < 1e-16 or mid == a or mid == b:
-            break
-        if guess < mid:
-            b = mid
-        else:
-            a = mid
-    return mids
+    a, gap_a, b, gap_b = (np.array(v, dtype=float) for v in (a, gap_a, b, gap_b))
+    ladder = 4.0 ** -np.arange(1, 16)
+    # fractions of the bracket: its split, with both ends, then the ladder
+    # around the guess
+    offsets = np.concatenate((np.arange(_SECTIONS + 1) / _SECTIONS, ladder, -ladder))
+    around = np.arange(offsets.size) > _SECTIONS
+    live = np.arange(a.size)
+    while True:
+        live = live[(np.abs(b[live] - a[live]) > tol) & (np.nextafter(a[live], b[live]) != b[live])]
+        if not live.size:
+            return a, gap_a, b, gap_b
+        lo, hi, gap_lo, gap_hi = a[live], b[live], gap_a[live], gap_b[live]
+        guess = gap_lo / np.where(gap_lo != gap_hi, gap_lo - gap_hi, np.inf)
+        t = np.sort(np.minimum(np.maximum(guess[:, None] * around + offsets, 0.0), 1.0))
+        levels = lo[:, None] + (hi - lo)[:, None] * t
+        levels[:, -1] = hi
+        member, gaps = evaluate(levels, live)
+        # levels[lead - 1] is the last member before the first non-member
+        # level, levels[lead]
+        lead, rows = np.logical_and.accumulate(member, axis=1).sum(1), np.arange(live.size)
+        a[live], gap_a[live] = levels[rows, lead - 1], gaps[rows, lead - 1]
+        b[live], gap_b[live] = levels[rows, lead], gaps[rows, lead]
 
 
 def find_aggregate_equilibria(
@@ -201,14 +154,24 @@ def _search(
     def g_at(j: int) -> float | None:  # no level lies beyond [0, 1]
         return float(gs[j]) if 0 <= j < gs.size else None
 
-    # each candidate root with g at the levels on either side of it; a root
-    # at a level sorts before an equal bisected one
-    brackets = np.flatnonzero(gs[:-1] * gs[1:] < 0.0)
-    ends = (xs[brackets], xs[brackets + 1], gs[brackets], gs[brackets + 1])
+    # each candidate root with g at the levels on either side of it; a
+    # sign-change bracket with an end where |g| <= _ROOT_TOL already holds
+    # that level root, so only the others are narrowed
     candidates = [(float(xs[j]), g_at(j - 1), g_at(j + 1))
                   for j in np.flatnonzero(np.abs(gs) <= _ROOT_TOL)]
-    candidates += [(r, g_at(j), g_at(j + 1))
-                   for j, r in zip(brackets, _bisect_all(game, dist, *ends).tolist())]
+    brackets = np.flatnonzero((gs[:-1] * gs[1:] < 0.0)
+                              & (np.abs(gs[:-1]) > _ROOT_TOL) & (np.abs(gs[1:]) > _ROOT_TOL))
+    side = np.sign(gs[brackets])
+
+    def evaluate(levels, live):  # a member level has g of the low end's sign
+        g = _homogenized_velocity(game, dist, levels.ravel()).reshape(levels.shape)
+        return g * side[live, None] > 0.0, g
+
+    a, _, b, g_b = _narrow(evaluate, xs[brackets], gs[brackets], xs[brackets + 1],
+                           gs[brackets + 1], 1e-16)
+    # the non-member end where g is exactly 0, else the final bracket's mid
+    narrowed = np.where(g_b == 0.0, b, 0.5 * (a + b))
+    candidates += [(r, g_at(j), g_at(j + 1)) for j, r in zip(brackets, narrowed.tolist())]
     candidates.sort(key=lambda c: c[0])
     roots: list[tuple[float, float | None, float | None]] = []
     for c in candidates:

@@ -188,7 +188,11 @@ def reference_level(
     (its grid aggregate may lie up to 2/n away); every other start reads
     its own aggregate.
     """
-    record = _continuum_record(game, dist, protocol, x)
+    return _reference_level(x, _continuum_record(game, dist, protocol, x))
+
+
+def _reference_level(x: BayesianStrategy, record: Cutoff | BalancedRecord | None) -> float:
+    """``reference_level`` of ``x`` given its ``_continuum_record``."""
     return record.xbar_star if isinstance(record, BalancedRecord) else aggregate(x)
 
 
@@ -260,11 +264,12 @@ def _continuum_sources(
     dist: TypeDistribution,
     protocol: RevisionProtocol,
     x: BayesianStrategy,
+    record: Cutoff | BalancedRecord | None,
     xbar_ref: float,
     nodes: int = _QUADRATURE_NODES,
 ) -> tuple[SwitchingRateDistribution, SwitchingRateDistribution] | None:
     """Both flow sources of the continuum composition ``x`` stands for, or
-    None where ``_continuum_record`` gives no record.
+    None where ``record``, ``x``'s ``_continuum_record``, is None.
 
     A cut-off record stands for the sorted (x = 1 below the cut) or the
     reversed (x = 1 above it) composition whose cut in the quantile u is
@@ -279,7 +284,6 @@ def _continuum_sources(
     reflection theta -> 2 t* - theta carries it onto the inflow, deficit for
     deficit and mass for mass: the outflow is the same atoms.
     """
-    record = _continuum_record(game, dist, protocol, x)
     if record is None:
         return None
     if isinstance(record, BalancedRecord):
@@ -558,7 +562,9 @@ def escape_certificate(
     """
     if not (np.isfinite(t_end) and t_end > _BOUND_FIRST_TIME):
         raise InputError(f"t_end={t_end} must be finite and above the first bound sample")
-    xbar_star = reference_level(game, dist, protocol, x0)
+    # the gate compares every grid node, so it is read once for both uses
+    record = _continuum_record(game, dist, protocol, x0)
+    xbar_star = _reference_level(x0, record)
     require_aggregate_equilibrium(game, dist, xbar_star)
     if not game.positive_externality:
         raise InputError("escape certification requires positive externality")
@@ -574,7 +580,7 @@ def escape_certificate(
             f"{certificate.reason}"
         )
 
-    sources = _continuum_sources(game, dist, protocol, x0, xbar_star)
+    sources = _continuum_sources(game, dist, protocol, x0, record, xbar_star)
     inflow, outflow = sources or flow_distributions(game, dist, protocol, x0, xbar_star)
     dominance = sosd_compare(outflow, inflow, mass_tol=2.0 / x0.grid.n)
     times = _bound_times(float(t_end))

@@ -104,7 +104,8 @@ class TypeDistribution:
     ``_inverse_cdf``, ``_pdf``, ``_quantile_slope_levels``); the rules
     around them live here: P clamps
     the type to the support and its value to [0, 1] (NaN stays NaN), p is 0
-    off the support, a quantile outside [0, 1] (NaN included) is refused, an
+    off the support, a quantile outside [0, 1] (NaN included) is refused in
+    a one-line message that names the first such value, an
     empty array is accepted, and a scalar argument gives a float.  The
     clamps (``_clamp``) give ``np.clip``'s bits and the range checks are one
     ``min``/``max`` pair, each at a fraction of the call cost of ``np.clip``
@@ -124,7 +125,11 @@ class TypeDistribution:
         # negated so that NaN, which fails every comparison, is refused;
         # ``initial`` makes an empty array pass
         if not (arr.min(initial=0.0) >= 0.0 and arr.max(initial=1.0) <= 1.0):
-            raise InputError(f"quantile argument {u!r} outside [0, 1]")
+            # one line naming the first refused value, and its index in an array
+            k = int(np.argmin((arr >= 0.0) & (arr <= 1.0)))
+            index = ", ".join(str(i) for i in np.unravel_index(k, arr.shape))
+            where = f" at index {index}" if index else ""
+            raise InputError(f"quantile argument {float(arr.flat[k])!r}{where} outside [0, 1]")
         out = self._inverse_cdf(arr)
         return float(out) if np.ndim(u) == 0 else out
 

@@ -19,8 +19,9 @@ the two deficits (``_certify``).  One array kernel evaluates the
 certificate in both directions, for single levels (the auditable
 ``CriticalMassCertificate``) and for the critical-mass sets.  Those are
 found by one scan whose member runs have their ends narrowed to 1e-12 of
-the flip; their first decrease interval also gives the prefix-certified
-level of the rate-ratio escape bound in ``flows``.
+the flip, by the bracket kernel of the equilibrium search
+(``equilibria._narrow``); their first decrease interval also gives the
+prefix-certified level of the rate-ratio escape bound in ``flows``.
 
 A stable aggregate equilibrium bracketed by an increase level below and a
 decrease level above (with no other equilibrium between them) is
@@ -55,7 +56,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import RevisionProtocol
-from .equilibria import _CACHE_SIZE, _ROOT_TOL, STABLE, find_aggregate_equilibria
+from .equilibria import (
+    _CACHE_SIZE,
+    _ROOT_TOL,
+    _SECTIONS,
+    STABLE,
+    _narrow,
+    find_aggregate_equilibria,
+)
 from .errors import AnalysisError, InputError
 from .games import ACTION_IN, ACTION_OUT, AggregateGame, TypeDistribution
 
@@ -65,10 +73,6 @@ INCREASE = "increase"
 BRANCH_CORNER = "corner"
 BRANCH_CLAMPED = "clamped_cdf"
 BRANCH_RATES = "rate_comparison"
-
-# the certified-set search scans _SECTIONS**2 cells, and each narrowing round
-# splits a bracket into _SECTIONS
-_SECTIONS = 32
 
 
 @dataclass(frozen=True)
@@ -205,44 +209,6 @@ class CriticalMassReport:
     basins: tuple[DistributionalBasin, ...]
 
 
-def _narrow(game, dist, protocol, state: np.ndarray) -> np.ndarray:
-    """Member ends of brackets, each narrowed to 1e-12 around a membership flip.
-
-    ``state`` has a column per bracket: a member level and the certificate
-    gap there, the non-member level beyond it and the gap there, the
-    bracket's scan row and its index.  A round evaluates, in every bracket
-    wider than 1e-12, its ends, the inner levels of its split into
-    ``_SECTIONS`` and a ladder at 4**-j of its width on both sides of the
-    regula-falsi guess from the gaps, all in one ``_certify`` call.  It
-    keeps the cell that holds the first non-member level seen from the
-    member end, so each round shrinks a bracket at least ``_SECTIONS``-fold.
-    """
-    ends = state[0].copy()
-    ladder = 4.0 ** -np.arange(1, 16)
-    # fractions of the bracket: its split, with both ends, then the ladder
-    # around the guess
-    offsets = np.concatenate((np.arange(_SECTIONS + 1) / _SECTIONS, ladder, -ladder))
-    around = np.arange(offsets.size) > _SECTIONS
-    while True:
-        state = state[:, np.abs(state[2] - state[0]) > _ROOT_TOL]
-        if not state.size:
-            return ends
-        a, gap_a, b, gap_b, row, index = state
-        pick = (row.astype(int), np.arange(a.size))
-        guess = gap_a / np.where(gap_a != gap_b, gap_a - gap_b, np.inf)
-        t = np.sort(np.minimum(np.maximum(guess[:, None] * around + offsets, 0.0), 1.0))
-        levels = a[:, None] + (b - a)[:, None] * t
-        levels[:, -1] = b
-        member, gaps = (v.reshape(2, a.size, -1)[pick] for v in _certify(
-            game, dist, protocol, levels.ravel())[:2])
-        # levels[lead - 1] is the last member before the first non-member
-        # level, levels[lead]
-        lead, cols = np.logical_and.accumulate(member, axis=1).sum(1), pick[1]
-        state = np.array([levels[cols, lead - 1], gaps[cols, lead - 1],
-                          levels[cols, lead], gaps[cols, lead], row, index])
-        ends[index.astype(int)] = state[0]
-
-
 def critical_mass_sets(
     game: AggregateGame,
     dist: TypeDistribution,
@@ -297,9 +263,14 @@ def _sets(game, dist, protocol) -> CriticalMassReport:
     row, cell = np.nonzero(member[:, 1:] != member[:, :-1])
     inside = cell + member[row, cell + 1]
     outside = 2 * cell + 1 - inside
-    ends = _narrow(game, dist, protocol, np.array([
-        xs[inside], gap[row, inside], xs[outside], gap[row, outside], row,
-        np.arange(row.size)])).tolist()
+
+    def evaluate(levels, live):  # each bracket reads its own direction's row
+        pick = (row[live], np.arange(live.size))
+        return tuple(v.reshape(2, live.size, -1)[pick] for v in _certify(
+            game, dist, protocol, levels.ravel())[:2])
+
+    ends = _narrow(evaluate, xs[inside], gap[row, inside], xs[outside], gap[row, outside],
+                   _ROOT_TOL)[0].tolist()
     split = int(np.count_nonzero(row == 0))
     decrease = list(zip(ends[:split:2], ends[1:split:2]))
     increase = list(zip(ends[split::2], ends[split + 1::2]))

@@ -1,3 +1,6 @@
+import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -149,32 +152,39 @@ def test_random_compositions_settle_toward_stationarity(canon_game, canon_dist, 
         assert near_eq or abs(velocity) <= 1e-3
 
 
-# -- the lockstep bisection against the scalar search it replaced -------------
+# -- the lockstep narrowing against one bracket at a time ----------------------
 
-def _bisect(g, lo: float, hi: float, g_lo: float, g_hi: float) -> float:
-    if abs(g_lo) <= 1e-12:
-        return lo
-    if abs(g_hi) <= 1e-12:
-        return hi
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        g_mid = g(mid)
-        if abs(g_mid) <= 1e-12 or hi - lo < 1e-16:
-            return mid
-        if (g_lo < 0.0) == (g_mid < 0.0):
-            lo, g_lo = mid, g_mid
-        else:
-            hi, g_hi = mid, g_mid
-    return 0.5 * (lo + hi)
+def _narrow_one(g, a: float, g_a: float, b: float, g_b: float) -> float:
+    """Narrow one sign-change bracket of g as the kernel does: each round
+    reads g at its split into 32 cells and at a ladder 4**-j of its width
+    around the regula-falsi guess, and keeps the cell that holds the first
+    level where g loses the sign of g(a), until the bracket is at most 1e-16
+    wide or its ends are adjacent doubles.  The root is b where g is 0
+    there, else the bracket's mid."""
+    ladder = 4.0 ** -np.arange(1, 16)
+    while abs(b - a) > 1e-16 and math.nextafter(a, b) != b:
+        guess = g_a / (g_a - g_b) if g_a != g_b else 0.0
+        t = np.concatenate((np.arange(33) / 32, guess + ladder, guess - ladder))
+        levels = a + (b - a) * np.sort(np.clip(t, 0.0, 1.0))
+        levels[-1] = b
+        gs = g(levels)
+        lead = int(np.argmin(gs * math.copysign(1.0, g_a) > 0.0))
+        a, g_a, b, g_b = levels[lead - 1], gs[lead - 1], levels[lead], gs[lead]
+    return float(b if g_b == 0.0 else 0.5 * (a + b))
 
 
 def scalar_search(game, dist, scan_resolution):
     """Oracle: the array scan, then one scalar field evaluation per vertex
-    level and per bisection step; every root is labelled from g at the levels
-    on either side of it."""
+    level and one array evaluation per round of one bracket; every root is
+    labelled from g at the levels on either side of it.  Returns the report
+    and, per root, whether it was narrowed (not a level where
+    |g| <= 1e-12)."""
 
     def g(x):
         return homogenized_field(game, dist, x)
+
+    def g_levels(xs):
+        return np.asarray(aggregate_best_response(game, dist, xs)) - xs
 
     m = int(round(1.0 / scan_resolution))
     xs = np.linspace(0.0, 1.0, m + 1)
@@ -191,19 +201,21 @@ def scalar_search(game, dist, scan_resolution):
                 levels.append((vertex, g(vertex)))
     levels.sort()
     sides = [None, *(y for _, y in levels), None]
-    at_levels, bisected = [], []
+    # a level root sorts before an equal narrowed one; a sign change with an
+    # end where |g| <= 1e-12 already holds that level root
+    at_levels, narrowed = [], []
     for j, (x, y) in enumerate(levels):
         if abs(y) <= 1e-12:
-            at_levels.append((x, sides[j], sides[j + 2]))
-        if j + 1 < len(levels) and y * levels[j + 1][1] < 0.0:
+            at_levels.append((x, sides[j], sides[j + 2], False))
+        elif j + 1 < len(levels) and y * levels[j + 1][1] < 0.0 and abs(levels[j + 1][1]) > 1e-12:
             x_next, y_next = levels[j + 1]
-            bisected.append((_bisect(g, x, x_next, y, y_next), y, y_next))
+            narrowed.append((_narrow_one(g_levels, x, y, x_next, y_next), y, y_next, True))
     roots = []
-    for r, below, above in sorted(at_levels + bisected, key=lambda c: c[0]):
-        if not roots or r - roots[-1][0] > 1e-9:
-            roots.append((r, below, above))
+    for c in sorted(at_levels + narrowed, key=lambda c: c[0]):
+        if not roots or c[0] - roots[-1][0] > 1e-9:
+            roots.append(c)
     records = []
-    for idx, (r, below, above) in enumerate(roots):
+    for idx, (r, below, above, _) in enumerate(roots):
         if (below is None or below > 0.0) and (above is None or above < 0.0):
             stability = STABLE
         elif (below is None or below < 0.0) and (above is None or above > 0.0):
@@ -216,12 +228,29 @@ def scalar_search(game, dist, scan_resolution):
         else:
             lo = hi = r
         records.append(Equilibrium(xbar=r, stability=stability, basin_lo=lo, basin_hi=hi))
-    return EquilibriumReport(equilibria=tuple(records))
+    return EquilibriumReport(equilibria=tuple(records)), [c[3] for c in roots]
 
 
 def report_bits(report):
     return [(e.xbar.hex(), e.stability, e.basin_lo.hex(), e.basin_hi.hex())
             for e in report.equilibria]
+
+
+def sign_change_near(game, dist, r: float) -> bool:
+    """Whether g is 0 at, or changes sign between, levels within 1e-16 or 2
+    ulps of ``r``, whichever is wider, so that g is 0 or changes sign
+    between two adjacent doubles there: a narrowed root is the mid of a
+    sign-change bracket at most 1e-16 wide.  The levels are every double of
+    that window where it holds at most 16,385, else 16,385 evenly spaced
+    ones."""
+    ulps = max(2, math.ceil(1e-16 / math.ulp(r)))
+    if ulps <= 8192:
+        ds = (np.float64(r).view(np.int64) + np.arange(-ulps, ulps + 1)).view(np.float64)
+    else:
+        ds = r + 1e-16 * np.linspace(-1.0, 1.0, 16_385)
+    ds = ds[(ds >= 0.0) & (ds <= 1.0)]
+    g = np.asarray(aggregate_best_response(game, dist, ds)) - ds
+    return bool((g == 0.0).any() or (g[:-1] * g[1:] < 0.0).any())
 
 
 type_dists = st.one_of(
@@ -258,22 +287,38 @@ steep_cases = st.tuples(
 @example(case=(affine_game(2.4001, -(0.20005 ** 2)), SqrtShiftTypes()), scan_resolution=1e-4)
 @example(case=(affine_game(2.4001, -(0.20005 ** 2) + 1e-9), SqrtShiftTypes()),
          scan_resolution=1e-4)
-# g' ~ 1e6: |g| <= 1e-12 holds at no float, so the bisection runs to the cap
+# g' ~ 1e6: |g| <= 1e-12 holds at no float, so the bracket narrows to
+# adjacent doubles
 @example(case=(affine_game(1e6, -5e5), UniformTypes(0.0, 1.0)), scan_resolution=1e-4)
-# the same above 1/2, where adjacent floats are 1.1e-16 apart, so the bracket
-# never gets narrower than 1e-16 and its mid stalls at one end before the cap
+# the same above 1/2, where adjacent doubles are 1.1e-16 apart, so the
+# bracket never gets narrower than 1e-16
 @example(case=(affine_game(1e6, -7e5), UniformTypes(0.0, 1.0)), scan_resolution=1e-3)
-# steep logistic types: the first guesses lie on the flat side of the root
+# steep logistic types: the regula-falsi guesses lie on the flat side of the
+# root
 @example(case=(linear_coordination_game(0.3), TruncatedLogisticTypes(mu=0.0, s=1e-4)),
          scan_resolution=0.0137)
 @example(case=(linear_coordination_game(0.71), TruncatedLogisticTypes(mu=0.0, s=3e-3)),
          scan_resolution=1e-4)
+# three roots in one scan cell, where g is 0 at the cell's mid
+@example(case=(linear_coordination_game(0.25), TruncatedLogisticTypes(mu=0.25, s=0.25)),
+         scan_resolution=0.0137)
 # g = 0 on all of [0, 1]: every scanned level is a semistable root
 @example(case=(affine_game(1.0, 0.0), UniformTypes(0.0, 1.0)), scan_resolution=1e-3)
+# two roots 3.6e-5 apart, where g' ~ 1.4e-5 and g is rounding noise over
+# about 1e-11
+@example(case=(affine_game(2.610221696723995, -0.09309262945817785), SqrtShiftTypes()),
+         scan_resolution=1e-4)
+# P(F(x)) = x up to rounding: g is noise of about 5e-11, and every scan cell
+# holds many sign changes
+@example(case=(affine_game(1e-6, 0.25), UniformTypes(0.25, 0.250001)), scan_resolution=1e-4)
 def test_lockstep_search_matches_scalar_search(case, scan_resolution):
     game, dist = case
     report = find_aggregate_equilibria(game, dist, scan_resolution)
-    assert report_bits(report) == report_bits(scalar_search(game, dist, scan_resolution))
+    oracle, narrowed = scalar_search(game, dist, scan_resolution)
+    assert report_bits(report) == report_bits(oracle)
+    for eq, is_narrowed in zip(report.equilibria, narrowed):
+        if is_narrowed:
+            assert sign_change_near(game, dist, eq.xbar), eq.xbar
 
 
 # -- no sign change of g without a reported root -------------------------------
@@ -300,6 +345,55 @@ def test_every_sign_change_of_g_holds_a_root(a, log_eps, sign):
     for k in np.flatnonzero(gs[:-1] * gs[1:] < 0.0):
         near = (roots >= xs[k] - 1e-9) & (roots <= xs[k + 1] + 1e-9)
         assert near.any(), f"g changes sign in [{xs[k]:.10g}, {xs[k + 1]:.10g}], which holds no root"
+
+
+# -- roots against the closed form ----------------------------------------------
+
+def exact_roots(a: float, b: float) -> tuple[Decimal, Decimal]:
+    """The two roots of x^2 + (2 - a) x - b = 0, to 50 digits.
+
+    With sqrt-shift types g = sqrt(1 + a x + b) - 1 - x wherever the
+    cut-off type is interior, so g = 0 exactly there.  The discriminant of
+    the double coefficients is exact, and only its square root rounds.
+    """
+    half = (Fraction(a) - 2) / 2
+    disc = half * half + Fraction(b)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        mid = Decimal(half.numerator) / Decimal(half.denominator)
+        root = (Decimal(disc.numerator) / Decimal(disc.denominator)).sqrt()
+        return mid - root, mid + root
+
+
+@st.composite
+def two_root_games(draw):
+    """(a, b) with interior roots (a - 2 -+ gap) / 2, gap in [1e-4, 0.04]."""
+    a = draw(st.floats(min_value=2.05, max_value=2.95))
+    gap = 10.0 ** draw(st.floats(min_value=-4.0, max_value=-1.4))
+    return a, (gap**2 - (a - 2.0) ** 2) / 4.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(coefficients=two_root_games())
+# two roots 3.6e-5 apart, which a stop at |g| <= 1e-12 put 6.7e-9 and 5.4e-8
+# away from the exact ones
+@example(coefficients=(2.610221696723995, -0.09309262945817785))
+# both roots 3.4e-9 from the scan levels 0.3394 and 0.3395, where |g| is
+# 1.3e-13, so both are level roots
+@example(coefficients=(2.6788999931265742, -0.11522629766681564))
+def test_roots_match_the_closed_form(coefficients):
+    a, b = coefficients
+    report = find_aggregate_equilibria(affine_game(a, b), SqrtShiftTypes())
+    roots = [e.xbar for e in report.equilibria if e.xbar > 0.0]
+    assert len(roots) == 2
+    scan = np.linspace(0.0, 1.0, 10_001)
+    for r, exact in zip(roots, exact_roots(a, b)):
+        # the error in x that a rounding error of about 1e-16 in g allows; a
+        # scan level where |g| <= 1e-12 is a root as it stands, so there the
+        # error may reach 1e-12 / |g'|
+        slope = abs(a / (2.0 * (1.0 + float(exact))) - 1.0)
+        tol = equilibria._ROOT_TOL + 1e-15 if r in scan else 1e-15
+        assert float(abs(Decimal(r) - exact)) * slope <= tol, (r, exact)
 
 
 # -- one search per game, a few evaluations per search -------------------------
@@ -342,12 +436,14 @@ def test_cli_escape_searches_once(evaluations, tmp_path):
     ((affine_game(2.45, -0.05), SqrtShiftTypes()), 2),
     # the two close-root games: the first has its root at a vertex level
     ((affine_game(2.4001, -(0.20005 ** 2)), SqrtShiftTypes()), 2),
-    ((affine_game(2.4001, -(0.20005 ** 2) + 1e-9), SqrtShiftTypes()), 5),
-    # three brackets to bisect
-    ((linear_coordination_game(0.3), TruncatedLogisticTypes(mu=0.0, s=0.05)), 4),
+    # near-tangent roots: the last ~10 bits of each lie in g's rounding
+    # noise, where the regula-falsi guess is poor and a round gains 5 bits
+    ((affine_game(2.4001, -(0.20005 ** 2) + 1e-9), SqrtShiftTypes()), 8),
+    # two brackets to narrow
+    ((linear_coordination_game(0.3), TruncatedLogisticTypes(mu=0.0, s=0.05)), 5),
 ], ids=["canonical", "missed-roots", "missed-roots-1e-9", "logistic-coordination"])
 def test_search_evaluates_g_a_few_times(evaluations, case, most):
-    # the scan, the vertex levels and the speculative rounds
+    # the scan, the vertex levels and the narrowing rounds
     find_aggregate_equilibria(*case)
     assert len(evaluations) <= most
 

@@ -542,9 +542,15 @@ def grid_escape(game, dist, protocol, x0, xbar_dagger):
     )
 
 
+def continuum_sources(game, dist, protocol, x0, xbar_ref, nodes=evodyn.flows._QUADRATURE_NODES):
+    """The continuum sources of ``x0`` behind its own gate, or None."""
+    record = evodyn.flows._continuum_record(game, dist, protocol, x0)
+    return evodyn.flows._continuum_sources(game, dist, protocol, x0, record, xbar_ref, nodes)
+
+
 def quadrature_bound(game, dist, protocol, x0, nodes=evodyn.flows._QUADRATURE_NODES):
     xbar_star = aggregate(x0)
-    sources = evodyn.flows._continuum_sources(game, dist, protocol, x0, xbar_star, nodes)
+    sources = continuum_sources(game, dist, protocol, x0, xbar_star, nodes)
     assert sources is not None
     return bound_trajectory(*sources, xbar_star, CERTIFY_TIMES)
 
@@ -661,8 +667,7 @@ class TestAtomRouting:
         xbar_star = max(e.xbar for e in find_aggregate_equilibria(game, dist).stable)
         x0 = reversed_composition(make_grid(dist, 2000), dist, xbar_star)
         report = escape_certificate(game, dist, protocol, x0, 0.335)
-        inflow, outflow = evodyn.flows._continuum_sources(game, dist, protocol, x0,
-                                                          aggregate(x0))
+        inflow, outflow = continuum_sources(game, dist, protocol, x0, aggregate(x0))
         assert report.bound.tobytes() == quadrature_bound(game, dist, protocol, x0).tobytes()
         assert outflow.total_mass == pytest.approx(7.67e-5, rel=1e-3)
         assert report.dominance == sosd_compare(outflow, inflow, mass_tol=1e-3) == "I_dominates"
@@ -694,7 +699,7 @@ class TestAtomRouting:
         levels = critical_mass_sets(game, dist, protocol).decrease_intervals
         xbar_dagger = max(hi for _, hi in levels if hi < 1.0)
         report = escape_certificate(game, dist, protocol, x0, xbar_dagger)
-        inflow, outflow = evodyn.flows._continuum_sources(game, dist, protocol, x0, xbar_star)
+        inflow, outflow = continuum_sources(game, dist, protocol, x0, xbar_star)
         assert inflow.qs.size == outflow.qs.size == 0
         assert np.all(report.bound == xbar_star)
         assert (report.dominance, report.crossing_time) == ("incomparable", None)
@@ -729,8 +734,7 @@ class TestAtomRouting:
     ):
         x0 = grid_compositions[name]
         xbar_star = aggregate(x0)
-        assert evodyn.flows._continuum_sources(canon_game, canon_dist, cubic, x0,
-                                               xbar_star) is None
+        assert continuum_sources(canon_game, canon_dist, cubic, x0, xbar_star) is None
         report = escape_certificate(canon_game, canon_dist, cubic, x0, 0.03)
         dominance, bound, crossing = grid_escape(canon_game, canon_dist, cubic, x0, 0.03)
         assert report.times.tobytes() == CERTIFY_TIMES.tobytes()
@@ -748,7 +752,7 @@ class TestAtomRouting:
         nudged = TypeGrid(nodes=nudged_nodes)
         for grid, quadrature in ((cached, True), (same, True), (nudged, False)):
             x0 = reversed_composition(grid, canon_dist, 0.25)
-            sources = evodyn.flows._continuum_sources(canon_game, canon_dist, cubic, x0, 0.25)
+            sources = continuum_sources(canon_game, canon_dist, cubic, x0, 0.25)
             assert (sources is not None) == quadrature
             report = escape_certificate(canon_game, canon_dist, cubic, x0, 0.03)
             if quadrature:
@@ -757,6 +761,28 @@ class TestAtomRouting:
                 want = grid_escape(canon_game, canon_dist, cubic, x0, 0.03)[1]
             assert report.bound.tobytes() == want.tobytes()
         assert make_grid(canon_dist, 1000) is cached
+
+    @pytest.mark.parametrize("start", ["reversed", "balanced", "hand-built"])
+    def test_escape_reads_the_gate_once(
+        self, canon_game, canon_dist, cubic, grid2000, start, monkeypatch
+    ):
+        # the gate compares every node with make_grid's, so the reference
+        # level and the sources share one reading of it
+        reversed_ = reversed_composition(grid2000, canon_dist, 0.25)
+        x0 = {
+            "reversed": reversed_,
+            "balanced": balanced_composition(grid2000, canon_dist, canon_game, 0.25, 0.2, 0.3),
+            "hand-built": BayesianStrategy(grid=grid2000, values=reversed_.values),
+        }[start]
+        gate, calls = evodyn.flows._continuum_record, []
+
+        def counting(*args):
+            calls.append(args)
+            return gate(*args)
+
+        monkeypatch.setattr(evodyn.flows, "_continuum_record", counting)
+        escape_certificate(canon_game, canon_dist, cubic, x0, 0.03)
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("protocol", [power_protocol(2.5), bounded_power_protocol(1.5, 0.3)],
                              ids=["power-2.5", "bounded-power-1.5"])
@@ -772,13 +798,13 @@ class TestAtomRouting:
     def test_constant_rate_intervals_get_one_atom(self, canon_game, canon_dist, reversed25):
         # the standard rate is 1 on both sources; bounded_power saturates
         # past pisharp, on the far interval of each source
-        sources = evodyn.flows._continuum_sources(
+        sources = continuum_sources(
             canon_game, canon_dist, standard_protocol(), reversed25, 0.25
         )
         for src in sources:
             assert src.qs.tolist() == [1.0]
             assert src.ms.tolist() == [pytest.approx(0.25, abs=1e-15)]
-        inflow, outflow = evodyn.flows._continuum_sources(
+        inflow, outflow = continuum_sources(
             canon_game, canon_dist, bounded_power_protocol(2, 0.3), reversed25, 0.25
         )
         nodes = evodyn.flows._QUADRATURE_NODES
@@ -791,7 +817,7 @@ def balanced_decay(game, dist, protocol, x0, nodes=evodyn.flows._QUADRATURE_NODE
     """The frozen-rate mass left of one balanced source at the certificate
     samples, less its total mass: the sum the bound takes of each source."""
     xbar_star = evodyn.flows.reference_level(game, dist, protocol, x0)
-    sources = evodyn.flows._continuum_sources(game, dist, protocol, x0, xbar_star, nodes)
+    sources = continuum_sources(game, dist, protocol, x0, xbar_star, nodes)
     assert sources is not None
     empty = SwitchingRateDistribution(qs=np.empty(0), ms=np.empty(0))
     return bound_trajectory(sources[0], empty, 0.0, CERTIFY_TIMES)
@@ -853,8 +879,7 @@ class TestBalancedQuadrature:
         assert abs(aggregate(x0) - 0.25) > 7e-5
         assert evodyn.flows.reference_level(canon_game, canon_dist, protocol, x0) == 0.25
         report = escape_certificate(canon_game, canon_dist, protocol, x0, 0.03)
-        inflow, outflow = evodyn.flows._continuum_sources(canon_game, canon_dist, protocol,
-                                                          x0, 0.25)
+        inflow, outflow = continuum_sources(canon_game, canon_dist, protocol, x0, 0.25)
         # the reflection about t* maps the outflow band onto the inflow band
         assert outflow is inflow
         assert detailed_balance_residual(inflow, outflow) == 0.0
@@ -867,7 +892,7 @@ class TestBalancedQuadrature:
         # under the standard rate the band is one atom; its mass is kappa
         # times the band's length in the quantile, not the length itself
         x0 = balanced_composition(grid2000, canon_dist, canon_game, 0.25, 0.2, 0.3)
-        inflow, _ = evodyn.flows._continuum_sources(
+        inflow, _ = continuum_sources(
             canon_game, canon_dist, standard_protocol(), x0, 0.25
         )
         t_star = canon_game.payoff(0.25)
@@ -875,7 +900,7 @@ class TestBalancedQuadrature:
         assert inflow.qs.tolist() == [1.0]
         assert inflow.ms.tolist() == [0.2 * (u_star - u_lo)]
         # bounded_power saturates past pisharp = 0.1: one more piece, one atom
-        inflow, _ = evodyn.flows._continuum_sources(
+        inflow, _ = continuum_sources(
             canon_game, canon_dist, bounded_power_protocol(2, 0.1), x0, 0.25
         )
         assert inflow.qs.size == evodyn.flows._QUADRATURE_NODES + 1
@@ -901,8 +926,8 @@ class TestBalancedQuadrature:
         assert evodyn.flows._continuum_record(canon_game, SqrtShiftTypes(), cubic,
                                               balanced) is not None
         for name, (x0, protocol) in starts.items():
-            assert evodyn.flows._continuum_sources(canon_game, canon_dist, protocol, x0,
-                                                   aggregate(x0)) is None
+            assert continuum_sources(canon_game, canon_dist, protocol, x0,
+                                     aggregate(x0)) is None
             # the grid atoms describe the grid aggregate, so the report
             # starts from it, as for any other composition
             xbar_star = aggregate(x0)

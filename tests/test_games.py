@@ -157,6 +157,19 @@ def test_inverse_rejects_nan(dist, u):
         dist.inverse_cdf(u)
 
 
+def test_refused_array_gives_one_short_line():
+    # 128 quantile nodes with one just past 1, as a Gauss-Legendre rule on a
+    # span that ends a few ulps above 1 gives
+    u = np.linspace(0.0, 1.0, 128)
+    u[-1] = 1.0000000000000007
+    with pytest.raises(InputError) as refused:
+        SqrtShiftTypes().inverse_cdf(u)
+    message = str(refused.value)
+    assert message == "quantile argument 1.0000000000000007 at index 127 outside [0, 1]"
+    with pytest.raises(InputError, match=r"^quantile argument nan at index 1, 0 outside"):
+        SqrtShiftTypes().inverse_cdf(np.array([[0.5, 0.5], [np.nan, 2.0]]))
+
+
 def test_make_distribution_factory():
     assert make_distribution("uniform", lo=0.0, hi=2.0).family == "uniform"
     assert make_distribution("sqrt_shift").family == "sqrt_shift"
@@ -350,7 +363,11 @@ def _old_cdf(dist, theta):
 def _old_inverse_cdf(dist, u):
     arr = np.asarray(u, dtype=float)
     if not (np.all(arr >= 0.0) and np.all(arr <= 1.0)):
-        raise InputError(f"quantile argument {u!r} outside [0, 1]")
+        # the message names the first refused value, and its index in an array
+        if arr.ndim == 0:
+            raise InputError(f"quantile argument {float(arr)!r} outside [0, 1]")
+        k = next(i for i, v in enumerate(arr.tolist()) if not 0.0 <= v <= 1.0)
+        raise InputError(f"quantile argument {arr.tolist()[k]!r} at index {k} outside [0, 1]")
     return _oracle_inverse_cdf(dist, u)
 
 
