@@ -3,7 +3,7 @@
 Starts the cubic tempered dynamic from the reversed composition at the
 stable aggregate equilibrium 0.25, certifies a decrease level, and writes
 plot-ready CSVs: the simulated aggregate path, the frozen-rate upper bound,
-and the flow-source atoms at time 0.
+and the time-0 flow-source atoms that bound sums.
 
 Usage: python scripts/run_escape_study.py [outdir]
 """
@@ -19,11 +19,11 @@ from evodyn import (
     critical_mass_sets,
     escape_certificate,
     find_aggregate_equilibria,
-    flow_distributions,
     integrate,
     make_grid,
     power_protocol,
     reversed_composition,
+    start_sources,
 )
 
 
@@ -66,7 +66,8 @@ def main(outdir: str = "escape_study") -> None:
         header="t,xbarbar",
         comments="",
     )
-    inflow, outflow = flow_distributions(game, dist, protocol, x0, 0.25)
+    # the atoms the certificate's bound sums, at the level it starts from
+    _, inflow, outflow = start_sources(game, dist, protocol, x0)
     rows = [(q, m, 0) for q, m in zip(inflow.qs, inflow.ms)]
     rows += [(q, m, 1) for q, m in zip(outflow.qs, outflow.ms)]
     np.savetxt(

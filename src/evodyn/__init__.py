@@ -47,6 +47,7 @@ from .flows import (
     flow_distributions,
     rate_ratio_escape_bound,
     sosd_compare,
+    start_sources,
 )
 from .games import (
     AggregateGame,

@@ -6,14 +6,14 @@ Invocation::
 
 Subcommands: equilibria, simulate, critical-mass, select, flows, escape.
 Each writes JSON reports and/or CSV files into the output directory.  JSON
-numbers are the shortest decimals that read back to the same doubles, and a
-non-finite number is refused as an analysis error; CSV cells, the
-``thresholds`` keys of ``select.json`` and the ``sweep/<pisharp>/`` directory
-names use 17 significant digits.  Keys are sorted, so repeated runs of the
-same config produce byte-identical files.  Exit codes: 0 on success, 2 for
-config errors and for a file or directory that cannot be read or written, 3
-for analysis errors; every error also emits one machine-readable JSON line on
-stdout.
+numbers, the ``thresholds`` keys of ``select.json`` and the
+``sweep/<pisharp>/`` directory names are the shortest decimals that read back
+to the same doubles, and a non-finite number is refused as an analysis
+error; CSV cells use 17 significant digits.  Keys are sorted, so repeated
+runs of the same config produce byte-identical files.  Exit codes: 0 on
+success, 2 for config errors and for a file or directory that cannot be read
+or written, 3 for analysis errors; every error also emits one
+machine-readable JSON line on stdout.
 """
 
 from __future__ import annotations
@@ -157,7 +157,7 @@ def _select_payload(report: stability.RobustnessReport) -> dict:
     return {
         "selected": report.selected,
         "tie": report.tie,
-        "thresholds": {_fmt(e.xbar_star): e.overall for e in report.entries},
+        "thresholds": {repr(float(e.xbar_star)): e.overall for e in report.entries},
         "equilibria": entries,
     }
 
@@ -175,7 +175,7 @@ def _run_select(scenario: Scenario, out: Path) -> None:
             "surviving": list(surviving),
             "selected": surviving[0] if len(surviving) == 1 else None,
         }
-        sub = out / "sweep" / _fmt(pisharp)
+        sub = out / "sweep" / repr(float(pisharp))
         sub.mkdir(parents=True, exist_ok=True)
         _write_json(sub / "select.json", entry)
         entries.append(entry)
@@ -185,9 +185,8 @@ def _run_select(scenario: Scenario, out: Path) -> None:
 def _run_flows(scenario: Scenario, out: Path) -> None:
     grid = comp.make_grid(scenario.dist, scenario.n)
     x0 = build_initial(scenario, grid)
-    xbar_ref = comp.aggregate(x0)
-    inflow, outflow = flows.flow_distributions(
-        scenario.game, scenario.dist, scenario.protocol, x0, xbar_ref
+    xbar_ref, inflow, outflow = flows.start_sources(
+        scenario.game, scenario.dist, scenario.protocol, x0
     )
     rows = [(q, m, "inflow") for q, m in zip(inflow.qs, inflow.ms)]
     rows += [(q, m, "outflow") for q, m in zip(outflow.qs, outflow.ms)]

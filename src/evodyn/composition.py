@@ -16,7 +16,10 @@ Constructors provided here are the canonical compositions used throughout:
 * ``destabilizing_perturbation`` -- a small composition change that pushes
   the aggregate strictly up while staying close to the original.
 
-The first three record what they built (``BayesianStrategy.construction``).
+The first three record what they built (``BayesianStrategy.construction``:
+the cut-off side and level, or the balanced arguments), and ``make_grid``
+records the distribution its grid samples (``TypeGrid.dist``).  Each call
+builds its own grid; equal arguments give equal nodes bit for bit.
 
 Boundary nodes take fractional values so constructed aggregates hit the
 requested level exactly (up to float rounding), not just within 1/n.
@@ -24,7 +27,6 @@ requested level exactly (up to float rounding), not just within 1/n.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -42,10 +44,17 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TypeGrid:
-    """Nondecreasing type nodes, each of mass 1/n (``weights`` is derived)."""
+    """Nondecreasing type nodes, each of mass 1/n (``weights`` is derived).
+
+    ``dist`` is the distribution whose quantiles ``make_grid`` put the nodes
+    at; every other grid has None, whatever its nodes.  It is no constructor
+    argument (``dataclasses.replace`` drops it) and takes no part in
+    equality or repr.
+    """
 
     nodes: np.ndarray
     weights: np.ndarray = field(init=False, repr=False)
+    dist: TypeDistribution | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", _freeze(self.nodes))
@@ -62,18 +71,10 @@ class TypeGrid:
         return self.nodes.size
 
 
-#: Number of grids make_grid keeps (least recently used dropped first).
-_GRID_CACHE_SIZE = 4
-
-
 def make_grid(dist: TypeDistribution, n: int) -> TypeGrid:
     """Equiprobable grid: node i at the ((i - 1/2)/n)-quantile, weight 1/n.
 
-    The grid is built once per (dist, n) and the same read-only grid is
-    shared by every later call with equal arguments, so ``dist`` must be
-    hashable (every shipped family is a frozen dataclass).  Equal
-    distributions give the same nodes bit for bit, so sharing changes no
-    value.
+    The grid records ``dist`` (``TypeGrid.dist``).
     """
     try:
         # negated so that NaN, which fails every comparison, is refused
@@ -82,32 +83,33 @@ def make_grid(dist: TypeDistribution, n: int) -> TypeGrid:
         raise InputError("grid size n is beyond the doubles, too large to allocate") from None
     if not whole:
         raise InputError(f"grid size n={n} must be a whole number of at least 2")
+    n = int(n)
     try:
-        return _grid(dist, int(n))
+        u = (np.arange(n) + 0.5) / n
+        grid = TypeGrid(nodes=np.asarray(dist.inverse_cdf(u), dtype=float))
     except (ValueError, MemoryError):  # numpy refuses or fails the node arrays
         raise InputError(f"grid size n={n:.6g} is too large to allocate") from None
-
-
-@functools.lru_cache(maxsize=_GRID_CACHE_SIZE)
-def _grid(dist: TypeDistribution, n: int) -> TypeGrid:
-    u = (np.arange(n) + 0.5) / n
-    return TypeGrid(nodes=np.asarray(dist.inverse_cdf(u), dtype=float))
+    object.__setattr__(grid, "dist", dist)
+    return grid
 
 
 @dataclass(frozen=True)
 class Cutoff:
-    """How ``sorted_composition`` or ``reversed_composition`` built a strategy."""
+    """How ``sorted_composition`` or ``reversed_composition`` built a strategy:
+    the side that participates and the level ``xbar`` it was built at."""
 
     reversed: bool
+    xbar: float
 
 
 @dataclass(frozen=True)
 class BalancedRecord:
-    """The arguments past the grid that ``balanced_composition`` built from."""
+    """The arguments past the grid that ``balanced_composition`` built from;
+    ``xbar`` is its ``xbar_star``."""
 
     game: AggregateGame
     dist: TypeDistribution
-    xbar_star: float
+    xbar: float
     kappa: float
     pimax: float
 
@@ -180,7 +182,7 @@ def aggregate(x: BayesianStrategy) -> float:
 def _cutoff(grid: TypeGrid, xbar: float, reversed_: bool) -> BayesianStrategy:
     """The sorted composition, the first floor(xbar n) nodes filled and the
     fractional fill of the next one, mirrored if ``reversed_``; it records
-    ``Cutoff(reversed_)``."""
+    ``Cutoff(reversed_, xbar)``."""
     if not 0.0 <= xbar <= 1.0:
         raise InputError(f"xbar={xbar} outside [0, 1]")
     scaled = xbar * grid.n
@@ -190,7 +192,7 @@ def _cutoff(grid: TypeGrid, xbar: float, reversed_: bool) -> BayesianStrategy:
     if k < grid.n:
         values[k] = scaled - k
     out = BayesianStrategy(grid=grid, values=values[::-1] if reversed_ else values)
-    object.__setattr__(out, "construction", Cutoff(reversed_))
+    object.__setattr__(out, "construction", Cutoff(reversed_, xbar))
     return out
 
 

@@ -27,16 +27,17 @@ These distributions carry the aggregate dynamics at the reference point:
   and never crosses back.
 
 The grid atoms are the midpoint rule in the quantile u = P(theta) of the
-continuum sources.  Each escape report reads one pair of sources, for the
-dominance verdict and the bound alike: Gauss-Legendre atoms of the continuum
-sources (Golub & Welsch, Math. Comp. 23, 1969), which carry no grid
-discretization error, for a start whose constructor recorded the continuum
+continuum sources.  One reader, ``start_sources``, gives a start's level
+and its two sources, for the ``flows`` report, the dominance verdict and
+the escape bound alike.  A start whose constructor recorded the continuum
 composition it stands for (``BayesianStrategy.construction``: a sorted or
-reversed cut-off, or a balanced start at the equilibrium it was built at;
-``_continuum_sources``); the grid atoms for every other composition,
-whatever its values.  One step turns a quantile span into atoms
-(``_gauss_legendre_source``), and one function gives the level a report
-starts from (``reference_level``).
+reversed cut-off, or a balanced start), on a grid ``make_grid`` built for
+the distribution (``TypeGrid.dist``), is read at the level it was built at,
+from Gauss-Legendre atoms of the continuum sources (Golub & Welsch, Math.
+Comp. 23, 1969), which carry no grid discretization error; every other
+start is read at its grid aggregate, from the grid atoms, whatever its
+values.  One step turns a quantile span into atoms
+(``_gauss_legendre_source``).
 
 ``escape_certificate`` (this bound for one composition) and
 ``rate_ratio_escape_bound`` (the reversed composition's two extreme rates,
@@ -59,7 +60,6 @@ from .composition import (
     Cutoff,
     aggregate,
     blocked_dot,
-    make_grid,
 )
 from .dynamics import RevisionProtocol
 from .equilibria import STABLE, UNSTABLE, find_aggregate_equilibria
@@ -177,25 +177,6 @@ def _legendre_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return z, w
 
 
-def reference_level(
-    game: AggregateGame, dist: TypeDistribution, protocol: RevisionProtocol, x: BayesianStrategy
-) -> float:
-    """The aggregate level an escape report starts from.
-
-    A balanced start whose sources are read off the continuum
-    (``_continuum_record``) stands for the continuum composition at the
-    equilibrium it was built at, so it reads its record's ``xbar_star``
-    (its grid aggregate may lie up to 2/n away); every other start reads
-    its own aggregate.
-    """
-    return _reference_level(x, _continuum_record(game, dist, protocol, x))
-
-
-def _reference_level(x: BayesianStrategy, record: Cutoff | BalancedRecord | None) -> float:
-    """``reference_level`` of ``x`` given its ``_continuum_record``."""
-    return record.xbar_star if isinstance(record, BalancedRecord) else aggregate(x)
-
-
 def _continuum_record(
     game: AggregateGame, dist: TypeDistribution, protocol: RevisionProtocol, x: BayesianStrategy
 ) -> Cutoff | BalancedRecord | None:
@@ -204,15 +185,15 @@ def _continuum_record(
 
     k must be an integer (every source has an end where the deficit d
     vanishes, and a d^k not smooth there makes Gauss-Legendre converge only
-    algebraically), the grid ``make_grid(dist, n)``'s, compared node by
-    node, and a balanced record built for ``game`` and ``dist``.
+    algebraically), the grid one ``make_grid`` built for ``dist``, and a
+    balanced record built for ``game`` and ``dist``.
     """
     record = x.construction
-    if record is None or not float(protocol.k).is_integer():
+    if record is None or not float(protocol.k).is_integer() or x.grid.dist != dist:
         return None
     if isinstance(record, BalancedRecord) and (record.game != game or record.dist != dist):
         return None
-    return record if np.array_equal(x.grid.nodes, make_grid(dist, x.grid.n).nodes) else None
+    return record
 
 
 def _gauss_legendre_source(
@@ -263,46 +244,67 @@ def _continuum_sources(
     game: AggregateGame,
     dist: TypeDistribution,
     protocol: RevisionProtocol,
-    x: BayesianStrategy,
-    record: Cutoff | BalancedRecord | None,
-    xbar_ref: float,
+    record: Cutoff | BalancedRecord,
     nodes: int = _QUADRATURE_NODES,
-) -> tuple[SwitchingRateDistribution, SwitchingRateDistribution] | None:
-    """Both flow sources of the continuum composition ``x`` stands for, or
-    None where ``record``, ``x``'s ``_continuum_record``, is None.
+) -> tuple[SwitchingRateDistribution, SwitchingRateDistribution]:
+    """Both flow sources of the continuum composition ``record`` names, at
+    the level ``record.xbar`` it was built at.
 
     A cut-off record stands for the sorted (x = 1 below the cut) or the
     reversed (x = 1 above it) composition whose cut in the quantile u is
-    ``x``'s aggregate, or one minus it, clamped into [0, 1] (a full grid
-    composition sums to 1 + a few ulps).  With F = F(xbar_ref), inflow is
+    ``xbar``, or one minus it.  With F = F(xbar), inflow is
     {u < P(F), x = 0} and outflow {u > P(F), x = 1}, the whole type each.
 
-    A balanced record is read at its own xbar* (``reference_level``), with
-    t* = F(xbar*): inflow is the band u in (P(t* - pimax), P(t*)), where a
-    share kappa of each type is out.  The outflow band (P(t*), P(t* + pimax))
-    holds a share kappa p(2 t* - theta) / p(theta) of each type, so the
-    reflection theta -> 2 t* - theta carries it onto the inflow, deficit for
-    deficit and mass for mass: the outflow is the same atoms.
+    A balanced record has t* = F(xbar): inflow is the band
+    u in (P(t* - pimax), P(t*)), where a share kappa of each type is out.
+    The outflow band (P(t*), P(t* + pimax)) holds a share
+    kappa p(2 t* - theta) / p(theta) of each type, so the reflection
+    theta -> 2 t* - theta carries it onto the inflow, deficit for deficit
+    and mass for mass: the outflow is the same atoms.
     """
-    if record is None:
-        return None
+    common = game.payoff(record.xbar)
     if isinstance(record, BalancedRecord):
-        t_star = game.payoff(record.xbar_star)
-        span = (float(dist.cdf(t_star - record.pimax)), float(dist.cdf(t_star)))
-        inflow = _gauss_legendre_source(dist, protocol, t_star, -1.0, span, nodes, record.kappa)
+        span = (float(dist.cdf(common - record.pimax)), float(dist.cdf(common)))
+        inflow = _gauss_legendre_source(dist, protocol, common, -1.0, span, nodes, record.kappa)
         return inflow, inflow
-    common = game.payoff(xbar_ref)
     u_f = float(dist.cdf(common))
     if record.reversed:
-        cut = max(1.0 - aggregate(x), 0.0)
+        cut = 1.0 - record.xbar
         spans = ((0.0, min(cut, u_f)), (max(cut, u_f), 1.0))
     else:
-        cut = min(aggregate(x), 1.0)
-        spans = ((cut, u_f), (u_f, cut))
+        spans = ((record.xbar, u_f), (u_f, record.xbar))
     return (
         _gauss_legendre_source(dist, protocol, common, -1.0, spans[0], nodes),
         _gauss_legendre_source(dist, protocol, common, 1.0, spans[1], nodes),
     )
+
+
+def start_sources(
+    game: AggregateGame, dist: TypeDistribution, protocol: RevisionProtocol, x: BayesianStrategy
+) -> tuple[float, SwitchingRateDistribution, SwitchingRateDistribution]:
+    """The level a start is read at and its two flow sources there:
+    ``(xbar_ref, inflow, outflow)``.
+
+    A sorted, reversed or balanced start under an integer k, on a grid
+    ``make_grid`` built for ``dist`` (and for a balanced start, built for
+    ``game`` and ``dist``), is read at the level its constructor was given,
+    from Gauss-Legendre atoms of the continuum composition it stands for
+    (``_continuum_sources``).  Every other start, whatever its values, is
+    read at its grid aggregate from the grid atoms of
+    ``flow_distributions``.
+    """
+    record = _continuum_record(game, dist, protocol, x)
+    if record is None:
+        xbar_ref = aggregate(x)
+        return (xbar_ref, *flow_distributions(game, dist, protocol, x, xbar_ref))
+    return (record.xbar, *_continuum_sources(game, dist, protocol, record))
+
+
+def reference_level(
+    game: AggregateGame, dist: TypeDistribution, protocol: RevisionProtocol, x: BayesianStrategy
+) -> float:
+    """The aggregate level an escape report starts from: ``start_sources``'s."""
+    return start_sources(game, dist, protocol, x)[0]
 
 
 def aggregate_velocity_from_flows(
@@ -544,27 +546,17 @@ def escape_certificate(
     they are built once per ``t_end`` and shared, read-only, by every report
     with that ``t_end``.
 
-    The dominance verdict and the bound read one pair of sources:
-    Gauss-Legendre atoms (accuracy stated at ``_QUADRATURE_NODES``) of the
-    continuum composition ``x0``'s constructor recorded
-    (``_continuum_sources``) when ``x0`` lies on ``make_grid(dist, n)``
-    under an integer k, and for a balanced start was built for this game
-    and distribution; the grid atoms of ``flow_distributions`` otherwise,
-    whatever the values.  The equilibrium is ``reference_level``: the
-    ``xbar_star`` such a balanced start was built at, every other start's
-    own aggregate.  A grid bound differs from the quadrature one by the
-    midpoint rule's error: second order in n where the composition's cut
-    and P(F) fall on cell boundaries (4.1e-8 on the canonical game at
+    The equilibrium, the dominance verdict and the bound read one start:
+    ``start_sources``, whose Gauss-Legendre atoms are accurate as stated at
+    ``_QUADRATURE_NODES``.  A grid bound differs from the quadrature one by
+    the midpoint rule's error: second order in n where the composition's
+    cut and P(F) fall on cell boundaries (4.1e-8 on the canonical game at
     n = 2000), first order where either splits a cell, as a balanced
-    start's band edges do.  The test against ``make_grid(dist, n)``
-    compares nodes, not objects; a grid the caller built with ``make_grid``
-    is read back from its cache.
+    start's band edges do.
     """
     if not (np.isfinite(t_end) and t_end > _BOUND_FIRST_TIME):
         raise InputError(f"t_end={t_end} must be finite and above the first bound sample")
-    # the gate compares every grid node, so it is read once for both uses
-    record = _continuum_record(game, dist, protocol, x0)
-    xbar_star = _reference_level(x0, record)
+    xbar_star, inflow, outflow = start_sources(game, dist, protocol, x0)
     require_aggregate_equilibrium(game, dist, xbar_star)
     if not game.positive_externality:
         raise InputError("escape certification requires positive externality")
@@ -580,8 +572,6 @@ def escape_certificate(
             f"{certificate.reason}"
         )
 
-    sources = _continuum_sources(game, dist, protocol, x0, record, xbar_star)
-    inflow, outflow = sources or flow_distributions(game, dist, protocol, x0, xbar_star)
     dominance = sosd_compare(outflow, inflow, mass_tol=2.0 / x0.grid.n)
     times = _bound_times(float(t_end))
     bound = bound_trajectory(inflow, outflow, xbar_star, times)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -71,16 +72,22 @@ def test_make_grid_refuses_an_int_beyond_the_largest_double():
         make_grid(SqrtShiftTypes(), 10**400)
 
 
-def test_make_grid_shares_one_read_only_grid_per_distribution_and_size():
-    grid = make_grid(UniformTypes(0.0, 2.0), 64)
-    assert make_grid(UniformTypes(0.0, 2.0), 64) is grid  # an equal distribution
-    assert make_grid(UniformTypes(0.0, 2.0), 64.0) is grid  # the same whole number
+def test_make_grid_builds_a_read_only_grid_that_records_its_distribution():
+    dist = UniformTypes(0.0, 2.0)
+    grid = make_grid(dist, 64)
+    assert grid.dist == dist
     assert not grid.nodes.flags.writeable and not grid.weights.flags.writeable
     u = (np.arange(64) + 0.5) / 64
-    assert grid.nodes.tobytes() == UniformTypes(0.0, 2.0).inverse_cdf(u).tobytes()
+    assert grid.nodes.tobytes() == dist.inverse_cdf(u).tobytes()
+    # an equal distribution and the same whole number give the same bits
+    assert make_grid(UniformTypes(0.0, 2.0), 64.0).nodes.tobytes() == grid.nodes.tobytes()
     for other in (make_grid(UniformTypes(0.0, 2.0), 65), make_grid(UniformTypes(0.0, 3.0), 64),
                   make_grid(SqrtShiftTypes(), 64)):
-        assert other is not grid and not np.array_equal(other.nodes, grid.nodes)
+        assert not np.array_equal(other.nodes, grid.nodes)
+    # the record is no constructor argument and stays out of repr
+    assert TypeGrid(nodes=grid.nodes).dist is None
+    assert dataclasses.replace(grid).dist is None
+    assert "dist" not in repr(grid)
 
 
 def test_grid_is_immutable(grid2000):

@@ -224,7 +224,8 @@ def test_cli_select_report(config_path, tmp_path):
     assert main(["select", "--config", str(config_path), "--out", str(out)]) == 0
     report = json.loads((out / "select.json").read_text())
     assert report["selected"] == pytest.approx(0.0)
-    assert report["thresholds"]["0"] == pytest.approx(0.05, abs=1e-6)
+    # keys are spelled like the JSON numbers: the shortest round-trip decimal
+    assert report["thresholds"]["0.0"] == pytest.approx(0.05, abs=1e-6)
     assert report["thresholds"]["0.25"] == pytest.approx(1 / 1600, abs=1e-9)
 
 
@@ -493,7 +494,10 @@ def test_select_sweep_mode(tmp_path):
     assert sizes == sorted(sizes, reverse=True)  # selection is monotone in pisharp
     assert sweep["entries"][0]["surviving"] == pytest.approx([0.0, 0.25])
     assert sweep["entries"][-1]["surviving"] == pytest.approx([0.0])
-    assert (out / "sweep" / "0.01" / "select.json").is_file()
+    # directory names are spelled like the JSON numbers: 0.04, not .17g's
+    # 0.040000000000000001
+    for name in ("0.0001", "0.01", "0.04"):
+        assert (out / "sweep" / name / "select.json").is_file()
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -593,11 +597,13 @@ def test_escape_bound_is_within_grid_error_of_the_grid_bound(tmp_path):
     assert np.abs(bound - grid).max() <= 1e-7
 
 
-# SHA-256 of escape's bound.csv on the bundled entry config, taken when the
-# bound moved from the n = 2000 grid atoms to Gauss-Legendre atoms of the
-# continuum sources (within 1e-7 of the grid bound, checked above): the golden
-# escape.json pins the crossing time, this pins all 2000 bound samples
-BOUND_SHA256 = "a91e1179d052b6d12ee8f422ca2fb3479b9254c533d9877913352f62862242a6"
+# SHA-256 of escape's bound.csv on the bundled entry config: Gauss-Legendre
+# atoms of the continuum sources (within 1e-7 of the n = 2000 grid bound,
+# checked above), from the level 0.25 the reversed start was built at (taken
+# when the report stopped starting from the grid aggregate, 0.25 + 1.1e-16,
+# which moved no sample by more than 3.1e-16): the golden escape.json pins the
+# crossing time, this pins all 2000 bound samples
+BOUND_SHA256 = "0659c32b664ac240c37977a88423075df6bad38622d0f7a644e7f4e85f26e6f5"
 
 
 def test_escape_bound_matches_pinned_hash(tmp_path):
@@ -788,14 +794,30 @@ def test_balanced_start_escapes_at_the_bundled_grid(tmp_path):
 
 def test_escape_from_the_all_ones_start_at_the_corner_equilibrium(tmp_path):
     # the grid aggregate of the all-ones start is 1.0000000000000007; the
-    # cut-off sources clamp their cut into [0, 1], so the report is written
+    # report starts from the level the start was built at, 1
     out = tmp_path / "out"
     assert main(["escape", "--config", str(LOGISTIC_CONFIG), "--out", str(out),
                  "--override", "initial.xbar0=1"]) == 0
     report = json.loads((out / "escape.json").read_text())
+    assert report["xbar_star"] == 1.0
     assert (report["dominance"], report["crossing_time"]) == ("incomparable", None)
     bound = np.loadtxt(out / "bound.csv", delimiter=",", skiprows=1)[:, 1]
-    assert np.all(bound == report["xbar_star"])
+    assert np.all(bound == 1.0)
+
+
+@pytest.mark.parametrize("variant", ["", "balanced"], ids=["reversed", "balanced"])
+def test_flows_and_escape_read_a_start_at_one_level(tmp_path, variant):
+    # both subcommands read the start through flows.start_sources: the
+    # level its constructor was given, not its grid aggregate (0.25 + 1.1e-16
+    # for the reversed start, 0.249921 for the balanced one at n = 2000)
+    levels = {}
+    for sub, name, key in (("flows", "flows.json", "xbar_ref"),
+                           ("escape", "escape.json", "xbar_star")):
+        out = tmp_path / sub
+        assert main([sub, "--config", str(ENTRY_CONFIG), "--out", str(out),
+                     *VARIANTS[variant]]) == 0
+        levels[sub] = json.loads((out / name).read_text())[key]
+    assert levels["flows"] == levels["escape"] == 0.25
 
 
 def test_escape_without_a_certified_level_below_the_start_exits_3(config_path, tmp_path,

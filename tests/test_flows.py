@@ -36,6 +36,7 @@ from evodyn import (
     sorted_composition,
     sosd_compare,
     standard_protocol,
+    start_sources,
     vector_field,
 )
 from evodyn.composition import (
@@ -542,15 +543,19 @@ def grid_escape(game, dist, protocol, x0, xbar_dagger):
     )
 
 
-def continuum_sources(game, dist, protocol, x0, xbar_ref, nodes=evodyn.flows._QUADRATURE_NODES):
+def continuum_sources(game, dist, protocol, x0, nodes=evodyn.flows._QUADRATURE_NODES):
     """The continuum sources of ``x0`` behind its own gate, or None."""
     record = evodyn.flows._continuum_record(game, dist, protocol, x0)
-    return evodyn.flows._continuum_sources(game, dist, protocol, x0, record, xbar_ref, nodes)
+    if record is None:
+        return None
+    return evodyn.flows._continuum_sources(game, dist, protocol, record, nodes)
 
 
 def quadrature_bound(game, dist, protocol, x0, nodes=evodyn.flows._QUADRATURE_NODES):
-    xbar_star = aggregate(x0)
-    sources = continuum_sources(game, dist, protocol, x0, xbar_star, nodes)
+    """The frozen-rate bound of ``x0``'s continuum sources, from the level
+    its escape report starts at."""
+    xbar_star = evodyn.flows.reference_level(game, dist, protocol, x0)
+    sources = continuum_sources(game, dist, protocol, x0, nodes)
     assert sources is not None
     return bound_trajectory(*sources, xbar_star, CERTIFY_TIMES)
 
@@ -667,7 +672,7 @@ class TestAtomRouting:
         xbar_star = max(e.xbar for e in find_aggregate_equilibria(game, dist).stable)
         x0 = reversed_composition(make_grid(dist, 2000), dist, xbar_star)
         report = escape_certificate(game, dist, protocol, x0, 0.335)
-        inflow, outflow = continuum_sources(game, dist, protocol, x0, aggregate(x0))
+        inflow, outflow = continuum_sources(game, dist, protocol, x0)
         assert report.bound.tobytes() == quadrature_bound(game, dist, protocol, x0).tobytes()
         assert outflow.total_mass == pytest.approx(7.67e-5, rel=1e-3)
         assert report.dominance == sosd_compare(outflow, inflow, mass_tol=1e-3) == "I_dominates"
@@ -682,10 +687,10 @@ class TestAtomRouting:
     @pytest.mark.parametrize("shape", ["sorted", "reversed"])
     def test_all_ones_start_at_the_corner_equilibrium(self, shape, protocol, n):
         # the grid aggregate of the all-ones start is 1 + a few ulps
-        # (1.0000000000000007 at n = 2000), which the cut is clamped from:
-        # read unclamped, the Gauss-Legendre nodes land past u = 1.  The
-        # indifferent type F(1) = 0.7 lies above the support, so both
-        # sources are empty and the bound stays at the equilibrium
+        # (1.0000000000000007 at n = 2000); the report starts from the level
+        # the start was built at, 1.  The indifferent type F(1) = 0.7 lies
+        # above the support, so both sources are empty and the bound stays
+        # at the equilibrium
         game = linear_coordination_game(0.3)
         dist = TruncatedLogisticTypes(0.0, 0.05)
         grid = make_grid(dist, n)
@@ -694,14 +699,14 @@ class TestAtomRouting:
             if shape == "sorted"
             else reversed_composition(grid, dist, 1.0)
         )
-        xbar_star = aggregate(x0)
-        assert xbar_star > 1.0
+        assert aggregate(x0) > 1.0
+        assert evodyn.flows.reference_level(game, dist, protocol, x0) == 1.0
         levels = critical_mass_sets(game, dist, protocol).decrease_intervals
         xbar_dagger = max(hi for _, hi in levels if hi < 1.0)
         report = escape_certificate(game, dist, protocol, x0, xbar_dagger)
-        inflow, outflow = continuum_sources(game, dist, protocol, x0, xbar_star)
+        inflow, outflow = continuum_sources(game, dist, protocol, x0)
         assert inflow.qs.size == outflow.qs.size == 0
-        assert np.all(report.bound == xbar_star)
+        assert np.all(report.bound == 1.0)
         assert (report.dominance, report.crossing_time) == ("incomparable", None)
 
     @pytest.fixture(scope="class")
@@ -733,41 +738,44 @@ class TestAtomRouting:
         self, canon_game, canon_dist, cubic, grid_compositions, name
     ):
         x0 = grid_compositions[name]
-        xbar_star = aggregate(x0)
-        assert continuum_sources(canon_game, canon_dist, cubic, x0, xbar_star) is None
+        assert continuum_sources(canon_game, canon_dist, cubic, x0) is None
         report = escape_certificate(canon_game, canon_dist, cubic, x0, 0.03)
         dominance, bound, crossing = grid_escape(canon_game, canon_dist, cubic, x0, 0.03)
         assert report.times.tobytes() == CERTIFY_TIMES.tobytes()
         assert report.bound.tobytes() == bound.tobytes()
         assert (report.dominance, report.crossing_time) == (dominance, crossing)
 
-    def test_grid_test_compares_nodes_not_the_cached_grid(self, canon_game, canon_dist, cubic):
-        # make_grid hands back its cached grid; a hand-built grid with equal
-        # nodes still gets the quadrature atoms, one with a node moved by one
-        # ulp keeps the grid atoms
-        cached = make_grid(canon_dist, 1000)
-        same = TypeGrid(nodes=cached.nodes.copy())
-        nudged_nodes = cached.nodes.copy()
+    def test_only_a_grid_make_grid_built_reads_quadrature(self, canon_game, canon_dist, cubic):
+        # the gate reads the distribution make_grid recorded on its grid, not
+        # the nodes: a hand-built grid with equal nodes, a copy through
+        # dataclasses.replace and a grid with one node moved by one ulp keep
+        # the grid atoms, each at its grid aggregate
+        built = make_grid(canon_dist, 1000)
+        nudged_nodes = built.nodes.copy()
         nudged_nodes[500] = np.nextafter(nudged_nodes[500], np.inf)
-        nudged = TypeGrid(nodes=nudged_nodes)
-        for grid, quadrature in ((cached, True), (same, True), (nudged, False)):
+        grids = {
+            "make_grid": built,
+            "hand-built": TypeGrid(nodes=built.nodes.copy()),
+            "replaced": dataclasses.replace(built),
+            "nudged": TypeGrid(nodes=nudged_nodes),
+        }
+        for name, grid in grids.items():
             x0 = reversed_composition(grid, canon_dist, 0.25)
-            sources = continuum_sources(canon_game, canon_dist, cubic, x0, 0.25)
-            assert (sources is not None) == quadrature
+            quadrature = name == "make_grid"
+            sources = continuum_sources(canon_game, canon_dist, cubic, x0)
+            assert (sources is not None) == quadrature, name
             report = escape_certificate(canon_game, canon_dist, cubic, x0, 0.03)
             if quadrature:
                 want = quadrature_bound(canon_game, canon_dist, cubic, x0)
             else:
                 want = grid_escape(canon_game, canon_dist, cubic, x0, 0.03)[1]
-            assert report.bound.tobytes() == want.tobytes()
-        assert make_grid(canon_dist, 1000) is cached
+            assert report.bound.tobytes() == want.tobytes(), name
 
     @pytest.mark.parametrize("start", ["reversed", "balanced", "hand-built"])
     def test_escape_reads_the_gate_once(
         self, canon_game, canon_dist, cubic, grid2000, start, monkeypatch
     ):
-        # the gate compares every node with make_grid's, so the reference
-        # level and the sources share one reading of it
+        # the reference level and the sources share one reading of the gate
         reversed_ = reversed_composition(grid2000, canon_dist, 0.25)
         x0 = {
             "reversed": reversed_,
@@ -798,14 +806,12 @@ class TestAtomRouting:
     def test_constant_rate_intervals_get_one_atom(self, canon_game, canon_dist, reversed25):
         # the standard rate is 1 on both sources; bounded_power saturates
         # past pisharp, on the far interval of each source
-        sources = continuum_sources(
-            canon_game, canon_dist, standard_protocol(), reversed25, 0.25
-        )
+        sources = continuum_sources(canon_game, canon_dist, standard_protocol(), reversed25)
         for src in sources:
             assert src.qs.tolist() == [1.0]
             assert src.ms.tolist() == [pytest.approx(0.25, abs=1e-15)]
         inflow, outflow = continuum_sources(
-            canon_game, canon_dist, bounded_power_protocol(2, 0.3), reversed25, 0.25
+            canon_game, canon_dist, bounded_power_protocol(2, 0.3), reversed25
         )
         nodes = evodyn.flows._QUADRATURE_NODES
         assert (inflow.qs == 1.0).sum() == 1 and inflow.qs.size == nodes + 1
@@ -813,11 +819,47 @@ class TestAtomRouting:
         assert inflow.total_mass == pytest.approx(0.25, abs=1e-15)
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    family=st.sampled_from(["affine", "logistic"]),
+    a=st.floats(2.3, 2.7),
+    b=st.floats(-0.08, -0.03),
+    c=st.floats(0.15, 0.85),
+    s=st.floats(0.03, 0.08),
+    kind=st.sampled_from(["standard", "power", "bounded_power"]),
+    k=st.integers(1, 4),
+    pisharp=st.floats(0.01, 0.6),
+    level=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+    n=st.sampled_from([1000, 2001, 4000]),
+    reversed_=st.booleans(),
+)
+def test_start_sources_read_a_cutoff_start_at_its_level(
+    family, a, b, c, s, kind, k, pisharp, level, n, reversed_
+):
+    # a sorted or reversed start is read at the level it was built at, bit
+    # for bit, and its sources' net mass is g(level) = P(F(level)) - level:
+    # the continuum composition's, whatever the grid aggregate's rounding
+    if family == "logistic":
+        game, dist = linear_coordination_game(c), TruncatedLogisticTypes(0.0, s)
+    else:
+        game, dist = affine_game(a, b), SqrtShiftTypes()
+    protocol = {
+        "standard": standard_protocol(),
+        "power": power_protocol(k),
+        "bounded_power": bounded_power_protocol(k, pisharp),
+    }[kind]
+    grid = make_grid(dist, n)
+    x0 = reversed_composition(grid, dist, level) if reversed_ else sorted_composition(grid, level)
+    xbar_ref, inflow, outflow = start_sources(game, dist, protocol, x0)
+    assert np.float64(xbar_ref).tobytes() == np.float64(level).tobytes()
+    g = float(dist.cdf(game.payoff(level))) - level
+    assert abs(inflow.total_mass - outflow.total_mass - g) <= 1e-15
+
+
 def balanced_decay(game, dist, protocol, x0, nodes=evodyn.flows._QUADRATURE_NODES):
     """The frozen-rate mass left of one balanced source at the certificate
     samples, less its total mass: the sum the bound takes of each source."""
-    xbar_star = evodyn.flows.reference_level(game, dist, protocol, x0)
-    sources = continuum_sources(game, dist, protocol, x0, xbar_star, nodes)
+    sources = continuum_sources(game, dist, protocol, x0, nodes)
     assert sources is not None
     empty = SwitchingRateDistribution(qs=np.empty(0), ms=np.empty(0))
     return bound_trajectory(sources[0], empty, 0.0, CERTIFY_TIMES)
@@ -879,7 +921,7 @@ class TestBalancedQuadrature:
         assert abs(aggregate(x0) - 0.25) > 7e-5
         assert evodyn.flows.reference_level(canon_game, canon_dist, protocol, x0) == 0.25
         report = escape_certificate(canon_game, canon_dist, protocol, x0, 0.03)
-        inflow, outflow = continuum_sources(canon_game, canon_dist, protocol, x0, 0.25)
+        inflow, outflow = continuum_sources(canon_game, canon_dist, protocol, x0)
         # the reflection about t* maps the outflow band onto the inflow band
         assert outflow is inflow
         assert detailed_balance_residual(inflow, outflow) == 0.0
@@ -892,17 +934,13 @@ class TestBalancedQuadrature:
         # under the standard rate the band is one atom; its mass is kappa
         # times the band's length in the quantile, not the length itself
         x0 = balanced_composition(grid2000, canon_dist, canon_game, 0.25, 0.2, 0.3)
-        inflow, _ = continuum_sources(
-            canon_game, canon_dist, standard_protocol(), x0, 0.25
-        )
+        inflow, _ = continuum_sources(canon_game, canon_dist, standard_protocol(), x0)
         t_star = canon_game.payoff(0.25)
         u_lo, u_star = canon_dist.cdf(t_star - 0.3), canon_dist.cdf(t_star)
         assert inflow.qs.tolist() == [1.0]
         assert inflow.ms.tolist() == [0.2 * (u_star - u_lo)]
         # bounded_power saturates past pisharp = 0.1: one more piece, one atom
-        inflow, _ = continuum_sources(
-            canon_game, canon_dist, bounded_power_protocol(2, 0.1), x0, 0.25
-        )
+        inflow, _ = continuum_sources(canon_game, canon_dist, bounded_power_protocol(2, 0.1), x0)
         assert inflow.qs.size == evodyn.flows._QUADRATURE_NODES + 1
         assert (inflow.qs == 1.0).sum() == 1
         assert inflow.total_mass == pytest.approx(0.2 * (u_star - u_lo), abs=1e-16)
@@ -926,8 +964,7 @@ class TestBalancedQuadrature:
         assert evodyn.flows._continuum_record(canon_game, SqrtShiftTypes(), cubic,
                                               balanced) is not None
         for name, (x0, protocol) in starts.items():
-            assert continuum_sources(canon_game, canon_dist, protocol, x0,
-                                     aggregate(x0)) is None
+            assert continuum_sources(canon_game, canon_dist, protocol, x0) is None
             # the grid atoms describe the grid aggregate, so the report
             # starts from it, as for any other composition
             xbar_star = aggregate(x0)
@@ -944,16 +981,17 @@ class TestBalancedQuadrature:
         assert balanced.construction == BalancedRecord(
             canon_game, canon_dist, 0.25, 0.2, 0.3
         )
+        assert balanced.construction.xbar == 0.25
         assert "construction" not in repr(balanced)
         plain = BayesianStrategy(grid=grid4000, values=balanced.values)
         assert plain.construction is None
         assert dataclasses.replace(balanced, values=balanced.values).construction is None
         srt = sorted_composition(grid4000, 0.25)
-        assert srt.construction == Cutoff(False)
-        assert reversed_composition(grid4000, canon_dist, 0.25).construction == Cutoff(True)
+        assert srt.construction == Cutoff(False, 0.25)
+        assert reversed_composition(grid4000, canon_dist, 0.25).construction == Cutoff(True, 0.25)
         assert BayesianStrategy(grid=grid4000, values=srt.values).construction is None
         assert dataclasses.replace(srt, values=srt.values).construction is None
         # kappa = 0 is the sorted composition, which the cut-off route reads
         zero = balanced_composition(grid4000, canon_dist, canon_game, 0.25, 0.0, 0.3)
-        assert zero.construction == Cutoff(False)
+        assert zero.construction == Cutoff(False, 0.25)
 
