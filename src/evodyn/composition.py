@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConstructionError, InputError
-from .games import AggregateGame, TypeDistribution, require_aggregate_equilibrium
+from .games import AggregateGame, TypeDistribution, _clamp, require_aggregate_equilibrium
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -62,7 +62,7 @@ class TypeGrid:
             raise InputError("grid nodes must be a non-empty 1-d array")
         if not np.isfinite(self.nodes).all():
             raise InputError("grid nodes must be finite")
-        if np.any(np.diff(self.nodes) < 0.0):
+        if (self.nodes[1:] < self.nodes[:-1]).any():
             raise InputError("grid nodes must be nondecreasing")
         object.__setattr__(self, "weights", _freeze(np.full(self.n, 1.0 / self.n)))
 
@@ -138,8 +138,9 @@ class BayesianStrategy:
         # negated so that NaN, which fails every comparison, is rejected
         if not (vals.min(initial=0.0) >= -1e-9 and vals.max(initial=0.0) <= 1.0 + 1e-9):
             raise InputError("strategy values must lie in [0, 1]")
-        # np.clip keeps a zero's sign; + 0.0 stores +0.0, which the integrator needs
-        object.__setattr__(self, "values", _freeze(np.clip(vals, 0.0, 1.0) + 0.0))
+        # the clamp (np.clip's bits) keeps a zero's sign; + 0.0 stores +0.0,
+        # which the integrator needs
+        object.__setattr__(self, "values", _freeze(_clamp(vals, 0.0, 1.0) + 0.0))
 
 
 #: Nodes per block of ``blocked_dot``.  OpenBLAS runs a ddot of at most
@@ -186,7 +187,7 @@ def _cutoff(grid: TypeGrid, xbar: float, reversed_: bool) -> BayesianStrategy:
     if not 0.0 <= xbar <= 1.0:
         raise InputError(f"xbar={xbar} outside [0, 1]")
     scaled = xbar * grid.n
-    k = min(int(np.floor(scaled)), grid.n)
+    k = min(math.floor(scaled), grid.n)
     values = np.zeros(grid.n)
     values[:k] = 1.0
     if k < grid.n:

@@ -232,7 +232,7 @@ class RevisionProtocol:
         d = np.maximum(d, 0.0, out=np.empty_like(d))
         out = np.empty_like(d)
         self._rate_into(d, out)
-        return float(out) if np.ndim(deficit) == 0 else out
+        return float(out) if d.ndim == 0 else out
 
 
 def standard_protocol() -> RevisionProtocol:

@@ -81,13 +81,21 @@ class EquilibriumReport:
         raise InputError(f"{xbar} is not a reported equilibrium (tol {_LOCATE_TOL})")
 
 
+# fractions of a bracket that a narrowing round evaluates: its split into
+# _SECTIONS cells, with both ends, then a ladder at 4**-j of its width on
+# both sides of the regula-falsi guess, which is added where _AROUND is 1
+_LADDER = 4.0 ** -np.arange(1, 16)
+_OFFSETS = np.concatenate((np.arange(_SECTIONS + 1) / _SECTIONS, _LADDER, -_LADDER))
+_AROUND = (np.arange(_OFFSETS.size) > _SECTIONS).astype(float)
+
+
 def _narrow(evaluate, a, gap_a, b, gap_b, tol: float):
     """Narrow every bracket [a[i], b[i]] (either order) around the level
     where membership flips, all brackets at once.
 
     ``a`` is a member level and ``b`` a non-member one, with the gaps
     there; ``evaluate(levels, live)`` returns the membership and the gap at
-    ``levels``, whose row k belongs to bracket ``live[k]``.  A round
+    the 2-d ``levels``, whose row k belongs to bracket ``live[k]``.  A round
     evaluates, in every open bracket, its ends, the inner levels of its
     split into ``_SECTIONS`` and a ladder at 4**-j of its width on both
     sides of the regula-falsi guess from the gaps, all in one call.  It
@@ -95,29 +103,46 @@ def _narrow(evaluate, a, gap_a, b, gap_b, tol: float):
     member end, so each round shrinks a bracket at least ``_SECTIONS``-fold,
     until it is narrower than ``tol`` or its ends are adjacent doubles.
     Returns the final a, gap_a, b and gap_b.
+
+    The open brackets' ends and gaps are the four rows of one array, the
+    offsets are module constants, the levels are built in place and the new
+    ends are read by flat index, so that besides ``evaluate`` a round makes
+    27 numpy calls whatever the number of brackets, and 3 more in a round
+    that closes one.
     """
-    a, gap_a, b, gap_b = (np.array(v, dtype=float) for v in (a, gap_a, b, gap_b))
-    ladder = 4.0 ** -np.arange(1, 16)
-    # fractions of the bracket: its split, with both ends, then the ladder
-    # around the guess
-    offsets = np.concatenate((np.arange(_SECTIONS + 1) / _SECTIONS, ladder, -ladder))
-    around = np.arange(offsets.size) > _SECTIONS
-    live = np.arange(a.size)
+    ends = np.array((a, b, gap_a, gap_b), dtype=float)
+    live = np.arange(ends.shape[1])
+    # the flat index of the first level of each row of a round's levels
+    row_starts = live * _OFFSETS.size
+    state = ends
     while True:
-        live = live[(np.abs(b[live] - a[live]) > tol) & (np.nextafter(a[live], b[live]) != b[live])]
+        lo, hi = state[0], state[1]
+        width = hi - lo
+        open_ = (np.abs(width) > tol) & (np.nextafter(lo, hi) != hi)
+        if not open_.all():
+            live, state, width = live[open_], state[:, open_], width[open_]
+            lo, hi = state[0], state[1]
         if not live.size:
-            return a, gap_a, b, gap_b
-        lo, hi, gap_lo, gap_hi = a[live], b[live], gap_a[live], gap_b[live]
+            return ends[0], ends[2], ends[1], ends[3]
+        gap_lo, gap_hi = state[2], state[3]
         guess = gap_lo / np.where(gap_lo != gap_hi, gap_lo - gap_hi, np.inf)
-        t = np.sort(np.minimum(np.maximum(guess[:, None] * around + offsets, 0.0), 1.0))
-        levels = lo[:, None] + (hi - lo)[:, None] * t
+        levels = np.multiply(guess[:, None], _AROUND)
+        levels += _OFFSETS
+        np.maximum(levels, 0.0, out=levels)
+        np.minimum(levels, 1.0, out=levels)
+        levels.sort(axis=1)
+        levels *= width[:, None]
+        levels += lo[:, None]
         levels[:, -1] = hi
         member, gaps = evaluate(levels, live)
         # levels[lead - 1] is the last member before the first non-member
-        # level, levels[lead]
-        lead, rows = np.logical_and.accumulate(member, axis=1).sum(1), np.arange(live.size)
-        a[live], gap_a[live] = levels[rows, lead - 1], gaps[rows, lead - 1]
-        b[live], gap_b[live] = levels[rows, lead], gaps[rows, lead]
+        # level, levels[lead]; both are read from the flattened rows.  The
+        # first level is the member end and the last the non-member end, so
+        # 0 < lead < the row's length
+        lead = member.argmin(axis=1) + row_starts[: live.size]
+        pick = np.concatenate((lead - 1, lead))
+        state = np.concatenate((levels.take(pick), gaps.take(pick))).reshape(4, -1)
+        ends[:, live] = state
 
 
 def find_aggregate_equilibria(
@@ -135,21 +160,52 @@ def find_aggregate_equilibria(
     return _search(game, dist, float(scan_resolution))
 
 
+@functools.lru_cache(maxsize=4)
+def _scan_levels(m: int) -> np.ndarray:
+    """The m + 1 evenly spaced scan levels of [0, 1], built once and read-only."""
+    xs = np.linspace(0.0, 1.0, m + 1)
+    xs.flags.writeable = False  # shared by every search at this resolution
+    return xs
+
+
+def _insert_sorted(arr, at, values):
+    """``np.insert(arr, at, values, axis=-1)`` for nondecreasing ``at``, as
+    one concatenate of the slices of ``arr`` between the values."""
+    pieces, start = [], 0
+    for i, stop in enumerate(at.tolist()):
+        pieces += (arr[..., start:stop], values[..., i : i + 1])
+        start = stop
+    pieces.append(arr[..., start:])
+    return np.concatenate(pieces, axis=-1)
+
+
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def _search(
     game: AggregateGame, dist: TypeDistribution, scan_resolution: float
 ) -> EquilibriumReport:
+    """The report of ``find_aggregate_equilibria``.
+
+    Besides g and ``_narrow``, the search makes 10 numpy calls on the whole
+    scan (g's differences and their sign changes, g's sign changes and the
+    levels where |g| <= 1e-12), two concatenates where there are vertex
+    levels, and about 35 more on the few turns, brackets and roots.  The
+    scan levels are built once per resolution (``_scan_levels``).
+    """
     m = int(round(1.0 / scan_resolution))
-    xs = np.linspace(0.0, 1.0, m + 1)
+    xs = _scan_levels(m)
     gs = _homogenized_velocity(game, dist, xs)
-    # a vertex level within half a step of each discrete extremum of the scan
-    d = np.diff(gs)
-    turns = np.flatnonzero(d[:-1] * d[1:] < 0.0) + 1
-    vertices = xs[turns] + 0.5 / m * (d[turns - 1] + d[turns]) / (d[turns - 1] - d[turns])
-    vertices = vertices[vertices != xs[turns]]
-    at = np.searchsorted(xs, vertices)
-    xs = np.insert(xs, at, vertices)
-    gs = np.insert(gs, at, _homogenized_velocity(game, dist, vertices))
+    # a vertex level within half a step of each discrete extremum of the scan;
+    # each lies within half a step of its scan level, so they ascend with it
+    d = gs[1:] - gs[:-1]
+    turns = (d[:-1] * d[1:] < 0.0).nonzero()[0] + 1
+    if turns.size:
+        at_turns, d_below, d_above = xs[turns], d[turns - 1], d[turns]
+        vertices = at_turns + 0.5 / m * (d_below + d_above) / (d_below - d_above)
+        vertices = vertices[vertices != at_turns]
+        if vertices.size:
+            at = xs.searchsorted(vertices)
+            gs = _insert_sorted(gs, at, _homogenized_velocity(game, dist, vertices))
+            xs = _insert_sorted(xs, at, vertices)
 
     def g_at(j: int) -> float | None:  # no level lies beyond [0, 1]
         return float(gs[j]) if 0 <= j < gs.size else None
@@ -157,14 +213,14 @@ def _search(
     # each candidate root with g at the levels on either side of it; a
     # sign-change bracket with an end where |g| <= _ROOT_TOL already holds
     # that level root, so only the others are narrowed
-    candidates = [(float(xs[j]), g_at(j - 1), g_at(j + 1))
-                  for j in np.flatnonzero(np.abs(gs) <= _ROOT_TOL)]
-    brackets = np.flatnonzero((gs[:-1] * gs[1:] < 0.0)
-                              & (np.abs(gs[:-1]) > _ROOT_TOL) & (np.abs(gs[1:]) > _ROOT_TOL))
+    small = np.abs(gs) <= _ROOT_TOL
+    candidates = [(float(xs[j]), g_at(j - 1), g_at(j + 1)) for j in small.nonzero()[0]]
+    brackets = (gs[:-1] * gs[1:] < 0.0).nonzero()[0]
+    brackets = brackets[~(small[brackets] | small[brackets + 1])]
     side = np.sign(gs[brackets])
 
     def evaluate(levels, live):  # a member level has g of the low end's sign
-        g = _homogenized_velocity(game, dist, levels.ravel()).reshape(levels.shape)
+        g = _homogenized_velocity(game, dist, levels)
         return g * side[live, None] > 0.0, g
 
     a, _, b, g_b = _narrow(evaluate, xs[brackets], gs[brackets], xs[brackets + 1],

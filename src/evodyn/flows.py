@@ -108,14 +108,14 @@ class SwitchingRateDistribution:
                 raise InputError(f"{name} must be finite and nonnegative")
         keep = ms > 0.0
         qs, ms = qs[keep], ms[keep]
-        order = np.argsort(qs, kind="stable")
+        order = qs.argsort(kind="stable")
+        # gathered anew, so each array is the instance's own, contiguous copy
         qs, ms = qs[order], ms[order]
         if ms.sum(initial=0.0) > 1.0 + 1e-9:
             raise InputError("total atom mass exceeds 1")
-        for name, arr in (("qs", qs), ("ms", ms)):
-            arr = np.ascontiguousarray(arr)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        qs.flags.writeable = ms.flags.writeable = False
+        object.__setattr__(self, "qs", qs)
+        object.__setattr__(self, "ms", ms)
 
     @property
     def total_mass(self) -> float:
@@ -123,19 +123,19 @@ class SwitchingRateDistribution:
 
     def cdf(self, q) -> np.ndarray:
         """Right-continuous c.d.f. evaluated at ``q`` (scalar or array)."""
-        cum = np.concatenate(([0.0], np.cumsum(self.ms)))
-        idx = np.searchsorted(self.qs, np.asarray(q, dtype=float), side="right")
-        out = cum[idx]
-        return float(out) if np.ndim(q) == 0 else out
+        points = np.asarray(q, dtype=float)
+        cum = np.concatenate(([0.0], self.ms.cumsum()))
+        out = cum[self.qs.searchsorted(points, side="right")]
+        return float(out) if points.ndim == 0 else out
 
     def integrated_cdf(self, q) -> np.ndarray:
         """Exact integral of the c.d.f. from -inf to ``q``: sum m_k (q - q_k)+."""
-        points = np.atleast_1d(np.asarray(q, dtype=float))
-        cum_m = np.concatenate(([0.0], np.cumsum(self.ms)))
-        cum_qm = np.concatenate(([0.0], np.cumsum(self.ms * self.qs)))
-        idx = np.searchsorted(self.qs, points, side="right")
+        points = np.asarray(q, dtype=float)
+        cum_m = np.concatenate(([0.0], self.ms.cumsum()))
+        cum_qm = np.concatenate(([0.0], (self.ms * self.qs).cumsum()))
+        idx = self.qs.searchsorted(points, side="right")
         out = points * cum_m[idx] - cum_qm[idx]
-        return float(out[0]) if np.ndim(q) == 0 else out
+        return float(out) if points.ndim == 0 else out
 
 
 def flow_distributions(
@@ -303,8 +303,11 @@ def start_sources(
 def reference_level(
     game: AggregateGame, dist: TypeDistribution, protocol: RevisionProtocol, x: BayesianStrategy
 ) -> float:
-    """The aggregate level an escape report starts from: ``start_sources``'s."""
-    return start_sources(game, dist, protocol, x)[0]
+    """The aggregate level an escape report starts from, ``start_sources``'s
+    first value, read without building the sources: the recorded level
+    where ``_continuum_record`` allows it, else the grid aggregate."""
+    record = _continuum_record(game, dist, protocol, x)
+    return aggregate(x) if record is None else record.xbar
 
 
 def aggregate_velocity_from_flows(
@@ -349,20 +352,21 @@ def sosd_compare(
     """
     if not 0.0 <= mass_tol < np.inf:
         raise InputError(f"mass_tol={mass_tol} must be finite and nonnegative")
-    if abs(outflow.total_mass - inflow.total_mass) > mass_tol:
+    mass_gap = abs(outflow.total_mass - inflow.total_mass)
+    if mass_gap > mass_tol:
         raise InputError(
-            f"flow masses differ by {abs(outflow.total_mass - inflow.total_mass):.3g} "
-            f"(tolerance {mass_tol:.3g}); dominance needs an aggregate-equilibrium context"
+            f"flow masses differ by {mass_gap:.3g} (tolerance {mass_tol:.3g}); "
+            f"dominance needs an aggregate-equilibrium context"
         )
-    merged = np.union1d(outflow.qs, inflow.qs)
+    # every atom value of both, in any order and with repeats, which leave
+    # the verdict as it is
+    merged = np.concatenate((outflow.qs, inflow.qs))
     if merged.size == 0:
         return INCOMPARABLE
     diff = outflow.integrated_cdf(merged) - inflow.integrated_cdf(merged)
-    o_weak = bool(np.all(diff <= _STRICT_TOL))
-    i_weak = bool(np.all(diff >= -_STRICT_TOL))
-    if o_weak and np.any(diff < -_STRICT_TOL):
+    if (diff <= _STRICT_TOL).all() and (diff < -_STRICT_TOL).any():
         return O_DOMINATES
-    if i_weak and np.any(diff > _STRICT_TOL):
+    if (diff >= -_STRICT_TOL).all() and (diff > _STRICT_TOL).any():
         return I_DOMINATES
     return INCOMPARABLE
 

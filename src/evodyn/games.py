@@ -64,7 +64,7 @@ class AggregateGame:
         if not (x.min(initial=lo) >= lo and x.max(initial=hi) <= hi):
             raise InputError(f"aggregate {xbar!r} outside evaluation domain [{lo}, {hi}]")
         out = self.slope * x + self.intercept
-        return float(out) if np.ndim(xbar) == 0 else out
+        return float(out) if x.ndim == 0 else out
 
 
 def affine_game(a: float, b: float) -> AggregateGame:
@@ -117,8 +117,9 @@ class TypeDistribution:
 
     def cdf(self, theta: ArrayLike) -> ArrayLike:
         lo, hi = self.support
-        out = _clamp(self._cdf(_clamp(np.asarray(theta, dtype=float), lo, hi)), 0.0, 1.0)
-        return float(out) if np.ndim(theta) == 0 else out
+        t = np.asarray(theta, dtype=float)
+        out = _clamp(self._cdf(_clamp(t, lo, hi)), 0.0, 1.0)
+        return float(out) if t.ndim == 0 else out
 
     def inverse_cdf(self, u: ArrayLike) -> ArrayLike:
         arr = np.asarray(u, dtype=float)
@@ -131,14 +132,14 @@ class TypeDistribution:
             where = f" at index {index}" if index else ""
             raise InputError(f"quantile argument {float(arr.flat[k])!r}{where} outside [0, 1]")
         out = self._inverse_cdf(arr)
-        return float(out) if np.ndim(u) == 0 else out
+        return float(out) if arr.ndim == 0 else out
 
     def pdf(self, theta: ArrayLike) -> ArrayLike:
         lo, hi = self.support
         t = np.asarray(theta, dtype=float)
         inside = (t >= lo) & (t <= hi)
         out = np.where(inside, self._pdf(np.where(inside, t, lo)), 0.0)
-        return float(out) if np.ndim(theta) == 0 else out
+        return float(out) if t.ndim == 0 else out
 
     def quantile_slope_levels(self, slope: float) -> np.ndarray:
         """Ascending levels u in [0, 1] where Pinv'(u) = ``slope``.

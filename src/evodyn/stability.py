@@ -61,6 +61,7 @@ from .equilibria import (
     _ROOT_TOL,
     _SECTIONS,
     STABLE,
+    _insert_sorted,
     _narrow,
     find_aggregate_equilibria,
 )
@@ -109,6 +110,12 @@ def _cutoff_deficit(game: AggregateGame, dist: TypeDistribution, xs):
     return common, cutoff, common - cutoff
 
 
+# per row of a scan (decrease, then increase): the sign of the cut-off
+# type's gain from moving, and the corner level
+_SIGN = np.array([[-1.0], [1.0]])
+_CORNER = np.array([[1.0], [0.0]])
+
+
 def _certify(game, dist, protocol, xs):
     """Evaluate both directions' certificates at every level of the array ``xs``.
 
@@ -126,14 +133,17 @@ def _certify(game, dist, protocol, xs):
     alone: it holds where the gap lhs - max(min(rhs, saturation), 0) is
     >= 0, which also covers the clamped branch.  The gap is continuous in
     the level.
+
+    Besides F and Pinv, a call makes 11 array operations (and the two
+    ``asarray`` of ``_cutoff_deficit``) whatever the number of levels: the
+    per-row constants are module arrays, and the extreme types enter by one
+    outer difference, ``support - F``.
     """
     common, cutoff, deficit = _cutoff_deficit(game, dist, xs)
-    # per row: sign of the cut-off type's gain from moving, extreme type, corner level
-    sign, extreme, corner_level = np.array([[-1.0, 1.0], dist.support, [1.0, 0.0]])[..., None]
-    lhs = sign * deficit
-    rhs = sign * (extreme - common)
+    lhs = _SIGN * deficit
+    rhs = _SIGN * np.subtract.outer(dist.support, common)
     gap = lhs - np.maximum(np.minimum(rhs, protocol.saturation), 0.0)
-    member = (lhs > 0.0) & ((xs == corner_level) | (gap >= 0.0))
+    member = (lhs > 0.0) & ((xs == _CORNER) | (gap >= 0.0))
     return member, gap, lhs, rhs, common, cutoff
 
 
@@ -152,7 +162,7 @@ def _certificate_at(game, dist, protocol, xbar: float, direction: str):
         branch, reason = BRANCH_CLAMPED, clamped_reason
     else:
         branch, argmax = BRANCH_RATES, dist.support[row]
-        rates = (protocol.rate(lhs), protocol.rate(rhs))
+        rates = tuple(protocol.rate(np.array((lhs, rhs))).tolist())
         verdict = "holds" if is_member else "fails"
         reason = (f"{lhs_name} {rates[0]:.6g} vs {rhs_name} {rates[1]:.6g} "
                   f"at theta={argmax:.6g}: {verdict}")
@@ -232,34 +242,40 @@ def critical_mass_sets(
     return _sets(game, dist, protocol)
 
 
+_CELLS = _SECTIONS**2
+# the certified-set scan's levels, between two pads: a copy of 0 first and a
+# copy of 1 last; decrease levels lie in (0, 1] and increase levels in
+# [0, 1), and neither pad is a member
+_SET_LEVELS = np.concatenate(([0.0, 0.0, math.nextafter(0.0, 1.0)], np.arange(1, _CELLS) / _CELLS,
+                              [math.nextafter(1.0, 0.0), 1.0, 1.0]))
+_SET_DOMAIN = np.array([_SET_LEVELS > 0.0, _SET_LEVELS < 1.0])
+_SET_DOMAIN[:, [0, -1]] = False
+
+
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def _sets(game, dist, protocol) -> CriticalMassReport:
-    cells = _SECTIONS**2
-    # the levels, between two pads: a copy of 0 first and a copy of 1 last
-    xs = np.concatenate(([0.0, 0.0, math.nextafter(0.0, 1.0)], np.arange(1, cells) / cells,
-                         [math.nextafter(1.0, 0.0), 1.0, 1.0]))
-    scan = _certify(game, dist, protocol, xs)[:2]
+    xs = _SET_LEVELS
+    member, gap = _certify(game, dist, protocol, xs)[:2]
+    member &= _SET_DOMAIN
     # a run or a gap narrower than a cell shows as a discrete extremum of its
     # row's gap that lies within the second difference of 0: the vertex of
     # the parabola through it and its two neighbours (as in the equilibrium
-    # search) joins the levels
-    d = np.diff(scan[1][:, 2:-2])
+    # search) joins the levels; vertices lie within half a cell of a scan
+    # level inside [1/_CELLS, 1 - 1/_CELLS], so inside the domain
+    inner = gap[:, 2:-2]
+    d = inner[:, 1:] - inner[:, :-1]
     row, turn = np.nonzero((d[:, :-1] * d[:, 1:] < 0.0) & (
-        np.abs(scan[1][:, 3:-3]) <= np.abs(np.diff(d))))
+        np.abs(gap[:, 3:-3]) <= np.abs(d[:, 1:] - d[:, :-1])))
     if turn.size:
         d1, d2 = d[row, turn], d[row, turn + 1]
-        vertices = np.sort(xs[turn + 3] + 0.5 / cells * (d1 + d2) / (d1 - d2))
-        at = np.searchsorted(xs, vertices)
-        xs = np.insert(xs, at, vertices)
-        scan = [np.insert(full, at, part, axis=1) for full, part in zip(
-            scan, _certify(game, dist, protocol, vertices))]
-    member, gap = scan
-    # decrease levels lie in (0, 1] and increase levels in [0, 1); each run
-    # of member levels starts and ends next to a non-member level, which for
-    # a run that reaches a domain end is a pad or the excluded level one
-    # double away, so that end is not narrowed
-    member &= np.array([xs > 0.0, xs < 1.0])
-    member[:, [0, -1]] = False
+        vertices = np.sort(xs[turn + 3] + 0.5 / _CELLS * (d1 + d2) / (d1 - d2))
+        at = xs.searchsorted(vertices)
+        xs = _insert_sorted(xs, at, vertices)
+        member, gap = (_insert_sorted(full, at, part) for full, part in zip(
+            (member, gap), _certify(game, dist, protocol, vertices)))
+    # each run of member levels starts and ends next to a non-member level,
+    # which for a run that reaches a domain end is a pad or the excluded
+    # level one double away, so that end is not narrowed
     row, cell = np.nonzero(member[:, 1:] != member[:, :-1])
     inside = cell + member[row, cell + 1]
     outside = 2 * cell + 1 - inside
@@ -321,7 +337,7 @@ def _side_sup(game, dist, lo: float, hi: float, sign: float):
     levels = dist.quantile_slope_levels(game.slope)
     xs = np.concatenate(([lo], levels[(levels > lo) & (levels < hi)], [hi]))
     deficit = np.maximum(sign * _cutoff_deficit(game, dist, xs)[2], 0.0)
-    best = int(np.argmax(deficit))
+    best = int(deficit.argmax())
     return float(deficit[best]), float(xs[best])
 
 
@@ -378,7 +394,12 @@ def select_most_robust(
 ) -> RobustnessReport:
     """Pick the stable equilibrium with the largest overall threshold.
 
-    Exact ties are reported as a tie with no selection.
+    Thresholds within an absolute 1e-9 of the largest count as a tie, which
+    is reported with no selection.  So every game whose two ``overall``
+    values cross inside that band reports a tie, not only the game where
+    they are equal: on the canonical family (affine F = a x + b on
+    sqrt-shift types) that is b within 5e-10 of the crossing b*(a), measured
+    at a = 2.45, 2.7 and 3.
     """
     stable = find_aggregate_equilibria(game, dist).stable
     if not stable:

@@ -39,6 +39,7 @@ from evodyn import (
     start_sources,
     vector_field,
 )
+from evodyn.cli import main
 from evodyn.composition import (
     BalancedRecord,
     BayesianStrategy,
@@ -854,6 +855,46 @@ def test_start_sources_read_a_cutoff_start_at_its_level(
     assert np.float64(xbar_ref).tobytes() == np.float64(level).tobytes()
     g = float(dist.cdf(game.payoff(level))) - level
     assert abs(inflow.total_mass - outflow.total_mass - g) <= 1e-15
+
+
+@pytest.mark.parametrize("protocol", [power_protocol(3), power_protocol(2.5)],
+                         ids=["integer-k", "fractional-k"])
+@pytest.mark.parametrize("start", ["sorted", "reversed", "balanced", "custom"])
+def test_reference_level_is_the_start_sources_level(canon_game, canon_dist, grid2000,
+                                                    protocol, start):
+    # the level alone, bit for bit the one start_sources reads with the
+    # sources: the recorded level under an integer k, the grid aggregate
+    # under a fractional k and for a start no constructor recorded
+    x0 = {
+        "sorted": lambda: sorted_composition(grid2000, 0.25),
+        "reversed": lambda: reversed_composition(grid2000, canon_dist, 0.25),
+        "balanced": lambda: balanced_composition(grid2000, canon_dist, canon_game, 0.25,
+                                                 0.2, 0.3),
+        "custom": lambda: random_composition(grid2000, 0.25, np.random.default_rng(5)),
+    }[start]()
+    level = evodyn.flows.reference_level(canon_game, canon_dist, protocol, x0)
+    expected = start_sources(canon_game, canon_dist, protocol, x0)[0]
+    assert np.float64(level).tobytes() == np.float64(expected).tobytes()
+    recorded = x0.construction is not None and protocol.k == 3
+    assert level == (0.25 if recorded else aggregate(x0))
+
+
+@pytest.mark.parametrize("overrides, built", [
+    ((), "_continuum_sources"),
+    (("--override", "protocol.k=2.5"), "flow_distributions"),
+], ids=["continuum-sources", "grid-atoms"])
+def test_cli_escape_builds_the_start_sources_once(monkeypatch, tmp_path, overrides, built):
+    builds = []
+    for name in ("_continuum_sources", "flow_distributions"):
+        def counting(*args, _inner=getattr(evodyn.flows, name), _name=name):
+            builds.append(_name)
+            return _inner(*args)
+
+        monkeypatch.setattr(evodyn.flows, name, counting)
+    config = Path(__file__).parents[1] / "configs" / "entry_sqrt.ini"
+    assert main(["escape", "--config", str(config), "--out", str(tmp_path / "out"),
+                 *overrides]) == 0
+    assert builds == [built]
 
 
 def balanced_decay(game, dist, protocol, x0, nodes=evodyn.flows._QUADRATURE_NODES):

@@ -8,6 +8,8 @@ Closed-form oracles for the canonical game:
   equilibrium is (0, (2.9 - sqrt(8.01))/2].
 """
 
+import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -22,14 +24,18 @@ from evodyn import (
     TruncatedLogisticTypes,
     UniformTypes,
     affine_game,
+    aggregate_best_response,
     bounded_power_protocol,
     critical_mass_sets,
+    escape_certificate,
     find_aggregate_equilibria,
     integrate,
     is_critical_mass_decrease,
     is_critical_mass_increase,
     linear_coordination_game,
+    make_grid,
     power_protocol,
+    reversed_composition,
     risk_dominant_action,
     robustness_threshold,
     select_most_robust,
@@ -474,6 +480,36 @@ def test_selection_is_risk_dominance_on_linear_coordination_games(c, mu, s):
     assert (report.selected == stable[1].xbar) == (c + mu < 0.5)
 
 
+@settings(max_examples=20, deadline=None)
+@given(mu=st.floats(-0.1, 0.1), s=st.floats(0.02, 0.1))
+@example(mu=0.02, s=0.1)
+def test_selection_boundary_is_one_half_less_mu(mu, s):
+    """Bisected on c, the level where the two stable equilibria of F = x - c
+    under logistic(mu, s) types swap selection is 1/2 - mu to 1e-12.  The
+    bracket is 1/2 - mu +- 0.03, where every game drawn here has two stable
+    equilibria; +- 0.2 is too wide (near c = 0.28 the game at (0.02, 0.1) has
+    one), and nothing is assumed of the sign of the difference beyond the
+    bracket's ends."""
+    dist = TruncatedLogisticTypes(mu=mu, s=s)
+
+    def low_leads(c: float) -> bool:  # the lower equilibrium's overall is larger
+        entries = select_most_robust(linear_coordination_game(c), dist).entries
+        assert len(entries) == 2
+        return entries[0].overall > entries[1].overall
+
+    lo, hi = 0.5 - mu - 0.03, 0.5 - mu + 0.03
+    low_leads_at_lo = low_leads(lo)
+    assert low_leads(hi) != low_leads_at_lo
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        if low_leads(mid) == low_leads_at_lo:
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    assert abs(mid - (0.5 - mu)) <= 1e-12
+
+
 class TestSelection:
     def test_canonical_selection(self, canon_game, canon_dist):
         report = select_most_robust(canon_game, canon_dist)
@@ -524,3 +560,77 @@ def test_risk_dominance():
         risk_dominant_action(0.5)
     with pytest.raises(InputError):
         risk_dominant_action(1.2)
+
+
+# -- the certify pipeline's bits ---------------------------------------------
+
+def draw_coordination_game(rng, affine: bool):
+    """A random game of coordination shape (stable low, unstable, stable
+    high), drawn as the ``certify`` benchmark draws it: an affine game on
+    sqrt-shift types under d^k, k in {2, 3, 4}, or a linear coordination game
+    on logistic types under bounded_power, screened on 2,001 levels."""
+    if affine:
+        while True:
+            a, b = rng.uniform(2.3, 2.7), rng.uniform(-0.08, -0.03)
+            if (a - 2.0) ** 2 + 4.0 * b > 0.0:
+                return affine_game(a, b), SqrtShiftTypes(), power_protocol(int(rng.choice([2, 3, 4])))
+    xs = np.linspace(0.0, 1.0, 2001)
+    while True:
+        c, s = rng.uniform(0.15, 0.85), rng.uniform(0.03, 0.08)
+        game, dist = linear_coordination_game(c), TruncatedLogisticTypes(mu=0.0, s=s)
+        g = np.asarray(aggregate_best_response(game, dist, xs)) - xs
+        if g[xs < c].min() < 0.0 and g[xs > c].max() > 0.0:
+            return game, dist, bounded_power_protocol(int(rng.choice([2, 3])),
+                                                      rng.uniform(0.01, 0.2))
+
+
+def certify_pipeline_digest(games) -> str:
+    """SHA-256 over every bit the certify pipeline reports on ``games``: the
+    equilibria, the critical-mass sets and basins, the thresholds and the
+    selection, and, from the reversed start at the highest interior stable
+    equilibrium, the decrease certificate of the largest certified level
+    below it and the escape report (dominance, crossing time, 2,000 bound
+    samples)."""
+    digest = hashlib.sha256()
+
+    def put(*values):
+        for v in values:
+            digest.update((v.hex() if isinstance(v, float) else repr(v)).encode() + b";")
+
+    for game, dist, protocol in games:
+        eqs = find_aggregate_equilibria(game, dist)
+        for e in eqs.equilibria:
+            put(e.xbar, e.stability, e.basin_lo, e.basin_hi)
+        cms = critical_mass_sets(game, dist, protocol)
+        for intervals in (cms.decrease_intervals, cms.increase_intervals):
+            put(len(intervals), *(end for interval in intervals for end in interval))
+        for basin in cms.basins:
+            put(basin.xbar_star, basin.lo, basin.hi)
+        robust = select_most_robust(game, dist)
+        for e in robust.entries:
+            put(*dataclasses.astuple(e))
+        put(robust.selected, robust.tie)
+        interior = [e.xbar for e in eqs.stable if 0.0 < e.xbar < 1.0]
+        below = [hi for _, hi in cms.decrease_intervals if interior and hi < max(interior)]
+        if not below:
+            put(None)
+            continue
+        xbar_star, dagger = max(interior), max(below)
+        put(*dataclasses.astuple(is_critical_mass_decrease(game, dist, protocol, dagger)[1]))
+        x0 = reversed_composition(make_grid(dist, 4000), dist, xbar_star)
+        escape = escape_certificate(game, dist, protocol, x0, dagger)
+        put(escape.dominance, escape.crossing_time)
+        digest.update(escape.bound.tobytes())
+    return digest.hexdigest()
+
+
+# recorded before the certificate kernels lost their fixed per-call cost;
+# every bit above must survive any change to how they are evaluated, on any
+# BLAS thread count
+CERTIFY_SHA256 = "238c666f2acccdb52f2afcf9420467770b63dd4b7a0ec8d552e19fdb95b72f17"
+
+
+def test_certify_pipeline_matches_pinned_hash():
+    rng = np.random.default_rng(20261021)
+    games = [draw_coordination_game(rng, affine=i % 2 == 0) for i in range(24)]
+    assert certify_pipeline_digest(games) == CERTIFY_SHA256
