@@ -259,7 +259,11 @@ class TruncatedLogisticTypes(TypeDistribution):
         return _clamp(self.mu + self.s * (np.log(v) - np.log1p(-v)), lo, hi)
 
     def _pdf(self, t):
-        sigma = self._base_cdf(t)
+        # read on the lower half, z <= 0, where 1 - sigma does not cancel: above
+        # mu it would lose ~1e-16 / (1 - sigma) relative (1e-12 at z = 9) and
+        # break p(mu - d) = p(mu + d), which the balanced band's check relies on
+        z = -np.abs((np.asarray(t, dtype=float) - self.mu) / self.s)
+        sigma = 1.0 / (1.0 + np.exp(-z))
         return sigma * (1.0 - sigma) / (self.s * self._z)
 
     def _quantile_slope_levels(self, slope):

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evodyn import (
@@ -279,6 +279,8 @@ class TestBalancedComposition:
     room=st.floats(1e-3, 1.0),
     factor=st.floats(0.9, 1.1),
 )
+# t* = mu: the logistic density read above mu put the sampled ratio at 1 + 1.2e-12
+@example(family="logistic", level=0.5, room=0.75, factor=1.0625)
 def test_kappa_check_matches_the_sampled_density_ratio(family, level, room, factor):
     # the check reads the density ratio at the band's end; a scan of 4,096
     # deficits in (0, pimax], its former form, is the oracle.  The level

@@ -250,7 +250,11 @@ def _oracle_pdf(dist, theta):
         out = np.where(inside, 0.5 / np.sqrt(np.where(inside, t, 0.0) + 1.0), 0.0)
     else:
         _, z = _oracle_logistic_mass(dist)
-        sigma = _oracle_logistic_base(dist, np.where(inside, t, dist.mu))
+        # the one deliberate change: sigma (1 - sigma) is read at -|z|, where
+        # 1 - sigma does not cancel, so that p(mu + d) = p(mu - d); at
+        # theta <= mu these are the former bits
+        dev = (np.where(inside, t, dist.mu) - dist.mu) / dist.s
+        sigma = 1.0 / (1.0 + np.exp(np.abs(dev)))
         out = np.where(inside, sigma * (1.0 - sigma) / (dist.s * z), 0.0)
     return float(out) if np.ndim(theta) == 0 else out
 
@@ -337,6 +341,19 @@ def test_logistic_rejects_a_truncation_past_the_range_of_exp():
             TruncatedLogisticTypes(0.0, 1.0, tau=800.0)
         dist = TruncatedLogisticTypes(0.0, 1.0, tau=709.78)  # just inside the range
         assert (dist.cdf(-709.78), dist.cdf(0.0), dist.cdf(709.78)) == (0.0, 0.5, 1.0)
+
+
+def test_logistic_density_is_mirror_symmetric_to_rounding():
+    # p(mu - d) = p(mu + d); sigma (1 - sigma) read above mu cancels in
+    # 1 - sigma and was 1.2e-12 off at d = 0.89 here, so the density is read
+    # on the lower half.  Below mu it keeps the c.d.f.'s sigma bit for bit
+    dist = TruncatedLogisticTypes(0.2, 0.1)
+    d = np.linspace(0.0, dist.tau, 4097)
+    ratio = dist.pdf(dist.mu - d) / dist.pdf(dist.mu + d)
+    assert np.abs(ratio - 1.0).max() <= 1e-14
+    t = dist.mu - d
+    sigma = dist._base_cdf(t)
+    assert np.array_equal(dist.pdf(t), sigma * (1.0 - sigma) / (dist.s * dist._z))
 
 
 # -- domain checks: one min/max pair and a min/max clamp ----------------------
