@@ -57,10 +57,9 @@ block's dot runs on one OpenBLAS thread (a ddot of more than 10,000 elements
 is split across threads, whose partial sums land in another order), so the
 bits do not depend on the BLAS thread count.  A grid of one block, every
 bundled and tested one, makes the one dot of all its nodes, with no slice
-and no loop.  A larger grid dots only the blocks that reach into the live
-spans: the blocks of 1s below a fold to a prefix computed once, and the
-blocks of zeros in the hole and past b are dropped (``_window_dot``).  The
-sum keeps the fold's bits.
+and no loop.  A larger grid drops the blocks of zeros in the hole and past
+b and dots every other block, those of the leading 1s included
+(``_window_dot``).  The sum keeps the fold's bits.
 
 Off the spans the stage keeps x's bits and the velocity sums stay zero (the
 full step's -0 above the cut never reaches x: +0 + -0 = +0), so a span that
@@ -252,31 +251,25 @@ _Field = Callable[[np.ndarray, np.ndarray], float]
 
 def _window_dot(weights: np.ndarray, window: list[int]) -> Callable[[np.ndarray], float]:
     """``dot(values)``: ``composition.blocked_dot(weights, values)`` for a
-    state that holds 1s on [0, a) and +0 on the hole [h0, h1) and on [b, n),
-    with ``window = [a, h0, h1, b]`` read at each call.
+    state that holds +0 on the hole [h0, h1) and on [b, n), with
+    ``window = [a, h0, h1, b]`` read at each call.
 
-    The blocks wholly in [0, a) fold to a prefix taken from their dots on
-    blocks of ones; the blocks wholly in the hole or in [b, n) dot to +-0 and
-    are dropped (the fold's partial sums are never -0, and S + +-0 = S for
-    any other S); only the others are dotted.  The prefix and the blocks to
-    dot are worked out again when the window has changed since the last call.
+    The blocks wholly in the hole or in [b, n) dot to +-0 and are dropped
+    (the fold's partial sums are never -0, and S + +-0 = S for any other
+    S); every other block is dotted, in order.  The blocks to dot are
+    worked out again when the window has changed since the last call.
     """
     n = weights.size
     blocks = [(i, min(i + _BLOCK, n)) for i in range(0, n, _BLOCK)]
-    ones = [float(weights[i:j].dot(np.ones(j - i))) for i, j in blocks]
-    seen, prefix, live = None, 0.0, []
+    seen, live = None, []
 
     def dot(values: np.ndarray) -> float:
-        nonlocal seen, prefix, live
+        nonlocal seen, live
         if window != seen:
-            seen, (a, h0, h1, b) = window.copy(), window
-            prefix, live = 0.0, []
-            for (i, j), one_dot in zip(blocks, ones):
-                if j <= a:
-                    prefix += one_dot
-                elif i < b and not h0 <= i < j <= h1:
-                    live.append((weights[i:j].dot, i, j))
-        xbar = prefix
+            seen, (_, h0, h1, b) = window.copy(), window
+            live = [(weights[i:j].dot, i, j) for i, j in blocks
+                    if i < b and not h0 <= i < j <= h1]
+        xbar = 0.0
         for block_dot, i, j in live:
             xbar += float(block_dot(values[i:j]))
         return xbar

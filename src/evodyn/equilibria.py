@@ -5,7 +5,9 @@ of g(xbar) = P(F(xbar)) - xbar on [0, 1] (with the c.d.f. clamped at the
 support, so corners where F leaves the support qualify).  g is read on a
 uniform grid of levels and at the vertex of the parabola through each
 discrete extremum of that scan (where consecutive differences of g change
-sign) and its two neighbours, so g is monotone between consecutive levels
+sign) and its two neighbours, where the extremum lies within its second
+difference plus 1e-12 of 0 (``_vertices``, the certified-set scan's vertex
+rule too), so g keeps its sign or is monotone between consecutive levels
 wherever the scan resolves its turns (Brent 1973, ch. 4).  A level where
 |g| <= 1e-12 is a root.  Every other sign change of g between two levels is
 narrowed, all at once, by ``_narrow``, the bracket kernel that also narrows
@@ -179,6 +181,29 @@ def _insert_sorted(arr, at, values):
     return np.concatenate(pieces, axis=-1)
 
 
+def _vertices(xs, values, cells: int):
+    """The sorted vertex levels of the scan ``values`` (one row or several)
+    at the levels ``xs``, ``cells`` cells per unit (Brent 1973, ch. 4).
+
+    At each discrete extremum of a row (where its consecutive differences
+    change sign) within its second difference plus ``_ROOT_TOL`` of 0, the
+    vertex of the parabola through it and its two neighbours, within half a
+    cell of it, unless it rounds to the scan level.  An extremum farther
+    from 0 shares its sign with both neighbours, all clear of the
+    tolerance, and the parabola's vertex value lies within an eighth of the
+    second difference of it, so its two cells hold no sign change or level
+    root the parabola predicts.  Four calls find the turns; the rest run on
+    the turns only.
+    """
+    d = values[..., 1:] - values[..., :-1]
+    *row, turn = (d[..., :-1] * d[..., 1:] < 0.0).nonzero()
+    d_below, d_above = d[(*row, turn)], d[(*row, turn + 1)]
+    at_turns = xs[turn + 1]
+    keep = np.abs(values[(*row, turn + 1)]) <= np.abs(d_above - d_below) + _ROOT_TOL
+    vertices = at_turns + 0.5 / cells * (d_below + d_above) / (d_below - d_above)
+    return np.sort(vertices[keep & (vertices != at_turns)])
+
+
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def _search(
     game: AggregateGame, dist: TypeDistribution, scan_resolution: float
@@ -188,24 +213,17 @@ def _search(
     Besides g and ``_narrow``, the search makes 10 numpy calls on the whole
     scan (g's differences and their sign changes, g's sign changes and the
     levels where |g| <= 1e-12), two concatenates where there are vertex
-    levels, and about 35 more on the few turns, brackets and roots.  The
+    levels, and about 40 more on the few turns, brackets and roots.  The
     scan levels are built once per resolution (``_scan_levels``).
     """
     m = int(round(1.0 / scan_resolution))
     xs = _scan_levels(m)
     gs = _homogenized_velocity(game, dist, xs)
-    # a vertex level within half a step of each discrete extremum of the scan;
-    # each lies within half a step of its scan level, so they ascend with it
-    d = gs[1:] - gs[:-1]
-    turns = (d[:-1] * d[1:] < 0.0).nonzero()[0] + 1
-    if turns.size:
-        at_turns, d_below, d_above = xs[turns], d[turns - 1], d[turns]
-        vertices = at_turns + 0.5 / m * (d_below + d_above) / (d_below - d_above)
-        vertices = vertices[vertices != at_turns]
-        if vertices.size:
-            at = xs.searchsorted(vertices)
-            gs = _insert_sorted(gs, at, _homogenized_velocity(game, dist, vertices))
-            xs = _insert_sorted(xs, at, vertices)
+    vertices = _vertices(xs, gs, m)
+    if vertices.size:
+        at = xs.searchsorted(vertices)
+        gs = _insert_sorted(gs, at, _homogenized_velocity(game, dist, vertices))
+        xs = _insert_sorted(xs, at, vertices)
 
     def g_at(j: int) -> float | None:  # no level lies beyond [0, 1]
         return float(gs[j]) if 0 <= j < gs.size else None

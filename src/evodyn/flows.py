@@ -300,16 +300,6 @@ def start_sources(
     return (record.xbar, *_continuum_sources(game, dist, protocol, record))
 
 
-def reference_level(
-    game: AggregateGame, dist: TypeDistribution, protocol: RevisionProtocol, x: BayesianStrategy
-) -> float:
-    """The aggregate level an escape report starts from, ``start_sources``'s
-    first value, read without building the sources: the recorded level
-    where ``_continuum_record`` allows it, else the grid aggregate."""
-    record = _continuum_record(game, dist, protocol, x)
-    return aggregate(x) if record is None else record.xbar
-
-
 def aggregate_velocity_from_flows(
     inflow: SwitchingRateDistribution, outflow: SwitchingRateDistribution
 ) -> float:
@@ -328,9 +318,11 @@ def detailed_balance_residual(
     """Sup-distance between the two c.d.f.s over the merged atom values.
 
     Zero iff the distributions coincide, the necessary and sufficient
-    condition for the aggregate to stay at an aggregate equilibrium.
+    condition for the aggregate to stay at an aggregate equilibrium.  The
+    atom values of both are taken in any order and with repeats, which
+    leave the maximum as it is.
     """
-    merged = np.union1d(inflow.qs, outflow.qs)
+    merged = np.concatenate((inflow.qs, outflow.qs))
     if merged.size == 0:
         return 0.0
     return float(np.abs(inflow.cdf(merged) - outflow.cdf(merged)).max())

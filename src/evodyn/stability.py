@@ -63,6 +63,7 @@ from .equilibria import (
     STABLE,
     _insert_sorted,
     _narrow,
+    _vertices,
     find_aggregate_equilibria,
 )
 from .errors import AnalysisError, InputError
@@ -258,17 +259,11 @@ def _sets(game, dist, protocol) -> CriticalMassReport:
     member, gap = _certify(game, dist, protocol, xs)[:2]
     member &= _SET_DOMAIN
     # a run or a gap narrower than a cell shows as a discrete extremum of its
-    # row's gap that lies within the second difference of 0: the vertex of
-    # the parabola through it and its two neighbours (as in the equilibrium
-    # search) joins the levels; vertices lie within half a cell of a scan
-    # level inside [1/_CELLS, 1 - 1/_CELLS], so inside the domain
-    inner = gap[:, 2:-2]
-    d = inner[:, 1:] - inner[:, :-1]
-    row, turn = np.nonzero((d[:, :-1] * d[:, 1:] < 0.0) & (
-        np.abs(gap[:, 3:-3]) <= np.abs(d[:, 1:] - d[:, :-1])))
-    if turn.size:
-        d1, d2 = d[row, turn], d[row, turn + 1]
-        vertices = np.sort(xs[turn + 3] + 0.5 / _CELLS * (d1 + d2) / (d1 - d2))
+    # row's gap near 0, where the equilibrium search's vertex rule adds a
+    # level; vertices lie within half a cell of a scan level inside
+    # [1/_CELLS, 1 - 1/_CELLS], so inside the domain
+    vertices = _vertices(xs[2:-2], gap[:, 2:-2], _CELLS)
+    if vertices.size:
         at = xs.searchsorted(vertices)
         xs = _insert_sorted(xs, at, vertices)
         member, gap = (_insert_sorted(full, at, part) for full, part in zip(

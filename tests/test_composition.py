@@ -284,7 +284,10 @@ class TestBalancedComposition:
 def test_kappa_check_matches_the_sampled_density_ratio(family, level, room, factor):
     # the check reads the density ratio at the band's end; a scan of 4,096
     # deficits in (0, pimax], its former form, is the oracle.  The level
-    # puts t* on either side of the logistic's mu
+    # puts t* on either side of the logistic's mu.  The probe types are
+    # clamped into the support, as the check clamps the band's ends: at
+    # room = 1, t* + pimax may pass the support end by rounding, where the
+    # density is 0
     dist = {
         "uniform": UniformTypes(-0.5, 1.5),
         "sqrt-shift": SqrtShiftTypes(),
@@ -294,7 +297,8 @@ def test_kappa_check_matches_the_sampled_density_ratio(family, level, room, fact
     lo, hi = dist.support
     pimax = room * min(t_star - lo, hi - t_star)
     probe = np.linspace(0.0, pimax, 4097)[1:]
-    worst = float((dist.pdf(t_star - probe) / dist.pdf(t_star + probe)).max())
+    low, high = (dist.pdf(np.clip(t_star + sign * probe, lo, hi)) for sign in (-1.0, 1.0))
+    worst = float((low / high).max())
     kappa = min(factor / worst, 1.0)
     game = affine_game(1.0, t_star - level)  # F(level) = t*: an equilibrium
     grid = make_grid(dist, 200)

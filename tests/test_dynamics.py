@@ -833,8 +833,9 @@ def test_bisected_cut_matches_searchsorted(nodes, data):
 ])
 def test_window_dot_reads_only_the_blocks_that_can_move(window):
     # on a state frozen as the window says, the field's aggregate has
-    # blocked_dot's bits and reads no block wholly in the frozen parts;
-    # moving the window makes its dot read them again
+    # blocked_dot's bits and reads no block wholly in the hole or past b;
+    # moving the window makes its dot read them again.  The blocks of
+    # leading 1s are dotted like any other
     n, block = 40000, dynamics._BLOCK
     grid = make_grid(UniformTypes(0.0, 1.0), n)
     weights = grid.weights
@@ -844,7 +845,7 @@ def test_window_dot_reads_only_the_blocks_that_can_move(window):
     poisoned = values.copy()
     for i in range(0, n, block):
         j = min(i + block, n)
-        if j <= a or h0 <= i < j <= h1 or b <= i:
+        if h0 <= i < j <= h1 or b <= i:
             poisoned[i:j] = np.nan
     expected = np.float64(blocked_dot(weights, values)).tobytes()
     # F is a node's type inside [a, h0), so the call leaves the window as it is

@@ -152,7 +152,7 @@ def test_random_compositions_settle_toward_stationarity(canon_game, canon_dist, 
         assert near_eq or abs(velocity) <= 1e-3
 
 
-# -- the lockstep narrowing against one bracket at a time ----------------------
+# -- the narrowing of all brackets at once against one at a time --------------
 
 def _narrow_one(g, a: float, g_a: float, b: float, g_b: float) -> float:
     """Narrow one sign-change bracket of g as the kernel does: each round
@@ -271,7 +271,7 @@ coordination_cases = st.tuples(
               st.floats(min_value=-0.3, max_value=0.3), st.floats(min_value=0.02, max_value=0.3)),
 )
 # a sigmoid far from linear across a scan cell: the regula-falsi guess from
-# the cell's ends is poor, so the search needs more speculative rounds
+# the cell's ends is poor, so a bracket needs more narrowing rounds
 steep_cases = st.tuples(
     st.builds(linear_coordination_game, st.floats(min_value=0.05, max_value=0.95)),
     st.builds(lambda mu, s: TruncatedLogisticTypes(mu=mu, s=s),
@@ -311,7 +311,7 @@ steep_cases = st.tuples(
 # P(F(x)) = x up to rounding: g is noise of about 5e-11, and every scan cell
 # holds many sign changes
 @example(case=(affine_game(1e-6, 0.25), UniformTypes(0.25, 0.250001)), scan_resolution=1e-4)
-def test_lockstep_search_matches_scalar_search(case, scan_resolution):
+def test_search_matches_scalar_search(case, scan_resolution):
     game, dist = case
     report = find_aggregate_equilibria(game, dist, scan_resolution)
     oracle, narrowed = scalar_search(game, dist, scan_resolution)

@@ -39,7 +39,6 @@ from evodyn import (
     start_sources,
     vector_field,
 )
-from evodyn.cli import main
 from evodyn.composition import (
     BalancedRecord,
     BayesianStrategy,
@@ -555,7 +554,7 @@ def continuum_sources(game, dist, protocol, x0, nodes=evodyn.flows._QUADRATURE_N
 def quadrature_bound(game, dist, protocol, x0, nodes=evodyn.flows._QUADRATURE_NODES):
     """The frozen-rate bound of ``x0``'s continuum sources, from the level
     its escape report starts at."""
-    xbar_star = evodyn.flows.reference_level(game, dist, protocol, x0)
+    xbar_star = start_sources(game, dist, protocol, x0)[0]
     sources = continuum_sources(game, dist, protocol, x0, nodes)
     assert sources is not None
     return bound_trajectory(*sources, xbar_star, CERTIFY_TIMES)
@@ -701,7 +700,7 @@ class TestAtomRouting:
             else reversed_composition(grid, dist, 1.0)
         )
         assert aggregate(x0) > 1.0
-        assert evodyn.flows.reference_level(game, dist, protocol, x0) == 1.0
+        assert start_sources(game, dist, protocol, x0)[0] == 1.0
         levels = critical_mass_sets(game, dist, protocol).decrease_intervals
         xbar_dagger = max(hi for _, hi in levels if hi < 1.0)
         report = escape_certificate(game, dist, protocol, x0, xbar_dagger)
@@ -862,9 +861,10 @@ def test_start_sources_read_a_cutoff_start_at_its_level(
 @pytest.mark.parametrize("start", ["sorted", "reversed", "balanced", "custom"])
 def test_reference_level_is_the_start_sources_level(canon_game, canon_dist, grid2000,
                                                     protocol, start):
-    # the level alone, bit for bit the one start_sources reads with the
-    # sources: the recorded level under an integer k, the grid aggregate
-    # under a fractional k and for a start no constructor recorded
+    # the reference level start_sources reads (flows.json's xbar_ref and
+    # escape.json's xbar_star): the recorded level under an integer k, the
+    # grid aggregate under a fractional k and for a start no constructor
+    # recorded
     x0 = {
         "sorted": lambda: sorted_composition(grid2000, 0.25),
         "reversed": lambda: reversed_composition(grid2000, canon_dist, 0.25),
@@ -872,29 +872,10 @@ def test_reference_level_is_the_start_sources_level(canon_game, canon_dist, grid
                                                  0.2, 0.3),
         "custom": lambda: random_composition(grid2000, 0.25, np.random.default_rng(5)),
     }[start]()
-    level = evodyn.flows.reference_level(canon_game, canon_dist, protocol, x0)
-    expected = start_sources(canon_game, canon_dist, protocol, x0)[0]
-    assert np.float64(level).tobytes() == np.float64(expected).tobytes()
+    level = start_sources(canon_game, canon_dist, protocol, x0)[0]
     recorded = x0.construction is not None and protocol.k == 3
-    assert level == (0.25 if recorded else aggregate(x0))
-
-
-@pytest.mark.parametrize("overrides, built", [
-    ((), "_continuum_sources"),
-    (("--override", "protocol.k=2.5"), "flow_distributions"),
-], ids=["continuum-sources", "grid-atoms"])
-def test_cli_escape_builds_the_start_sources_once(monkeypatch, tmp_path, overrides, built):
-    builds = []
-    for name in ("_continuum_sources", "flow_distributions"):
-        def counting(*args, _inner=getattr(evodyn.flows, name), _name=name):
-            builds.append(_name)
-            return _inner(*args)
-
-        monkeypatch.setattr(evodyn.flows, name, counting)
-    config = Path(__file__).parents[1] / "configs" / "entry_sqrt.ini"
-    assert main(["escape", "--config", str(config), "--out", str(tmp_path / "out"),
-                 *overrides]) == 0
-    assert builds == [built]
+    expected = 0.25 if recorded else aggregate(x0)
+    assert np.float64(level).tobytes() == np.float64(expected).tobytes()
 
 
 def balanced_decay(game, dist, protocol, x0, nodes=evodyn.flows._QUADRATURE_NODES):
@@ -960,7 +941,7 @@ class TestBalancedQuadrature:
         # residual of 1.6e-6, which a start reading its own aggregate fails
         x0 = balanced_composition(grid2000, canon_dist, canon_game, 0.25, 0.2, 0.3)
         assert abs(aggregate(x0) - 0.25) > 7e-5
-        assert evodyn.flows.reference_level(canon_game, canon_dist, protocol, x0) == 0.25
+        assert start_sources(canon_game, canon_dist, protocol, x0)[0] == 0.25
         report = escape_certificate(canon_game, canon_dist, protocol, x0, 0.03)
         inflow, outflow = continuum_sources(canon_game, canon_dist, protocol, x0)
         # the reflection about t* maps the outflow band onto the inflow band
@@ -1009,8 +990,7 @@ class TestBalancedQuadrature:
             # the grid atoms describe the grid aggregate, so the report
             # starts from it, as for any other composition
             xbar_star = aggregate(x0)
-            assert evodyn.flows.reference_level(canon_game, canon_dist, protocol,
-                                                x0) == xbar_star, name
+            assert start_sources(canon_game, canon_dist, protocol, x0)[0] == xbar_star, name
             report = escape_certificate(canon_game, canon_dist, protocol, x0, 0.03)
             inflow, outflow = flow_distributions(canon_game, canon_dist, protocol, x0, xbar_star)
             bound = bound_trajectory(inflow, outflow, xbar_star, CERTIFY_TIMES)

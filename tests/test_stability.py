@@ -584,6 +584,31 @@ def draw_coordination_game(rng, affine: bool):
                                                       rng.uniform(0.01, 0.2))
 
 
+def digest_putter(digest):
+    """``put(*values)``: feed each value to ``digest``, a float by its hex
+    form and anything else by its repr, each followed by a separator."""
+
+    def put(*values):
+        for v in values:
+            digest.update((v.hex() if isinstance(v, float) else repr(v)).encode() + b";")
+
+    return put
+
+
+def put_reports(put, game, dist, protocol):
+    """Put every bit of the equilibrium report and of the critical-mass
+    sets and basins, and return both reports."""
+    eqs = find_aggregate_equilibria(game, dist)
+    for e in eqs.equilibria:
+        put(e.xbar, e.stability, e.basin_lo, e.basin_hi)
+    cms = critical_mass_sets(game, dist, protocol)
+    for intervals in (cms.decrease_intervals, cms.increase_intervals):
+        put(len(intervals), *(end for interval in intervals for end in interval))
+    for basin in cms.basins:
+        put(basin.xbar_star, basin.lo, basin.hi)
+    return eqs, cms
+
+
 def certify_pipeline_digest(games) -> str:
     """SHA-256 over every bit the certify pipeline reports on ``games``: the
     equilibria, the critical-mass sets and basins, the thresholds and the
@@ -592,20 +617,9 @@ def certify_pipeline_digest(games) -> str:
     below it and the escape report (dominance, crossing time, 2,000 bound
     samples)."""
     digest = hashlib.sha256()
-
-    def put(*values):
-        for v in values:
-            digest.update((v.hex() if isinstance(v, float) else repr(v)).encode() + b";")
-
+    put = digest_putter(digest)
     for game, dist, protocol in games:
-        eqs = find_aggregate_equilibria(game, dist)
-        for e in eqs.equilibria:
-            put(e.xbar, e.stability, e.basin_lo, e.basin_hi)
-        cms = critical_mass_sets(game, dist, protocol)
-        for intervals in (cms.decrease_intervals, cms.increase_intervals):
-            put(len(intervals), *(end for interval in intervals for end in interval))
-        for basin in cms.basins:
-            put(basin.xbar_star, basin.lo, basin.hi)
+        eqs, cms = put_reports(put, game, dist, protocol)
         robust = select_most_robust(game, dist)
         for e in robust.entries:
             put(*dataclasses.astuple(e))
@@ -634,3 +648,42 @@ def test_certify_pipeline_matches_pinned_hash():
     rng = np.random.default_rng(20261021)
     games = [draw_coordination_game(rng, affine=i % 2 == 0) for i in range(24)]
     assert certify_pipeline_digest(games) == CERTIFY_SHA256
+
+
+def near_tangent_games(rng, count):
+    """``count`` sqrt-shift games a hair from a tangency of g, then three
+    games where g is rounding noise or 0, each under one of four protocols.
+
+    With sqrt-shift types g = 0 is x^2 + (2 - a) x - b = 0, which touches 0
+    at a/2 - 1 when b = -(a/2 - 1)^2; b is moved off it by 10**-e, e in
+    [5, 12], either way, so g has two roots 2 sqrt(10**-e) apart or none,
+    often inside one scan cell, where the scan's turns and their vertex
+    levels decide what is found."""
+    protocols = (power_protocol(3), power_protocol(2.5), standard_protocol(),
+                 bounded_power_protocol(2, 0.05))
+    games = []
+    for i in range(count):
+        a = rng.uniform(2.1, 2.9)
+        b = -(a / 2.0 - 1.0) ** 2 + rng.choice([-1.0, 1.0]) * 10.0 ** -rng.uniform(5.0, 12.0)
+        games.append((affine_game(a, b), SqrtShiftTypes(), protocols[i % 4]))
+    # P(F(x)) = x up to rounding (10,075 reported roots on the first), and g = 0
+    games += [
+        (affine_game(1e-6, 0.0), UniformTypes(0.0, 1e-6), protocols[0]),
+        (affine_game(1e-6, 0.25), UniformTypes(0.25, 0.250001), protocols[1]),
+        (affine_game(1.0, 0.0), UniformTypes(0.0, 1.0), protocols[2]),
+    ]
+    return games
+
+
+# recorded before the two scans shared one vertex rule; the turns whose
+# vertex level each scan keeps must not change what either reports
+NEAR_TANGENT_SHA256 = "18e1c23a4aef6f7c71fc1772468c78d1e2504a399ddfeb54d6603bb883f6790b"
+
+
+def test_near_tangent_reports_match_pinned_hash():
+    digest = hashlib.sha256()
+    put = digest_putter(digest)
+    for game, dist, protocol in near_tangent_games(np.random.default_rng(20261022), 40):
+        eqs, _ = put_reports(put, game, dist, protocol)
+        put(len(eqs.equilibria))
+    assert digest.hexdigest() == NEAR_TANGENT_SHA256
