@@ -36,15 +36,18 @@ keeps certified levels on a basin side as long as pisharp does not exceed
 the largest deficit on that side.  That supremum is exact: the deficit
 F - Pinv is smooth with slope a - Pinv' (a the game's slope), so it peaks
 at an end of the side or at a level where Pinv' = a, which each family
-gives in closed form.  An equilibrium's threshold is the smallest
-supremum over its *inner* sides, those that end at another reported
-equilibrium: they hold the barrier between two basins.  An outer side ends
-at 0 or 1, where the deficit measures how far the type support reaches
-(the truncation of a logistic), so it is reported but does not enter the
-threshold.  A lone stable equilibrium has no inner side and takes the
-smallest supremum over the sides it has.  The equilibrium whose threshold
-is largest survives the longest as pisharp rises; on linear coordination
-games that is the risk-dominant one.
+gives in closed form.  One evaluation of the deficit, on the sorted levels
+0, 1, the reported equilibria and those where Pinv' = a, holds them all:
+a side reads the run between its two ends, found by ``searchsorted``.  An
+equilibrium's threshold is the smallest supremum over its *inner* sides,
+those that end at another reported equilibrium: they hold the barrier
+between two basins.  An outer side ends at 0 or 1, where the deficit
+measures how far the type support reaches (the truncation of a logistic),
+so it is reported but does not enter the threshold.  A lone stable
+equilibrium has no inner side and takes the smallest supremum over the
+sides it has.  The equilibrium whose threshold is largest survives the
+longest as pisharp rises; on linear coordination games that is the
+risk-dominant one.
 """
 
 from __future__ import annotations
@@ -324,16 +327,30 @@ class ThresholdEntry:
     overall: float
 
 
-def _side_sup(game, dist, lo: float, hi: float, sign: float):
-    """Supremum over [lo, hi] of the positive part of sign * (F - Pinv), and
-    the lowest level that attains it: an end or a level where Pinv' = a."""
-    if not hi > lo:
-        return None, None
-    levels = dist.quantile_slope_levels(game.slope)
-    xs = np.concatenate(([lo], levels[(levels > lo) & (levels < hi)], [hi]))
-    deficit = np.maximum(sign * _cutoff_deficit(game, dist, xs)[2], 0.0)
-    best = int(deficit.argmax())
-    return float(deficit[best]), float(xs[best])
+def _thresholds(game, dist, eqs, stable) -> tuple[ThresholdEntry, ...]:
+    """Entries of the ``stable`` equilibria of ``eqs``, read off one deficit pass."""
+    levels = np.sort(np.concatenate(([0.0, 1.0], [e.xbar for e in eqs.equilibria],
+                                     dist.quantile_slope_levels(game.slope))))
+    # the positive part of _certify's lhs: row 0 leaving, row 1 entering
+    gains = np.maximum(_SIGN * _cutoff_deficit(game, dist, levels)[2], 0.0)
+
+    def side(lo, hi, gain):  # the largest gain on [lo, hi] and its lowest level
+        if not hi > lo:
+            return None, None
+        start = levels.searchsorted(lo)
+        best = start + gain[start:levels.searchsorted(hi, "right")].argmax()
+        return float(gain[best]), float(levels[best])
+
+    def entry(eq):
+        left, at_left = side(eq.basin_lo, eq.xbar, gains[1])
+        right, at_right = side(eq.xbar, eq.basin_hi, gains[0])
+        # basins end at the neighbours or at 0 and 1: only a corner lacks a side
+        inner = (left if eq is not eqs.equilibria[0] else None,
+                 right if eq is not eqs.equilibria[-1] else None)
+        sides = [s for s in inner if s is not None] or [s for s in (left, right) if s is not None]
+        return ThresholdEntry(eq.xbar, left, at_left, right, at_right, min(sides))
+
+    return tuple(entry(eq) for eq in stable)
 
 
 def robustness_threshold(
@@ -343,33 +360,15 @@ def robustness_threshold(
 ) -> ThresholdEntry:
     """Side-wise suprema of the cut-off type's payoff deficit over the basin.
 
-    Left of the equilibrium the relevant deficit is F - Pinv (entry pressure
-    toward it); right of it Pinv - F (exit pressure back down).  The overall
-    threshold is the smaller of the inner sides, those that end at another
-    reported equilibrium; an equilibrium with no inner side takes the
-    smaller of the sides it has (corner equilibria have a single side).
-    ``xbar_star`` must be a reported equilibrium of the game's cached
-    equilibrium report.
+    Left of the equilibrium it is F - Pinv (entry pressure toward it), right
+    of it Pinv - F (exit pressure back down); ``overall`` is as in
+    ``ThresholdEntry``.  ``xbar_star`` must be a stable reported equilibrium.
     """
     eqs = find_aggregate_equilibria(game, dist)
     eq = eqs.locate(xbar_star)
     if eq.stability != STABLE:
         raise InputError(f"equilibrium {xbar_star} is {eq.stability}, not stable")
-    left, at_left = _side_sup(game, dist, eq.basin_lo, eq.xbar, +1.0)
-    right, at_right = _side_sup(game, dist, eq.xbar, eq.basin_hi, -1.0)
-    # a stable equilibrium's basin ends at its neighbours, or at 0 and 1, so
-    # every side but a corner's has width and at least one side exists
-    inner = (left if eq is not eqs.equilibria[0] else None,
-             right if eq is not eqs.equilibria[-1] else None)
-    sides = [s for s in inner if s is not None] or [s for s in (left, right) if s is not None]
-    return ThresholdEntry(
-        xbar_star=eq.xbar,
-        threshold_left=left,
-        attained_left=at_left,
-        threshold_right=right,
-        attained_right=at_right,
-        overall=min(sides),
-    )
+    return _thresholds(game, dist, eqs, (eq,))[0]
 
 
 @dataclass(frozen=True)
@@ -389,22 +388,21 @@ def select_most_robust(
 ) -> RobustnessReport:
     """Pick the stable equilibrium with the largest overall threshold.
 
-    Thresholds within an absolute 1e-9 of the largest count as a tie, which
-    is reported with no selection.  So every game whose two ``overall``
-    values cross inside that band reports a tie, not only the game where
-    they are equal: on the canonical family (affine F = a x + b on
-    sqrt-shift types) that is b within 5e-10 of the crossing b*(a), measured
-    at a = 2.45, 2.7 and 3.
+    Thresholds within an absolute 1e-9 of the largest tie, reported with no
+    selection: every game whose ``overall`` values cross inside that band
+    ties.  On the canonical family (affine F = a x + b on sqrt-shift types,
+    2 < a <= 3, -(a - 2)^2/4 < b < 0) the corner 0 reads -b, its deficit
+    at 0, and the interior stable equilibrium (a - 2)^2/4 + b, the
+    deficit's peak at (a - 2)/2.  They differ by 2 |b - b*| with
+    b* = -(a - 2)^2/8, so the band is exactly |b - b*| <= 5e-10.
     """
-    stable = find_aggregate_equilibria(game, dist).stable
-    if not stable:
+    eqs = find_aggregate_equilibria(game, dist)
+    if not eqs.stable:
         raise AnalysisError("the game has no stable aggregate equilibrium")
-    entries = tuple(robustness_threshold(game, dist, eq.xbar) for eq in stable)
+    entries = _thresholds(game, dist, eqs, eqs.stable)
     best = max(entries, key=lambda e: e.overall)
-    contenders = [e for e in entries if abs(e.overall - best.overall) <= 1e-9]
-    if len(contenders) > 1:
-        return RobustnessReport(entries=entries, selected=None, tie=True)
-    return RobustnessReport(entries=entries, selected=best.xbar_star, tie=False)
+    tie = sum(abs(e.overall - best.overall) <= 1e-9 for e in entries) > 1
+    return RobustnessReport(entries, None if tie else best.xbar_star, tie)
 
 
 def risk_dominant_action(c: float) -> str:

@@ -43,8 +43,9 @@ from evodyn import (
     standard_protocol,
     vector_field,
 )
+from evodyn import stability
 from evodyn.stability import _certify, _cutoff_deficit
-from tests.conftest import random_composition
+from tests.conftest import CANON_A, CANON_B, random_composition
 
 XC = (2.9 - np.sqrt(8.01)) / 2  # ~ 0.0349028
 
@@ -510,6 +511,28 @@ def test_selection_boundary_is_one_half_less_mu(mu, s):
     assert abs(mid - (0.5 - mu)) <= 1e-12
 
 
+@settings(max_examples=100, deadline=None)
+@given(a=st.floats(2.05, 3.0), t=st.floats(0.5, 1.5))
+def test_canonical_selection_boundary_is_the_closed_form(a, t):
+    """Affine F = a x + b on sqrt-shift types: the deficit F - Pinv is
+    -(x^2 + (2 - a) x - b).  Equilibrium 0's one side, up to the unstable
+    root, reads its end at 0, -b; the interior stable equilibrium's inner
+    side reads the peak at (a - 2)/2, (a - 2)^2/4 + b.  They cross at
+    b* = -(a - 2)^2/8 and differ by 2 |b - b*|, so b* +- 1e-8 is outside
+    the 1e-9 tie band and selects one side each."""
+    dist = SqrtShiftTypes()
+    b_star = -((a - 2.0) ** 2) / 8.0
+    for b in (b_star, t * b_star):
+        game = affine_game(a, b)
+        assert len(find_aggregate_equilibria(game, dist).stable) == 2
+        corner, interior = select_most_robust(game, dist).entries
+        assert corner.xbar_star == 0.0 and corner.overall == -b
+        assert abs(interior.overall - ((a - 2.0) ** 2 / 4.0 + b)) <= 1e-15
+    for shift, side in ((1e-8, 1), (-1e-8, 0)):
+        report = select_most_robust(affine_game(a, b_star + shift), dist)
+        assert not report.tie and report.selected == report.entries[side].xbar_star
+
+
 class TestSelection:
     def test_canonical_selection(self, canon_game, canon_dist):
         report = select_most_robust(canon_game, canon_dist)
@@ -687,3 +710,43 @@ def test_near_tangent_reports_match_pinned_hash():
         eqs, _ = put_reports(put, game, dist, protocol)
         put(len(eqs.equilibria))
     assert digest.hexdigest() == NEAR_TANGENT_SHA256
+
+
+# recorded before the thresholds were read off one deficit pass per game;
+# the near-tangent games' narrow sides and the noise games' thousands of
+# equilibria reach rules the certify digest does not
+SELECTION_SHA256 = "a6a6416ff9ca786a2695385893c986983cf915eb12c836b917d5ed9e2cf35f07"
+
+
+def test_selection_matches_pinned_hash():
+    digest = hashlib.sha256()
+    put = digest_putter(digest)
+    for game, dist, _ in near_tangent_games(np.random.default_rng(20261022), 40):
+        try:
+            robust = select_most_robust(game, dist)
+        except AnalysisError as exc:  # g = 0 has no stable equilibrium
+            put(type(exc).__name__)
+            continue
+        for e in robust.entries:
+            put(*dataclasses.astuple(e))
+        put(robust.selected, robust.tie)
+    assert digest.hexdigest() == SELECTION_SHA256
+
+
+@pytest.mark.parametrize("select", [
+    lambda: select_most_robust(affine_game(CANON_A, CANON_B), SqrtShiftTypes()),
+    # 10,075 equilibria, 113 of them stable
+    lambda: select_most_robust(affine_game(1e-6, 0.0), UniformTypes(0.0, 1e-6)),
+    lambda: robustness_threshold(affine_game(CANON_A, CANON_B), SqrtShiftTypes(), 0.25),
+])
+def test_thresholds_evaluate_the_deficit_once(monkeypatch, select):
+    calls = []
+    deficit = stability._cutoff_deficit
+
+    def counting(game, dist, xs):
+        calls.append(np.size(xs))
+        return deficit(game, dist, xs)
+
+    monkeypatch.setattr(stability, "_cutoff_deficit", counting)
+    select()
+    assert len(calls) == 1
